@@ -44,7 +44,6 @@ from .oracle import (
     build_grid,
     convergence_study,
     dense_cross_check,
-    jacobi_eigenvalues,
     lowest_eigenpair,
     secular_value,
 )
@@ -87,7 +86,7 @@ __all__ = [
     "critical_coupling", "default_spec", "dense_cross_check",
     "dressing_amplitude", "dressing_strength", "ensure_stable",
     "form_factor_eval", "full_report", "geometric_partial_sum",
-    "jacobi_eigenvalues", "lowest_eigenpair", "mass_shift",
+    "lowest_eigenpair", "mass_shift",
     "mass_shift_integral", "norm_integral", "omega", "radial_integrate",
     "regularized_z", "renormalize_coupling", "secular_value",
     "solve_physical_mass", "standard_z", "upper_momentum", "vertex_weight",

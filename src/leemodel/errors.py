@@ -15,8 +15,8 @@ class StabilityViolation(LeeModelError, ValueError):
 
 
 class NoConvergence(LeeModelError, RuntimeError):
-    """An iterative scheme (quadrature refinement, bisection, Jacobi sweeps)
-    failed to reach its tolerance within the documented iteration cap."""
+    """An iterative scheme (quadrature refinement, bisection) failed to
+    reach its tolerance within the documented iteration cap."""
 
 
 class DegenerateModel(LeeModelError, ValueError):

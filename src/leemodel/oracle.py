@@ -12,16 +12,19 @@ arrowhead matrix
 Its eigenvalues with nonvanishing apex component are the roots of the secular
 function  s(lam) = m_V0 - lam + sum_i c_i^2 / (lam - d_i),  which is strictly
 decreasing between consecutive poles, so every root is bracketed and found by
-bisection.  The squared apex component of the normalized eigenvector,
-1 / (1 + sum_i c_i^2/(lam - d_i)^2), is the finite-n image of the overlap
-probability Z_V; as the grid refines, the lowest eigenpair converges to the
-continuum physical mass and Z_V.  This is a genuinely independent route to the
-same numbers as the continuum quadrature, which is the point: the two paths
-validate each other.
+bisection; the outermost brackets are the Weyl bounds min(m_V0, d_1) - ||c||
+and max(m_V0, d_n) + ||c||.  The squared apex component of the normalized
+eigenvector, 1 / (1 + sum_i c_i^2/(lam - d_i)^2), is the finite-n image of
+the overlap probability Z_V; as the grid refines, the lowest eigenpair
+converges to the continuum physical mass and Z_V.  This is a genuinely
+independent route to the same numbers as the continuum quadrature, which is
+the point: the two paths validate each other.  The "gauss" grid is built by the quadrature's graded
+composite Gauss-Legendre rule, but with 16-node panels against the
+quadrature's 24, so the two never share a node layout.
 
-A classical cyclic Jacobi eigensolver over the dense matrix provides a second,
-structurally different eigenvalue route for cross-checking the secular
-bisection on small truncations.
+LAPACK's dense symmetric eigensolver (tridiagonal reduction, then divide and
+conquer) provides a second, structurally different eigenvalue route for
+cross-checking the secular bisection on small truncations.
 """
 
 from __future__ import annotations
@@ -31,16 +34,19 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from .core import BareCoupling, ModelParams, omega, vertex_weight
 from .errors import NoConvergence, PoleHit
+from .quadrature import graded_panels
 
 FOUR_PI = 4.0 * math.pi
 
 UNIFORM_K = "uniform"
 GAUSS_LEGENDRE_K = "gauss"
 GRID_SCHEMES = (UNIFORM_K, GAUSS_LEGENDRE_K)
+# Order of the "gauss" grid's panels.  It differs from the quadrature's
+# default 24 so that the oracle never reuses the continuum pipeline's nodes.
+PANEL_ORDER = 16
 
 
 @dataclass(frozen=True)
@@ -74,7 +80,9 @@ def build_grid(k_max: float, n: int, scheme: str = GAUSS_LEGENDRE_K) -> RadialGr
     """Radial grid on (0, k_max]: midpoint nodes or Gauss-Legendre nodes.
 
     Uniform: k_i = (i - 1/2) dk with w_i = 4 pi k_i^2 dk.  Gauss-Legendre:
-    nodes/weights of order n mapped to [0, k_max], again times 4 pi k^2.
+    n nodes of the quadrature's composite rule over max(1, n // 16) panels
+    graded quadratically toward k = 0 (a single order-n rule for n < 32),
+    again with weights times 4 pi k^2.
     """
     if n < 1:
         raise ValueError("grid size n must be >= 1")
@@ -85,9 +93,7 @@ def build_grid(k_max: float, n: int, scheme: str = GAUSS_LEGENDRE_K) -> RadialGr
         k = (np.arange(n) + 0.5) * dk
         w_lin = np.full(n, dk)
     elif scheme == GAUSS_LEGENDRE_K:
-        x, v = roots_legendre(n)
-        k = 0.5 * k_max * (x + 1.0)
-        w_lin = 0.5 * k_max * v
+        k, w_lin = graded_panels(k_max, max(1, n // PANEL_ORDER), n)
     else:
         raise ValueError(f"unknown grid scheme {scheme!r}")
     return RadialGrid(k=k, w=FOUR_PI * k * k * w_lin, scheme=scheme)
@@ -172,17 +178,13 @@ def _root_between(mat: ArrowheadMatrix, lo: float, hi: float, tol: float,
     raise NoConvergence("secular bisection exceeded its iteration cap")
 
 
-def _expand_below(mat: ArrowheadMatrix) -> float:
-    """Point left of the lowest root where s > 0 (s -> +inf as lam -> -inf)."""
-    start = min(mat.apex, float(mat.diag[0]))
-    dist = 1.0
-    lo = start - dist
-    while _secular(mat, lo) <= 0.0:
-        dist *= 2.0
-        if dist > 2.0 ** 60:
-            raise NoConvergence("left bracket expansion for the lowest eigenvalue failed")
-        lo = start - dist
-    return lo
+def _spectral_bounds(mat: ArrowheadMatrix) -> tuple[float, float]:
+    """Interval holding every eigenvalue (Weyl: the coupling part of the
+    matrix has 2-norm ||c||, so no eigenvalue lies farther than that from
+    the diagonal entries)."""
+    radius = float(np.linalg.norm(mat.coupling))
+    return (min(mat.apex, float(mat.diag[0])) - radius,
+            max(mat.apex, float(mat.diag[-1])) + radius)
 
 
 @dataclass(frozen=True)
@@ -204,8 +206,7 @@ def lowest_eigenpair(mat: ArrowheadMatrix, tol: float = 1e-12) -> EigenPair:
     coupled = bool(np.any(mat.coupling != 0.0))
     if not coupled and mat.apex >= d1:
         raise ValueError("decoupled apex does not lie below the continuum block")
-    lo = _expand_below(mat)
-    lam = _root_between(mat, lo, d1, tol)
+    lam = _root_between(mat, _spectral_bounds(mat)[0], d1, tol)
     weight = 1.0 / (1.0 + float(np.sum(mat.coupling ** 2 / (lam - mat.diag) ** 2)))
     return EigenPair(energy=lam, apex_weight=weight)
 
@@ -218,73 +219,23 @@ def all_eigenvalues(mat: ArrowheadMatrix, tol: float = 1e-12) -> np.ndarray:
     """
     if np.any(mat.coupling == 0.0):
         raise ValueError("all couplings must be nonzero for the interlacing structure")
-    d = mat.diag
-    roots = [_root_between(mat, _expand_below(mat), float(d[0]), tol)]
-    for i in range(mat.n - 1):
-        roots.append(_root_between(mat, float(d[i]), float(d[i + 1]), tol))
-    # top root: s -> +inf just above d_n and -lam wins far to the right
-    start = float(d[-1])
-    dist = 1.0
-    hi = start + dist
-    while _secular(mat, hi) >= 0.0:
-        dist *= 2.0
-        if dist > 2.0 ** 60:
-            raise NoConvergence("right bracket expansion for the top eigenvalue failed")
-        hi = start + dist
-    roots.append(_root_between(mat, start, hi, tol))
-    return np.asarray(roots)
-
-
-def jacobi_eigenvalues(matrix: np.ndarray, max_sweeps: int = 60) -> np.ndarray:
-    """Eigenvalues of a real symmetric matrix by classical cyclic Jacobi sweeps.
-
-    Kept dependency-free on purpose: it is the in-repo cross-check for the
-    secular bisection, not a wrapper around a library eigensolver.
-    """
-    a = np.array(matrix, dtype=float, copy=True)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("matrix must be square")
-    n = a.shape[0]
-    if not np.allclose(a, a.T, rtol=0.0, atol=1e-12 * max(1.0, float(np.abs(a).max()))):
-        raise ValueError("matrix must be symmetric")
-    if n == 1:
-        return np.array([a[0, 0]])
-    anorm = max(float(np.sqrt(np.sum(a * a))), 1e-300)
-    for _ in range(max_sweeps):
-        off = math.sqrt(2.0 * float(np.sum(np.tril(a, -1) ** 2)))
-        if off <= 1e-15 * anorm:
-            return np.sort(np.diag(a))
-        skip = 1e-20 * anorm
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= skip:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if theta == 0.0:
-                    t = 1.0
-                else:
-                    t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                row_p, row_q = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                col_p, col_q = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-    raise NoConvergence(f"Jacobi did not converge within {max_sweeps} sweeps")
+    lo, hi = _spectral_bounds(mat)
+    edges = [lo, *map(float, mat.diag), hi]
+    return np.array([_root_between(mat, a, b, tol) for a, b in zip(edges, edges[1:])])
 
 
 def dense_cross_check(mat: ArrowheadMatrix) -> np.ndarray:
-    """Eigenvalues of the dense arrowhead by the in-repo Jacobi solver.
+    """Eigenvalues of the dense arrowhead by LAPACK (numpy.linalg.eigvalsh).
 
     Intended as the independent mate of :func:`all_eigenvalues` on small
-    truncations; n is capped because Jacobi cost grows like n^3 per sweep.
+    truncations: it reduces the dense matrix to tridiagonal form and never
+    sees the secular function.  n is capped because the dense matrix holds
+    (n+1)^2 entries and the solve costs O(n^3), against O(n) memory for the
+    secular route.
     """
     if mat.n > 256:
         raise ValueError("dense cross-check is limited to n <= 256")
-    return jacobi_eigenvalues(mat.to_dense())
+    return np.linalg.eigvalsh(mat.to_dense())
 
 
 def convergence_study(params: ModelParams, bare: BareCoupling,

@@ -18,12 +18,12 @@ sequence exhausts it, NoConvergence is raised.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from .core import ModelParams, ensure_stable, vertex_weight
 from .errors import NoConvergence
@@ -69,29 +69,41 @@ def upper_momentum(params: ModelParams, spec: QuadSpec) -> float:
     return cut if cut is not None else spec.k_max
 
 
-_GAUSS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+@functools.cache
+def _gauss_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights of the given order on [-1, 1] (read-only)."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
 
 
-def _gauss_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    if n not in _GAUSS_CACHE:
-        _GAUSS_CACHE[n] = roots_legendre(n)
-    return _GAUSS_CACHE[n]
+def graded_panels(hi: float, panels: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n composite Gauss-Legendre nodes on [0, hi] and their dk weights.
+
+    Panel edges are hi * (j / panels)^2, graded quadratically toward k = 0:
+    masses close to the threshold concentrate the integrand near zero momentum
+    (on the scale sqrt(2*mu*(threshold - m))), and doubling graded panels gains
+    resolution there much faster than uniform splitting.  Each panel carries
+    n // panels nodes and the first n % panels carry one more, so the nodes
+    come out strictly increasing.
+    """
+    edges = hi * np.linspace(0.0, 1.0, panels + 1) ** 2
+    order, extra = divmod(n, panels)
+    k, wk = [], []
+    for m, a, b in ((order + 1, 0, extra), (order, extra, panels)):
+        if b > a:
+            x, w = _gauss_nodes(m)
+            half = 0.5 * (edges[a + 1:b + 1] - edges[a:b])
+            mid = 0.5 * (edges[a:b] + edges[a + 1:b + 1])
+            k.append((mid[:, None] + half[:, None] * x).ravel())
+            wk.append((half[:, None] * w).ravel())
+    return np.concatenate(k), np.concatenate(wk)
 
 
 def _estimate(f, hi: float, panels: int, nodes: int, mu: float) -> float:
-    """Composite Gauss-Legendre estimate of 4*pi Int_0^hi k^2 f(omega(k)) dk.
-
-    Panels are graded quadratically toward k = 0: masses close to the
-    threshold concentrate the integrand near zero momentum (on the scale
-    sqrt(2*mu*(threshold - m))), and doubling graded panels gains resolution
-    there much faster than uniform splitting.
-    """
-    x, w = _gauss_nodes(nodes)
-    edges = hi * np.linspace(0.0, 1.0, panels + 1) ** 2
-    half = 0.5 * np.diff(edges)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    k = mid[:, None] + half[:, None] * x[None, :]
-    wk = half[:, None] * w[None, :]
+    """Composite Gauss-Legendre estimate of 4*pi Int_0^hi k^2 f(omega(k)) dk."""
+    k, wk = graded_panels(hi, panels, panels * nodes)
     om = np.sqrt(k * k + mu * mu)
     vals = np.asarray(f(om), dtype=float)
     if vals.shape != k.shape:

@@ -138,7 +138,7 @@ def test_c5_mutual_eigensolver_agreement():
                            and np.all(mat.diag < secular[1:]))
     elapsed = time.perf_counter() - started
     ok = worst < 1e-9 and interlaced
-    _verdict(5, "secular bisection vs dense Jacobi", ok, elapsed, 30.0,
+    _verdict(5, "secular bisection vs dense LAPACK", ok, elapsed, 30.0,
              f"worst eigenvalue gap {worst:.3e} < 1e-9, interlacing {interlaced}")
 
 

@@ -316,3 +316,16 @@ def test_module_entry_point(tmp_path):
     assert result.returncode == 0, result.stderr
     assert out.exists()
     assert "regime=Normal" in result.stdout
+
+
+def test_import_loads_no_scipy():
+    # scipy costs a few tenths of a second of every CLI start; nothing needs it
+    import subprocess
+    import sys
+
+    code = ("import leemodel, sys; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    result = subprocess.run([sys.executable, "-c", code],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

@@ -12,7 +12,6 @@ from leemodel import (
     build_grid,
     convergence_study,
     dense_cross_check,
-    jacobi_eigenvalues,
     lowest_eigenpair,
     omega,
     secular_value,
@@ -46,8 +45,11 @@ def test_grid_weight_sums():
     ball = 4.0 * math.pi * 3.0 ** 3 / 3.0
     uniform = build_grid(3.0, 2000, "uniform")
     assert math.isclose(float(uniform.w.sum()), ball, rel_tol=1e-5)
-    gauss = build_grid(3.0, 12, "gauss")  # exact: the integrand is k^2
-    assert math.isclose(float(gauss.w.sum()), ball, rel_tol=1e-13)
+    for n in (2, 12, 15, 16, 17, 33, 1000):  # exact: the integrand is k^2
+        gauss = build_grid(3.0, n, "gauss")
+        assert gauss.n == n
+        assert np.all(gauss.k > 0.0) and np.all(np.diff(gauss.k) > 0.0)
+        assert math.isclose(float(gauss.w.sum()), ball, rel_tol=1e-13)
 
 
 def test_build_grid_validation():
@@ -73,6 +75,16 @@ def test_build_arrowhead_decoupled():
     assert np.all(mat.coupling == 0.0)
     assert mat.apex == 1.2
     assert np.all(np.diff(mat.diag) > 0.0)
+
+
+def test_build_arrowhead_fine_grid_smallest_sharp_cutoff():
+    # the steepest-graded input: many panels near k = 0, where omega(k) is
+    # flattest, must still give a strictly increasing diagonal
+    params = sharp_model(1.5)
+    k_cut = math.sqrt(1.5 ** 2 - params.mu ** 2)
+    grid = build_grid(k_cut, 4096, "gauss")
+    mat = build_arrowhead(params, BareCoupling(1.8, 1.0), grid)
+    assert mat.n == 4096
 
 
 def test_build_arrowhead_entries_pointwise():
@@ -219,23 +231,6 @@ def test_interlacing_random_instances():
 
 
 # --- dense cross-check --------------------------------------------------------------
-
-def test_jacobi_against_library_eigensolver():
-    rng = np.random.default_rng(42)
-    a = rng.standard_normal((20, 20))
-    a = 0.5 * (a + a.T)
-    mine = jacobi_eigenvalues(a)
-    ref = np.linalg.eigvalsh(a)
-    assert np.allclose(mine, ref, rtol=0, atol=1e-9)
-
-
-def test_jacobi_validation():
-    with pytest.raises(ValueError):
-        jacobi_eigenvalues(np.zeros((2, 3)))
-    with pytest.raises(ValueError):
-        jacobi_eigenvalues(np.array([[0.0, 1.0], [2.0, 0.0]]))
-    assert jacobi_eigenvalues(np.array([[3.0]])) == np.array([3.0])
-
 
 def test_dense_cross_check_two_by_two():
     vals = dense_cross_check(TWO_BY_TWO)
