@@ -53,6 +53,7 @@ from .quadrature import (
     mass_shift_integral,
     norm_integral,
     radial_integrate,
+    spectral_moments,
     upper_momentum,
     z_factor_integral,
 )
@@ -86,9 +87,9 @@ __all__ = [
     "critical_coupling", "default_spec", "dense_cross_check",
     "dressing_amplitude", "dressing_strength", "ensure_stable",
     "form_factor_eval", "full_report", "geometric_partial_sum",
-    "lowest_eigenpair", "mass_shift",
-    "mass_shift_integral", "norm_integral", "omega", "radial_integrate",
-    "regularized_z", "renormalize_coupling", "secular_value",
-    "solve_physical_mass", "standard_z", "upper_momentum", "vertex_weight",
+    "lowest_eigenpair", "mass_shift", "mass_shift_integral",
+    "norm_integral", "omega", "radial_integrate", "regularized_z",
+    "renormalize_coupling", "secular_value", "solve_physical_mass",
+    "spectral_moments", "standard_z", "upper_momentum", "vertex_weight",
     "z_factor_integral", "z_from_bare",
 ]

@@ -50,7 +50,7 @@ from .core import (BareCoupling, FormFactor, ModelParams, RenCoupling,
 from .errors import ConfigError, LeeModelError, NoBoundState
 from .oracle import GRID_SCHEMES, GAUSS_LEGENDRE_K, convergence_study
 from .quadrature import QuadSpec
-from .renorm import RenormReport, full_report, solve_physical_mass, z_from_bare
+from .renorm import RenormReport, full_report
 
 COLUMNS = ("sweep_value", "m_V", "m_V0", "delta_m", "g0_sq", "g_sq", "x",
            "z_standard", "z_regularized", "regime", "error")
@@ -325,10 +325,8 @@ def emit(table: list[dict], out_format: str, path: str) -> None:
 def _validate_oracle(config: RunConfig) -> int:
     if config.mode != "bare":
         raise ConfigError("input.mode", "oracle validation needs a bare-mode configuration")
-    m_v = solve_physical_mass(config.params, config.bare, config.quad)
-    if m_v is None:
-        raise NoBoundState("no bound state at the configured bare point")
-    z = z_from_bare(config.params, config.bare.g0, m_v, config.quad)
+    report = run_point(config)
+    m_v, z = report.m_v, report.z_standard
     n = config.oracle.n
     n_list = sorted({max(8, n // 64), max(16, n // 16), max(32, n // 4), n})
     rows = convergence_study(config.params, config.bare, n_list,

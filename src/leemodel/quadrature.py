@@ -10,6 +10,10 @@ factor truncates the range exactly at k(Lambda) = sqrt(Lambda^2 - mu^2); the
 decaying families are truncated at ``k_max`` (default 40*Lambda, where the
 integrands are down by at least f^2/omega^2).
 
+I1 and I2 are moments of one spectral density, summed together by
+:func:`spectral_moments`; the norm integral keeps its own integrand, the
+squared cloud amplitude, so that the norm condition stays an independent check.
+
 The scheme is composite Gauss-Legendre with the panel count doubled until two
 successive estimates agree to tolerance; panels are graded toward k = 0 where
 near-threshold integrands peak.  The panel cap is 2**14; if the doubling
@@ -26,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .core import ModelParams, ensure_stable, vertex_weight
-from .errors import NoConvergence
+from .errors import NoConvergence, StabilityViolation
 
 FOUR_PI = 4.0 * math.pi
 PANEL_CAP = 2 ** 14
@@ -101,14 +105,27 @@ def graded_panels(hi: float, panels: int, n: int) -> tuple[np.ndarray, np.ndarra
     return np.concatenate(k), np.concatenate(wk)
 
 
-def _estimate(f, hi: float, panels: int, nodes: int, mu: float) -> float:
-    """Composite Gauss-Legendre estimate of 4*pi Int_0^hi k^2 f(omega(k)) dk."""
-    k, wk = graded_panels(hi, panels, panels * nodes)
-    om = np.sqrt(k * k + mu * mu)
-    vals = np.asarray(f(om), dtype=float)
-    if vals.shape != k.shape:
-        vals = np.broadcast_to(vals, k.shape)
-    return FOUR_PI * float(np.sum(wk * k * k * vals))
+def _refine(sums: Callable, params: ModelParams, spec: QuadSpec, what: str) -> np.ndarray:
+    """sums(k, wk) over graded rules on the momentum range, doubled until every
+    component settles to max(abs_tol, rel_tol*|value|); an empty range sums to 0."""
+    hi = upper_momentum(params, spec)
+    if hi <= 0.0:
+        return sums(np.empty(0), np.empty(0))
+    panels = spec.panels
+    prev = sums(*graded_panels(hi, panels, panels * spec.nodes_per_panel))
+    diff = np.array(math.inf)
+    while panels < PANEL_CAP:
+        panels = min(2 * panels, PANEL_CAP)
+        cur = sums(*graded_panels(hi, panels, panels * spec.nodes_per_panel))
+        diff = np.abs(cur - prev)
+        if np.all(diff <= np.maximum(spec.abs_tol, spec.rel_tol * np.abs(cur))):
+            return cur
+        prev = cur
+    changes = ", ".join(f"{d:.3e}" for d in np.atleast_1d(diff))
+    raise NoConvergence(
+        f"{what} did not reach tolerance within {PANEL_CAP} panels "
+        f"(last refinement changed the estimate by {changes})"
+    )
 
 
 def radial_integrate(f: Callable, params: ModelParams, spec: QuadSpec) -> float:
@@ -118,23 +135,43 @@ def radial_integrate(f: Callable, params: ModelParams, spec: QuadSpec) -> float:
     (scalar returns are broadcast).  Refinement doubles the panel count until
     successive estimates differ by less than max(abs_tol, rel_tol*|value|).
     """
-    hi = upper_momentum(params, spec)
-    if hi <= 0.0:
-        return 0.0
-    prev = _estimate(f, hi, spec.panels, spec.nodes_per_panel, params.mu)
-    panels = spec.panels
-    diff = math.inf
-    while panels < PANEL_CAP:
-        panels = min(2 * panels, PANEL_CAP)
-        cur = _estimate(f, hi, panels, spec.nodes_per_panel, params.mu)
-        diff = abs(cur - prev)
-        if diff <= max(spec.abs_tol, spec.rel_tol * abs(cur)):
-            return cur
-        prev = cur
-    raise NoConvergence(
-        f"radial quadrature did not reach tolerance within {PANEL_CAP} panels "
-        f"(last refinement changed the estimate by {diff:.3e})"
-    )
+    mu = params.mu
+
+    def sums(k, wk):
+        vals = np.asarray(f(np.sqrt(k * k + mu * mu)), dtype=float)
+        return FOUR_PI * np.sum(wk * k * k * np.broadcast_to(vals, k.shape))
+
+    return float(_refine(sums, params, spec, "radial quadrature"))
+
+
+def spectral_moments(m: float, params: ModelParams, spec: QuadSpec,
+                     orders: tuple[int, ...] = (1, 2)) -> tuple[float, ...]:
+    """Moments I_n(m) = Int d^3k f^2(omega) / (2*omega) / (m - m_N - omega)^n, one per order.
+
+    All orders are summed from one f^2 evaluation per rule and refined until
+    each settles.  The denominator is -(delta + k^2/(omega + mu)) with
+    delta = m_N + mu - m formed once, so nothing cancels near the threshold.
+    delta = 0 is allowed for I1 alone, which stays finite there.
+    """
+    ff, mu = params.form_factor, params.mu
+    delta = params.threshold - m
+    if not (delta > 0.0 or (delta == 0.0 and max(orders) == 1)):
+        raise StabilityViolation(
+            f"m = {m!r} is not below the N+theta threshold {params.threshold!r}; "
+            f"moment(s) {orders} need delta = m_N + mu - m > 0 (I1 alone allows 0)"
+        )
+
+    def sums(k, wk):
+        k2 = k * k
+        om = np.sqrt(k2 + mu * mu)
+        fval = np.asarray(ff.evaluate(om, mu), dtype=float)
+        rho = wk * k2 * fval * fval / (2.0 * om)
+        inv = -1.0 / (delta + k2 / (om + mu))      # 1 / (m - m_N - omega)
+        return FOUR_PI * np.array([rho.dot(inv ** n) for n in orders])
+
+    what = (f"moment(s) {orders} of the {ff.kind} form factor (Lambda = {ff.lam!r}) "
+            f"at m = {m!r}, delta = {delta!r}")
+    return tuple(float(v) for v in _refine(sums, params, spec, what))
 
 
 def mass_shift_integral(m: float, params: ModelParams, spec: QuadSpec) -> float:
@@ -144,13 +181,7 @@ def mass_shift_integral(m: float, params: ModelParams, spec: QuadSpec) -> float:
     pointwise) and monotone decreasing in m.
     """
     ensure_stable(params, m, label="m")
-    ff, mu, m_n = params.form_factor, params.mu, params.m_n
-
-    def integrand(om):
-        fval = np.asarray(ff.evaluate(om, mu), dtype=float)
-        return fval * fval / (2.0 * om) / (m - m_n - om)
-
-    return radial_integrate(integrand, params, spec)
+    return spectral_moments(m, params, spec, orders=(1,))[0]
 
 
 def z_factor_integral(m: float, params: ModelParams, spec: QuadSpec) -> float:
@@ -160,14 +191,7 @@ def z_factor_integral(m: float, params: ModelParams, spec: QuadSpec) -> float:
     minus the derivative of :func:`mass_shift_integral` with respect to m.
     """
     ensure_stable(params, m, label="m")
-    ff, mu, m_n = params.form_factor, params.mu, params.m_n
-
-    def integrand(om):
-        fval = np.asarray(ff.evaluate(om, mu), dtype=float)
-        den = m - m_n - om
-        return fval * fval / (2.0 * om) / (den * den)
-
-    return radial_integrate(integrand, params, spec)
+    return spectral_moments(m, params, spec, orders=(2,))[0]
 
 
 def norm_integral(params: ModelParams, g0: float, m_v: float, spec: QuadSpec) -> float:

@@ -17,23 +17,26 @@ for x > 1 the series diverges, the inverse weight is infinite, and the bare-V
 probability is assigned 0 instead of a negative number.  Both values are
 reported side by side: ``z_standard`` (1 - x, possibly negative) and
 ``z_regularized`` (max(1 - x, 0)).
+
+Since I2 = -dI1/dm, the slope of the mass residual m - m_V0 - (g0^2/(2 pi)^3) I1(m)
+is exactly 1/Z_V: the physical mass is found by Newton steps, each one moment
+pass for I1 and I2 together, and Z_V comes from the last step's I2.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, replace
 
 from .core import BareCoupling, ModelParams, Regime, RenCoupling, ensure_stable
 from .errors import DegenerateModel, GhostRegime, NoBoundState, NoConvergence
-from .quadrature import QuadSpec, mass_shift_integral, z_factor_integral
+from .quadrature import QuadSpec, mass_shift_integral, spectral_moments, z_factor_integral
 
 TWO_PI_CUBED = (2.0 * math.pi) ** 3
 
-# fraction of mu kept between the root-search bracket and the threshold
-THRESHOLD_MARGIN = 1e-9
+# Newton steps before the physical-mass solve gives up
+NEWTON_CAP = 100
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
@@ -67,77 +70,56 @@ def mass_shift(params: ModelParams, g0: float, m_v: float, spec: QuadSpec) -> fl
     return g0 * g0 / TWO_PI_CUBED * mass_shift_integral(m_v, params, spec)
 
 
-def _bracketed_root(f: Callable[[float], float], lo: float, hi: float,
-                    f_lo: float, f_hi: float, tol: float,
-                    max_iter: int = 200) -> float:
-    """Root of f on [lo, hi] with f(lo) < 0 < f(hi).
+def _newton(params: ModelParams, bare: BareCoupling, spec: QuadSpec,
+            root_tol: float) -> tuple[float, float] | None:
+    """Root m_V of F(m) = m - m_V0 - c I1(m), c = g0^2/(2 pi)^3, and s = c I2(m_V).
 
-    Bisection bracket maintenance with secant proposals; a bisection step is
-    forced whenever the same endpoint moved twice in a row, so the bracket
-    width is guaranteed to shrink.
+    F' = 1 + c I2 >= 1 and F is convex, so Newton steps from right of the root
+    fall monotonically onto it; below the threshold they start at m_V0, where
+    F >= 0.  At or above it a bound state exists iff F(threshold) > 0; the
+    start threshold - F(threshold) lies left of the root, and a step that
+    would overshoot the threshold takes the chord to (threshold, F(threshold)).
+    Returns None when there is no bound state.
     """
-    a, b, fa, fb = lo, hi, f_lo, f_hi
-    side = 0
-    stall = 0
-    for _ in range(max_iter):
-        if b - a <= tol * max(1.0, abs(a), abs(b)):
-            break
-        if stall >= 2:
-            x = 0.5 * (a + b)
-            stall = 0
-        else:
-            x = (a * fb - b * fa) / (fb - fa)
-            if not (a < x < b):
-                x = 0.5 * (a + b)
-        fx = f(x)
-        if fx == 0.0:
-            return x
-        if fx < 0.0:
-            a, fa = x, fx
-            stall = stall + 1 if side == -1 else 0
-            side = -1
-        else:
-            b, fb = x, fx
-            stall = stall + 1 if side == +1 else 0
-            side = +1
-    else:
-        raise NoConvergence("bracketed root refinement exceeded its iteration cap")
-    return (a * fb - b * fa) / (fb - fa)
+    thr = params.threshold
+    if bare.g0 == 0.0:
+        return (bare.m_v0, 0.0) if bare.m_v0 < thr else None
+    c = bare.g0 * bare.g0 / TWO_PI_CUBED
+    f_thr = None
+    m = bare.m_v0
+    if m >= thr:
+        f_thr = thr - bare.m_v0 - c * spectral_moments(thr, params, spec, orders=(1,))[0]
+        if f_thr <= 0.0:
+            return None
+        m = thr - f_thr
+    for _ in range(NEWTON_CAP):
+        i1, i2 = spectral_moments(m, params, spec)
+        f = m - bare.m_v0 - c * i1
+        s = c * i2
+        step = f / (1.0 + s)
+        if abs(step) <= root_tol * max(1.0, abs(m)):
+            return m, s
+        nxt = m - step
+        if nxt >= thr:  # only from left of the root, so f_thr is set
+            nxt = m - f * (thr - m) / (f_thr - f)
+        m = nxt
+    ff = params.form_factor
+    raise NoConvergence(
+        f"Newton solve on moments (1, 2) of the {ff.kind} form factor (Lambda = "
+        f"{ff.lam!r}, m_V0 = {bare.m_v0!r}, g0 = {bare.g0!r}) stopped after {NEWTON_CAP} "
+        f"steps at m = {m!r}, delta = {thr - m!r} (last step changed m by {step:.3e})")
 
 
 def solve_physical_mass(params: ModelParams, bare: BareCoupling, spec: QuadSpec,
                         root_tol: float = 1e-12) -> float | None:
     """Physical V mass: the root of F(m) = m - m_V0 - mass_shift(m) below threshold.
 
-    F is strictly increasing (its slope is 1 plus a positive integral), so the
-    sub-threshold root is unique when it exists.  Returns None when
-    F(threshold-) <= 0, i.e. when the V state has dissolved into the
-    continuum and no discrete eigenvalue remains.
+    F is strictly increasing, so the root is unique when it exists; Newton
+    steps stop once one moves m by at most root_tol * max(1, |m|).  Returns
+    None when F(threshold) <= 0: the V state has dissolved into the continuum.
     """
-    hi = params.threshold - THRESHOLD_MARGIN * params.mu
-
-    def residual(m: float) -> float:
-        return m - bare.m_v0 - mass_shift(params, bare.g0, m, spec)
-
-    f_hi = residual(hi)
-    if f_hi <= 0.0:
-        return None
-
-    # expand the lower end geometrically until the residual goes negative
-    anchor = min(bare.m_v0, hi)
-    step = max(params.mu, 1.0)
-    cap = 1e6 * max(params.mu, abs(bare.m_v0), 1.0)
-    lo = anchor - step
-    f_lo = residual(lo)
-    while f_lo > 0.0:
-        step *= 2.0
-        if step > cap:
-            raise NoConvergence("could not bracket the physical mass from below")
-        lo = anchor - step
-        f_lo = residual(lo)
-    if f_lo == 0.0:
-        return lo
-    return _bracketed_root(residual, lo, hi, f_lo, f_hi, root_tol)
+    solved = _newton(params, bare, spec, root_tol)
+    return None if solved is None else solved[0]
 
 
 def z_from_bare(params: ModelParams, g0: float, m_v: float, spec: QuadSpec) -> float:
@@ -236,6 +218,26 @@ def critical_coupling(params: ModelParams, m_v: float, spec: QuadSpec) -> float:
     return math.sqrt(TWO_PI_CUBED / integral)
 
 
+def _from_renormalized(params: ModelParams, ren: RenCoupling, spec: QuadSpec,
+                       regime_tol: float = 1e-12) -> RenormReport:
+    """Report of a renormalized point from one moment pass at m_V; the
+    bare-side fields exist iff x < 1, where g0^2 = g^2 / (1 - x)."""
+    ensure_stable(params, ren.m_v)
+    i1, i2 = spectral_moments(ren.m_v, params, spec)
+    g_sq = ren.g * ren.g
+    x = g_sq / TWO_PI_CUBED * i2
+    m_v0 = delta_m = g0_sq = None
+    if x < 1.0:
+        g0_sq = g_sq / (1.0 - x)
+        m_v0 = ren.m_v - g0_sq / TWO_PI_CUBED * i1
+        delta_m = ren.m_v - m_v0
+    return RenormReport(
+        m_v=ren.m_v, m_v0=m_v0, delta_m=delta_m, g0_sq=g0_sq, g_sq=g_sq, x=x,
+        z_standard=standard_z(x), z_regularized=regularized_z(x),
+        regime=classify_regime(x, regime_tol),
+    )
+
+
 def bare_from_renormalized(params: ModelParams, ren: RenCoupling,
                            spec: QuadSpec) -> BareCoupling:
     """Invert the renormalization maps: (m_V, g) -> (m_V0, g0).
@@ -245,22 +247,11 @@ def bare_from_renormalized(params: ModelParams, ren: RenCoupling,
     ghost), and a GhostRegime error carrying the diagnostic report
     (z_standard < 0, z_regularized = 0) is raised.
     """
-    ensure_stable(params, ren.m_v)
-    x = dressing_strength(params, ren.g, ren.m_v, spec)
-    if x >= 1.0:
-        report = RenormReport(
-            m_v=ren.m_v, m_v0=None, delta_m=None, g0_sq=None,
-            g_sq=ren.g * ren.g, x=x, z_standard=standard_z(x),
-            z_regularized=regularized_z(x), regime=classify_regime(x),
-        )
-        raise GhostRegime(
-            f"x = {x:.6g} >= 1: no real bare coupling reproduces this "
-            f"renormalized point", report,
-        )
-    z = 1.0 - x
-    g0 = ren.g / math.sqrt(z)
-    m_v0 = ren.m_v - mass_shift(params, g0, ren.m_v, spec)
-    return BareCoupling(m_v0=m_v0, g0=g0)
+    report = _from_renormalized(params, ren, spec)
+    if report.g0_sq is None:
+        raise GhostRegime(f"x = {report.x:.6g} >= 1: no real bare coupling "
+                          f"reproduces this renormalized point", report)
+    return BareCoupling(m_v0=report.m_v0, g0=math.sqrt(report.g0_sq))
 
 
 def full_report(params: ModelParams, coupling: "BareCoupling | RenCoupling",
@@ -268,45 +259,30 @@ def full_report(params: ModelParams, coupling: "BareCoupling | RenCoupling",
                 regime_tol: float = 1e-12) -> RenormReport:
     """Evaluate the whole renormalization chain at one parameter point.
 
-    From a bare input the physical mass is solved first, then Z_V, then the
-    renormalized coupling g^2 = Z_V g0^2 and the strength x; bare inputs always
-    land in the normal regime.  From a renormalized input the strength decides
-    the regime; outside the Normal regime the bare-side fields are absent
-    (None) rather than an error, so ghost points remain reportable.
+    From a bare input the physical mass is solved first; s = (g0^2/(2 pi)^3) I2
+    from its last step gives Z_V = 1/(1 + s), g^2 = Z_V g0^2 and x = Z_V s, always
+    in the normal regime.  From a renormalized input the strength decides the
+    regime; outside the Normal regime the bare-side fields are absent (None)
+    rather than an error, so ghost points remain reportable.
     """
     if isinstance(coupling, BareCoupling):
-        m_v = solve_physical_mass(params, coupling, spec, root_tol)
-        if m_v is None:
+        solved = _newton(params, coupling, spec, root_tol)
+        if solved is None:
             raise NoBoundState(
                 f"no V eigenvalue below the threshold {params.threshold!r} for "
-                f"m_V0 = {coupling.m_v0!r}, g0 = {coupling.g0!r}"
-            )
-        z = z_from_bare(params, coupling.g0, m_v, spec)
-        g_sq = z * coupling.g0 * coupling.g0
-        x = dressing_strength(params, math.sqrt(g_sq), m_v, spec)
+                f"m_V0 = {coupling.m_v0!r}, g0 = {coupling.g0!r}")
+        m_v, s = solved
+        z = 1.0 / (1.0 + s)
         return RenormReport(
             m_v=m_v, m_v0=coupling.m_v0, delta_m=m_v - coupling.m_v0,
-            g0_sq=coupling.g0 * coupling.g0, g_sq=g_sq, x=x,
-            z_standard=z, z_regularized=max(z, 0.0),
-            regime=classify_regime(x, regime_tol),
+            g0_sq=coupling.g0 * coupling.g0, g_sq=z * coupling.g0 * coupling.g0,
+            x=z * s, z_standard=z, z_regularized=max(z, 0.0),
+            regime=classify_regime(z * s, regime_tol),
         )
 
     if isinstance(coupling, RenCoupling):
-        ensure_stable(params, coupling.m_v)
-        x = dressing_strength(params, coupling.g, coupling.m_v, spec)
-        z_std = standard_z(x)
-        regime = classify_regime(x, regime_tol)
-        if regime is Regime.NORMAL:
-            g0_sq = coupling.g * coupling.g / z_std
-            m_v0 = coupling.m_v - mass_shift(params, math.sqrt(g0_sq),
-                                             coupling.m_v, spec)
-            delta_m = coupling.m_v - m_v0
-        else:
-            g0_sq = m_v0 = delta_m = None
-        return RenormReport(
-            m_v=coupling.m_v, m_v0=m_v0, delta_m=delta_m, g0_sq=g0_sq,
-            g_sq=coupling.g * coupling.g, x=x, z_standard=z_std,
-            z_regularized=regularized_z(x), regime=regime,
-        )
+        report = _from_renormalized(params, coupling, spec, regime_tol)
+        return (report if report.regime is Regime.NORMAL
+                else replace(report, m_v0=None, delta_m=None, g0_sq=None))
 
     raise TypeError(f"expected BareCoupling or RenCoupling, got {type(coupling).__name__}")

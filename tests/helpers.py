@@ -1,7 +1,8 @@
 """Shared fixtures: reference models, frozen golden values, brute-force oracles.
 
 The golden constants below are for the reference sharp model
-(mu = 1, m_N = 1, Lambda = 10) and were frozen from a 50-digit
+(mu = 1, m_N = 1, Lambda = 10) unless their comment names another family,
+and were frozen from a 50-digit
 arbitrary-precision evaluation of the defining integrals, independent of the
 package's own quadrature.  I1/I2 denote the radial integrals of
 f^2/(2 omega) (m - m_N - omega)^(-1) and its squared-denominator partner.
@@ -47,6 +48,12 @@ M_V_FROM_MV0_18 = 1.5499962074442519557
 # bare image of the renormalized point (m_V = 1.5, g = g_crit/2), i.e. x = 1/4
 BFR_G0 = 2.0591135004051626517
 BFR_M_V0 = 2.5428196106007676529
+
+# I2 for the exponential family, Lambda = 10, at the float m = 2 - 1e-8, i.e.
+# delta = 2 - m = 9.99999993922529e-9 exactly; the integrand peaks on the
+# scale sqrt(2 mu delta) ~ 1.4e-4, and its tail beyond k_max = 400 is ~1e-36
+M_NEAR_THRESHOLD = 2.0 - 1e-8
+I2_EXP10_NEAR_THRESHOLD = 114270.81922153062314684727081578769283396302703245
 
 # bare pair whose physical point is exactly (m_V = 1.5, Z_V = 0.7)
 ACC_G0 = 2.3348152471404674888

@@ -14,6 +14,7 @@ from leemodel import (
     mass_shift_integral,
     norm_integral,
     radial_integrate,
+    spectral_moments,
     upper_momentum,
     z_factor_integral,
 )
@@ -22,11 +23,14 @@ from helpers import (
     ALL_MODELS,
     I1_AT_15,
     I2_AT_15,
+    I2_EXP10_NEAR_THRESHOLD,
+    M_NEAR_THRESHOLD,
     MU,
     RADIAL_F2_OVER_2W,
     SHARP_K_CUT,
     SPEC,
     X_AT_G1,
+    exponential_model,
     riemann_radial,
     sharp_model,
 )
@@ -75,6 +79,49 @@ def test_i2_golden_and_riemann():
     assert math.isclose(value, I2_AT_15, rel_tol=1e-11)
     brute = riemann_radial(lambda om: 1.0 / (2.0 * om) / (0.5 - om) ** 2, SHARP_K_CUT)
     assert math.isclose(value, brute, rel_tol=1e-8)
+
+
+def test_i2_near_threshold_golden():
+    # delta ~ 1e-8 mu: the integrand lives on k ~ sqrt(2 mu delta), far below
+    # the first panel of the coarse rules
+    params = exponential_model()
+    value = z_factor_integral(M_NEAR_THRESHOLD, params, default_spec(params))
+    assert math.isclose(value, I2_EXP10_NEAR_THRESHOLD, rel_tol=1e-9)
+
+
+def test_spectral_moments_match_single_order_calls():
+    for make in ALL_MODELS:
+        params = make()
+        spec = default_spec(params)
+        for m in (0.3, 1.7, 2.0 - 1e-6):
+            i1, i2 = spectral_moments(m, params, spec)
+            assert math.isclose(i1, mass_shift_integral(m, params, spec), rel_tol=1e-10)
+            assert math.isclose(i2, z_factor_integral(m, params, spec), rel_tol=1e-10)
+
+
+def test_spectral_moments_at_threshold():
+    # I1 is finite at delta = 0 and is the limit from below; I2 diverges there
+    params = sharp_model()
+    (at,) = spectral_moments(2.0, params, SPEC, orders=(1,))
+    assert math.isclose(at, mass_shift_integral(2.0 - 1e-12, params, SPEC), rel_tol=1e-5)
+    assert at < mass_shift_integral(1.9, params, SPEC) < 0.0
+    for orders in ((2,), (1, 2)):
+        with pytest.raises(StabilityViolation):
+            spectral_moments(2.0, params, SPEC, orders=orders)
+    with pytest.raises(StabilityViolation):
+        spectral_moments(2.0 + 1e-12, params, SPEC, orders=(1,))
+
+
+def test_no_convergence_names_its_context():
+    # delta = 1e-13 mu is beyond what 2**14 graded panels resolve
+    params = exponential_model(lam=40.0)
+    m = 2.0 - 1e-13
+    with pytest.raises(NoConvergence) as err:
+        z_factor_integral(m, params, default_spec(params))
+    message = str(err.value)
+    for part in ("moment(s) (2,)", "exponential", "Lambda = 40.0", f"m = {m!r}",
+                 f"delta = {2.0 - m!r}", "16384 panels", "changed the estimate by"):
+        assert part in message, (part, message)
 
 
 def test_integrals_vanish_with_the_form_factor():

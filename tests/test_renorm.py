@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+import leemodel.renorm
 from leemodel import (
     BareCoupling,
     DegenerateModel,
     GhostRegime,
     NoBoundState,
+    NoConvergence,
     Regime,
     RenCoupling,
     RenormReport,
@@ -90,6 +92,31 @@ def test_solve_no_bound_state_with_weak_coupling():
 def test_solve_acceptance_model():
     m_v = solve_physical_mass(PARAMS, ACC_BARE, SPEC)
     assert math.isclose(m_v, 1.5, rel_tol=0, abs_tol=1e-10)
+
+
+def test_solve_bound_state_close_to_threshold():
+    # x = 1/4 at 1e-10 mu below threshold; the bare mass lies above threshold
+    m_v = PARAMS.threshold - 1e-10
+    g = 0.5 * critical_coupling(PARAMS, m_v, SPEC)
+    bare = bare_from_renormalized(PARAMS, RenCoupling(m_v=m_v, g=g), SPEC)
+    assert bare.m_v0 > PARAMS.threshold
+    solved = solve_physical_mass(PARAMS, bare, SPEC)
+    # the root tolerance is 1e-12 * max(1, |m|)
+    assert abs(solved - m_v) <= 3e-12
+    report = full_report(PARAMS, bare, SPEC)
+    assert report.m_v == solved
+    assert report.regime is Regime.NORMAL
+    assert abs(report.z_standard - z_from_bare(PARAMS, bare.g0, solved, SPEC)) < 1e-12
+
+
+def test_solve_iteration_cap_names_its_context(monkeypatch):
+    monkeypatch.setattr(leemodel.renorm, "NEWTON_CAP", 1)
+    with pytest.raises(NoConvergence) as err:
+        solve_physical_mass(PARAMS, BareCoupling(m_v0=1.8, g0=1.0), SPEC)
+    message = str(err.value)
+    for part in ("moments (1, 2)", "sharp", "Lambda = 10.0", "m = ", "delta = ",
+                 "after 1 steps", "last step changed m by"):
+        assert part in message, (part, message)
 
 
 # --- wavefunction renormalization ---------------------------------------------
