@@ -8,17 +8,19 @@ reproducible from one artifact::
                  "form_factor": {"kind": "sharp", "lambda": 10.0}},
       "input":  {"mode": "bare", "m_V0": 1.8, "g0": 1.0},
       "sweep":  {"parameter": "g0", "start": 0.0, "stop": 2.0, "steps": 9},
-      "quad":   {"panels": 4, "nodes_per_panel": 24, "k_max": 400.0,
-                 "abs_tol": 1e-10, "rel_tol": 1e-10},
-      "oracle": {"n": 1024, "k_max": 9.9498743710662, "scheme": "gauss"},
+      "quad":   {"abs_tol": 1e-10, "rel_tol": 1e-10},
+      "oracle": {"n": 1024, "scheme": "gauss"},
       "output": {"path": "report.csv", "format": "csv"}
     }
 
 Only ``input.mode`` and its mass are mandatory; everything else defaults as
-shown (couplings default to 0, quad.k_max to 40*Lambda).  ``input.mode`` is
-"bare" (fields m_V0, g0) or "renormalized" (fields m_V, g).  A sweep varies
-"g0" in bare mode or "g" in renormalized mode over ``steps`` evenly spaced
-values.  The "oracle" section is only consulted by --validate-oracle.
+shown (couplings default to 0).  ``input.mode`` is "bare" (fields m_V0, g0)
+or "renormalized" (fields m_V, g).  A sweep varies "g0" in bare mode or "g"
+in renormalized mode over ``steps`` evenly spaced values.  The "oracle"
+section is only consulted by --validate-oracle.  The momentum range is not
+configurable: it belongs to the model (the exact sharp cutoff, else
+40*Lambda; see :func:`leemodel.quadrature.upper_momentum`), and the
+continuum integrals and the oracle grids share it.
 
 Output is a delimited table (CSV or JSON array) with one row per evaluated
 point and the fixed column set::
@@ -49,7 +51,7 @@ from .core import (BareCoupling, FormFactor, ModelParams, RenCoupling,
                    FORM_FACTOR_KINDS, SHARP)
 from .errors import ConfigError, LeeModelError, NoBoundState
 from .oracle import GRID_SCHEMES, GAUSS_LEGENDRE_K, convergence_study
-from .quadrature import QuadSpec
+from .quadrature import QuadSpec, upper_momentum
 from .renorm import RenormReport, full_report
 
 COLUMNS = ("sweep_value", "m_V", "m_V0", "delta_m", "g0_sq", "g_sq", "x",
@@ -69,7 +71,6 @@ class SweepSpec:
 @dataclass(frozen=True)
 class OracleSpec:
     n: int
-    k_max: float
     scheme: str
 
 
@@ -206,31 +207,22 @@ def parse_config(text: str) -> RunConfig:
         sweep = SweepSpec(parameter=parameter, start=start, stop=stop, steps=steps)
 
     qd = _section(doc, "quad")
-    panels = _integer(qd, "quad", "panels", default=4)
-    nodes = _integer(qd, "quad", "nodes_per_panel", default=24)
-    k_max = _real(qd, "quad", "k_max", default=40.0 * lam)
     abs_tol = _real(qd, "quad", "abs_tol", default=1e-10)
     rel_tol = _real(qd, "quad", "rel_tol", default=1e-10)
     _no_leftovers(qd, "quad")
     try:
-        quad = QuadSpec(panels=panels, nodes_per_panel=nodes, k_max=k_max,
-                        abs_tol=abs_tol, rel_tol=rel_tol)
+        quad = QuadSpec(abs_tol=abs_tol, rel_tol=rel_tol)
     except ValueError as exc:
         raise ConfigError("quad", str(exc)) from exc
 
     orc = _section(doc, "oracle")
     n = _integer(orc, "oracle", "n", default=_DEFAULT_ORACLE_N)
-    cut = params.form_factor.momentum_cutoff(params.mu)
-    oracle_k_max = _real(orc, "oracle", "k_max",
-                         default=cut if cut else 40.0 * lam)
     scheme = _string(orc, "oracle", "scheme", default=GAUSS_LEGENDRE_K,
                      choices=GRID_SCHEMES)
     _no_leftovers(orc, "oracle")
     if n < 1:
         raise ConfigError("oracle.n", "must be a positive integer")
-    if oracle_k_max <= 0.0:
-        raise ConfigError("oracle.k_max", "must be positive")
-    oracle = OracleSpec(n=n, k_max=oracle_k_max, scheme=scheme)
+    oracle = OracleSpec(n=n, scheme=scheme)
 
     out = _section(doc, "output")
     out_path = _string(out, "output", "path", default="report.csv")
@@ -325,12 +317,16 @@ def emit(table: list[dict], out_format: str, path: str) -> None:
 def _validate_oracle(config: RunConfig) -> int:
     if config.mode != "bare":
         raise ConfigError("input.mode", "oracle validation needs a bare-mode configuration")
+    k_max = upper_momentum(config.params)
+    if k_max <= 0.0:
+        raise ConfigError("model.form_factor.lambda", "must exceed mu for oracle "
+                          "validation: a sharp cutoff at or below mu leaves no momenta")
     report = run_point(config)
     m_v, z = report.m_v, report.z_standard
     n = config.oracle.n
     n_list = sorted({max(8, n // 64), max(16, n // 16), max(32, n // 4), n})
-    rows = convergence_study(config.params, config.bare, n_list,
-                             config.oracle.k_max, config.oracle.scheme)
+    rows = convergence_study(config.params, config.bare, n_list, k_max,
+                             config.oracle.scheme)
     print(f"continuum: m_V = {m_v:.12g}   Z_V = {z:.12g}")
     print(f"{'n':>8} {'m_V(n)':>20} {'Z_V(n)':>20} {'|err m_V|':>12} {'|err Z_V|':>12}")
     for size, lam, weight in rows:

@@ -202,10 +202,12 @@ def dressing_amplitude(params: ModelParams, g0: float, m_v: float, k):
 
     Equals vertex_weight(omega_k) / (m_V - m_N - omega_k); strictly negative
     wherever g0 > 0 and the form factor is nonzero, and square-integrable in
-    d^3k for every supported form factor family.
+    d^3k for every supported form factor family.  The denominator is written
+    as -(delta + k^2/(omega_k + mu)) with delta = m_N + mu - m_V, so nothing
+    cancels near the threshold.
     """
     ensure_stable(params, m_v)
     om = np.asarray(omega(k, params.mu), dtype=float)
-    weight = vertex_weight(g0, params.form_factor, om, params.mu)
-    out = np.asarray(weight, dtype=float) / (m_v - params.m_n - om)
+    weight = np.asarray(vertex_weight(g0, params.form_factor, om, params.mu), dtype=float)
+    out = -weight / (params.threshold - m_v + np.square(k) / (om + params.mu))
     return _maybe_scalar(out, k)

@@ -44,9 +44,10 @@ FOUR_PI = 4.0 * math.pi
 UNIFORM_K = "uniform"
 GAUSS_LEGENDRE_K = "gauss"
 GRID_SCHEMES = (UNIFORM_K, GAUSS_LEGENDRE_K)
-# Order of the "gauss" grid's panels.  It differs from the quadrature's
-# default 24 so that the oracle never reuses the continuum pipeline's nodes.
-PANEL_ORDER = 16
+PANEL_ORDER = 16  # of the "gauss" grid's panels; see the module docstring
+# secular bisection stops at a bracket of SECULAR_TOL * max(1, |lam|) or BISECTION_CAP halvings
+SECULAR_TOL = 1e-12
+BISECTION_CAP = 256
 
 
 @dataclass(frozen=True)
@@ -158,18 +159,17 @@ def secular_value(mat: ArrowheadMatrix, lam: float) -> float:
     return _secular(mat, lam)
 
 
-def _root_between(mat: ArrowheadMatrix, lo: float, hi: float, tol: float,
-                  max_iter: int = 256) -> float:
+def _root_between(mat: ArrowheadMatrix, lo: float, hi: float) -> float:
     """Bisect s on (lo, hi); s > 0 toward lo and s < 0 toward hi.
 
     The endpoints are never evaluated, so they may be poles of s (the
     bracketing signs there are known from the pole structure).
     """
-    for _ in range(max_iter):
+    for _ in range(BISECTION_CAP):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             return mid  # float resolution exhausted
-        if hi - lo <= tol * max(1.0, abs(mid)):
+        if hi - lo <= SECULAR_TOL * max(1.0, abs(mid)):
             return mid
         if _secular(mat, mid) > 0.0:
             lo = mid
@@ -195,23 +195,26 @@ class EigenPair:
     apex_weight: float
 
 
-def lowest_eigenpair(mat: ArrowheadMatrix, tol: float = 1e-12) -> EigenPair:
+def lowest_eigenpair(mat: ArrowheadMatrix) -> EigenPair:
     """Lowest eigenvalue (below d_1) and its squared apex component.
 
-    Requires either a coupled continuum (some c_i != 0) or an apex already
-    below d_1; otherwise the lowest state is a pure continuum mode and carries
-    no apex weight.
+    With c_1 = 0, d_1 is itself an eigenvalue of a pure continuum mode, and
+    the apex-carrying root lies below it iff the secular function over the
+    coupled entries is negative at d_1; otherwise the lowest state carries no
+    apex weight and ValueError is raised.
     """
     d1 = float(mat.diag[0])
-    coupled = bool(np.any(mat.coupling != 0.0))
-    if not coupled and mat.apex >= d1:
-        raise ValueError("decoupled apex does not lie below the continuum block")
-    lam = _root_between(mat, _spectral_bounds(mat)[0], d1, tol)
+    if mat.coupling[0] == 0.0:
+        on = mat.coupling != 0.0
+        if mat.apex - d1 + float(np.sum(mat.coupling[on] ** 2 / (d1 - mat.diag[on]))) >= 0:
+            raise ValueError("the lowest eigenvalue is the decoupled continuum entry "
+                             "d_1, which carries no apex weight")
+    lam = _root_between(mat, _spectral_bounds(mat)[0], d1)
     weight = 1.0 / (1.0 + float(np.sum(mat.coupling ** 2 / (lam - mat.diag) ** 2)))
     return EigenPair(energy=lam, apex_weight=weight)
 
 
-def all_eigenvalues(mat: ArrowheadMatrix, tol: float = 1e-12) -> np.ndarray:
+def all_eigenvalues(mat: ArrowheadMatrix) -> np.ndarray:
     """All n+1 eigenvalues via per-interval secular bisection.
 
     With distinct diagonal entries and all couplings nonzero the spectrum
@@ -221,7 +224,7 @@ def all_eigenvalues(mat: ArrowheadMatrix, tol: float = 1e-12) -> np.ndarray:
         raise ValueError("all couplings must be nonzero for the interlacing structure")
     lo, hi = _spectral_bounds(mat)
     edges = [lo, *map(float, mat.diag), hi]
-    return np.array([_root_between(mat, a, b, tol) for a, b in zip(edges, edges[1:])])
+    return np.array([_root_between(mat, a, b) for a, b in zip(edges, edges[1:])])
 
 
 def dense_cross_check(mat: ArrowheadMatrix) -> np.ndarray:
@@ -240,8 +243,7 @@ def dense_cross_check(mat: ArrowheadMatrix) -> np.ndarray:
 
 def convergence_study(params: ModelParams, bare: BareCoupling,
                       n_list: Sequence[int], k_max: float,
-                      scheme: str = GAUSS_LEGENDRE_K,
-                      tol: float = 1e-12) -> list[tuple[int, float, float]]:
+                      scheme: str = GAUSS_LEGENDRE_K) -> list[tuple[int, float, float]]:
     """Lowest eigenpair for a ladder of truncation sizes.
 
     Returns (n, lowest eigenvalue, apex weight) per entry; as n grows these
@@ -254,6 +256,6 @@ def convergence_study(params: ModelParams, bare: BareCoupling,
     for n in n_list:
         grid = build_grid(k_max, int(n), scheme)
         mat = build_arrowhead(params, bare, grid)
-        pair = lowest_eigenpair(mat, tol)
+        pair = lowest_eigenpair(mat)
         rows.append((int(n), pair.energy, pair.apex_weight))
     return rows

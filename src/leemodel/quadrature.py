@@ -6,9 +6,11 @@ Every integrand in the one-V sector is spherically symmetric, so
 
 Integrals run over k rather than omega; the omega variable has a square-root
 endpoint singularity at omega = mu that k does not see.  The sharp form
-factor truncates the range exactly at k(Lambda) = sqrt(Lambda^2 - mu^2); the
-decaying families are truncated at ``k_max`` (default 40*Lambda, where the
-integrands are down by at least f^2/omega^2).
+factor truncates the range exactly at k(Lambda) = sqrt(Lambda^2 - mu^2).  For
+the decaying families the truncation at 40*Lambda is part of the model
+definition, not a free accuracy knob: the dipole tail beyond it is 7e-6 of I1,
+far above the quadrature tolerance, so moving it would change the answer
+rather than refine it.  :func:`upper_momentum` is the one place it is set.
 
 I1 and I2 are moments of one spectral density, summed together by
 :func:`spectral_moments`; the norm integral keeps its own integrand, the
@@ -29,48 +31,44 @@ from typing import Callable
 
 import numpy as np
 
-from .core import ModelParams, ensure_stable, vertex_weight
+from .core import ModelParams, dressing_amplitude, ensure_stable
 from .errors import NoConvergence, StabilityViolation
 
 FOUR_PI = 4.0 * math.pi
+START_PANELS = 4
+# Must differ from the oracle's PANEL_ORDER (16): c4 compares the continuum
+# rule with the arrowhead on the "gauss" grid, which would otherwise be the
+# same discretization checked against itself.
+NODES_PER_PANEL = 24
 PANEL_CAP = 2 ** 14
 
 
 @dataclass(frozen=True)
 class QuadSpec:
-    """Quadrature controls shared by the continuum integrals.
+    """Accuracy contract of the continuum integrals: each estimate is refined
+    until successive values differ by at most max(abs_tol, rel_tol*|value|).
 
-    ``k_max`` only matters for form factors without compact support; the
-    sharp family always integrates up to its exact momentum cutoff.
+    The momentum range belongs to the model (:func:`upper_momentum`) and the
+    panel layout to this module, so neither is set here.
     """
 
-    panels: int = 4
-    nodes_per_panel: int = 24
-    k_max: float = 400.0
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
 
     def __post_init__(self):
-        if self.panels < 1:
-            raise ValueError("panels must be >= 1")
-        if self.nodes_per_panel < 2:
-            raise ValueError("nodes_per_panel must be >= 2")
-        if not (math.isfinite(self.k_max) and self.k_max > 0.0):
-            raise ValueError("k_max must be positive and finite")
         if self.abs_tol <= 0.0 or self.rel_tol <= 0.0:
             raise ValueError("tolerances must be positive")
 
 
-def default_spec(params: ModelParams, **overrides) -> QuadSpec:
-    """QuadSpec with k_max = 40 * Lambda, suitable for the decaying families."""
-    overrides.setdefault("k_max", 40.0 * params.form_factor.lam)
-    return QuadSpec(**overrides)
+def default_spec(params: ModelParams) -> QuadSpec:
+    """Quadrature controls for ``params``: the default tolerances, QuadSpec()."""
+    return QuadSpec()
 
 
-def upper_momentum(params: ModelParams, spec: QuadSpec) -> float:
-    """Integration limit: the exact sharp cutoff, or k_max otherwise."""
+def upper_momentum(params: ModelParams) -> float:
+    """Integration limit: the exact sharp cutoff sqrt(Lambda^2 - mu^2), else 40*Lambda."""
     cut = params.form_factor.momentum_cutoff(params.mu)
-    return cut if cut is not None else spec.k_max
+    return cut if cut is not None else 40.0 * params.form_factor.lam
 
 
 @functools.cache
@@ -108,15 +106,15 @@ def graded_panels(hi: float, panels: int, n: int) -> tuple[np.ndarray, np.ndarra
 def _refine(sums: Callable, params: ModelParams, spec: QuadSpec, what: str) -> np.ndarray:
     """sums(k, wk) over graded rules on the momentum range, doubled until every
     component settles to max(abs_tol, rel_tol*|value|); an empty range sums to 0."""
-    hi = upper_momentum(params, spec)
+    hi = upper_momentum(params)
     if hi <= 0.0:
         return sums(np.empty(0), np.empty(0))
-    panels = spec.panels
-    prev = sums(*graded_panels(hi, panels, panels * spec.nodes_per_panel))
+    panels = START_PANELS
+    prev = sums(*graded_panels(hi, panels, panels * NODES_PER_PANEL))
     diff = np.array(math.inf)
     while panels < PANEL_CAP:
         panels = min(2 * panels, PANEL_CAP)
-        cur = sums(*graded_panels(hi, panels, panels * spec.nodes_per_panel))
+        cur = sums(*graded_panels(hi, panels, panels * NODES_PER_PANEL))
         diff = np.abs(cur - prev)
         if np.all(diff <= np.maximum(spec.abs_tol, spec.rel_tol * np.abs(cur))):
             return cur
@@ -197,15 +195,16 @@ def z_factor_integral(m: float, params: ModelParams, spec: QuadSpec) -> float:
 def norm_integral(params: ModelParams, g0: float, m_v: float, spec: QuadSpec) -> float:
     """Int d^3k |Phi(k)|^2: squared norm of the N-theta cloud of the dressed V.
 
-    Evaluated directly from the squared amplitude; analytically it equals
+    Evaluated directly from the squared amplitude (:func:`dressing_amplitude`,
+    which keeps full precision near the threshold); analytically it equals
     (g0^2 / (2 pi)^3) * z_factor_integral(m_v), and the two routes agreeing
     is one of the package's consistency checks.
     """
-    ensure_stable(params, m_v)
-    ff, mu, m_n = params.form_factor, params.mu, params.m_n
+    def sums(k, wk):
+        amp = dressing_amplitude(params, g0, m_v, k)
+        return FOUR_PI * np.sum(wk * k * k * amp * amp)
 
-    def integrand(om):
-        amp = np.asarray(vertex_weight(g0, ff, om, mu), dtype=float) / (m_v - m_n - om)
-        return amp * amp
-
-    return radial_integrate(integrand, params, spec)
+    ff = params.form_factor
+    what = (f"norm integral of the {ff.kind} form factor (Lambda = {ff.lam!r}) "
+            f"at m_V = {m_v!r}, delta = {params.threshold - m_v!r}")
+    return float(_refine(sums, params, spec, what))

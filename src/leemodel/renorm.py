@@ -37,6 +37,8 @@ TWO_PI_CUBED = (2.0 * math.pi) ** 3
 
 # Newton steps before the physical-mass solve gives up
 NEWTON_CAP = 100
+ROOT_TOL = 1e-12    # see solve_physical_mass
+REGIME_TOL = 1e-12  # see classify_regime
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
@@ -70,8 +72,8 @@ def mass_shift(params: ModelParams, g0: float, m_v: float, spec: QuadSpec) -> fl
     return g0 * g0 / TWO_PI_CUBED * mass_shift_integral(m_v, params, spec)
 
 
-def _newton(params: ModelParams, bare: BareCoupling, spec: QuadSpec,
-            root_tol: float) -> tuple[float, float] | None:
+def _newton(params: ModelParams, bare: BareCoupling,
+            spec: QuadSpec) -> tuple[float, float] | None:
     """Root m_V of F(m) = m - m_V0 - c I1(m), c = g0^2/(2 pi)^3, and s = c I2(m_V).
 
     F' = 1 + c I2 >= 1 and F is convex, so Newton steps from right of the root
@@ -97,7 +99,7 @@ def _newton(params: ModelParams, bare: BareCoupling, spec: QuadSpec,
         f = m - bare.m_v0 - c * i1
         s = c * i2
         step = f / (1.0 + s)
-        if abs(step) <= root_tol * max(1.0, abs(m)):
+        if abs(step) <= ROOT_TOL * max(1.0, abs(m)):
             return m, s
         nxt = m - step
         if nxt >= thr:  # only from left of the root, so f_thr is set
@@ -110,15 +112,15 @@ def _newton(params: ModelParams, bare: BareCoupling, spec: QuadSpec,
         f"steps at m = {m!r}, delta = {thr - m!r} (last step changed m by {step:.3e})")
 
 
-def solve_physical_mass(params: ModelParams, bare: BareCoupling, spec: QuadSpec,
-                        root_tol: float = 1e-12) -> float | None:
+def solve_physical_mass(params: ModelParams, bare: BareCoupling,
+                        spec: QuadSpec) -> float | None:
     """Physical V mass: the root of F(m) = m - m_V0 - mass_shift(m) below threshold.
 
     F is strictly increasing, so the root is unique when it exists; Newton
-    steps stop once one moves m by at most root_tol * max(1, |m|).  Returns
+    steps stop once one moves m by at most ROOT_TOL * max(1, |m|).  Returns
     None when F(threshold) <= 0: the V state has dissolved into the continuum.
     """
-    solved = _newton(params, bare, spec, root_tol)
+    solved = _newton(params, bare, spec)
     return None if solved is None else solved[0]
 
 
@@ -191,15 +193,15 @@ def geometric_partial_sum(x: float, n: int) -> float:
     return (x ** (n + 1) - 1.0) / (x - 1.0)
 
 
-def classify_regime(x: float, regime_tol: float = 1e-12) -> Regime:
+def classify_regime(x: float) -> Regime:
     """Normal / Critical / Ghost by position of x relative to 1.
 
-    A tolerance band of width ``regime_tol`` around x = 1 absorbs roundoff:
-    Critical iff |x - 1| <= regime_tol, Ghost iff x > 1 + regime_tol.
+    A band of half-width REGIME_TOL around x = 1 absorbs roundoff:
+    Critical iff |x - 1| <= REGIME_TOL, Ghost iff x > 1 + REGIME_TOL.
     """
     if x < 0.0:
         raise ValueError("dressing strength x must be nonnegative")
-    if abs(x - 1.0) <= regime_tol:
+    if abs(x - 1.0) <= REGIME_TOL:
         return Regime.CRITICAL
     if x > 1.0:
         return Regime.GHOST
@@ -218,8 +220,7 @@ def critical_coupling(params: ModelParams, m_v: float, spec: QuadSpec) -> float:
     return math.sqrt(TWO_PI_CUBED / integral)
 
 
-def _from_renormalized(params: ModelParams, ren: RenCoupling, spec: QuadSpec,
-                       regime_tol: float = 1e-12) -> RenormReport:
+def _from_renormalized(params: ModelParams, ren: RenCoupling, spec: QuadSpec) -> RenormReport:
     """Report of a renormalized point from one moment pass at m_V; the
     bare-side fields exist iff x < 1, where g0^2 = g^2 / (1 - x)."""
     ensure_stable(params, ren.m_v)
@@ -234,7 +235,7 @@ def _from_renormalized(params: ModelParams, ren: RenCoupling, spec: QuadSpec,
     return RenormReport(
         m_v=ren.m_v, m_v0=m_v0, delta_m=delta_m, g0_sq=g0_sq, g_sq=g_sq, x=x,
         z_standard=standard_z(x), z_regularized=regularized_z(x),
-        regime=classify_regime(x, regime_tol),
+        regime=classify_regime(x),
     )
 
 
@@ -255,8 +256,7 @@ def bare_from_renormalized(params: ModelParams, ren: RenCoupling,
 
 
 def full_report(params: ModelParams, coupling: "BareCoupling | RenCoupling",
-                spec: QuadSpec, root_tol: float = 1e-12,
-                regime_tol: float = 1e-12) -> RenormReport:
+                spec: QuadSpec) -> RenormReport:
     """Evaluate the whole renormalization chain at one parameter point.
 
     From a bare input the physical mass is solved first; s = (g0^2/(2 pi)^3) I2
@@ -266,7 +266,7 @@ def full_report(params: ModelParams, coupling: "BareCoupling | RenCoupling",
     rather than an error, so ghost points remain reportable.
     """
     if isinstance(coupling, BareCoupling):
-        solved = _newton(params, coupling, spec, root_tol)
+        solved = _newton(params, coupling, spec)
         if solved is None:
             raise NoBoundState(
                 f"no V eigenvalue below the threshold {params.threshold!r} for "
@@ -277,11 +277,11 @@ def full_report(params: ModelParams, coupling: "BareCoupling | RenCoupling",
             m_v=m_v, m_v0=coupling.m_v0, delta_m=m_v - coupling.m_v0,
             g0_sq=coupling.g0 * coupling.g0, g_sq=z * coupling.g0 * coupling.g0,
             x=z * s, z_standard=z, z_regularized=max(z, 0.0),
-            regime=classify_regime(z * s, regime_tol),
+            regime=classify_regime(z * s),
         )
 
     if isinstance(coupling, RenCoupling):
-        report = _from_renormalized(params, coupling, spec, regime_tol)
+        report = _from_renormalized(params, coupling, spec)
         return (report if report.regime is Regime.NORMAL
                 else replace(report, m_v0=None, delta_m=None, g0_sq=None))
 

@@ -51,7 +51,7 @@ BFR_M_V0 = 2.5428196106007676529
 
 # I2 for the exponential family, Lambda = 10, at the float m = 2 - 1e-8, i.e.
 # delta = 2 - m = 9.99999993922529e-9 exactly; the integrand peaks on the
-# scale sqrt(2 mu delta) ~ 1.4e-4, and its tail beyond k_max = 400 is ~1e-36
+# scale sqrt(2 mu delta) ~ 1.4e-4, and its tail beyond 40 Lambda = 400 is ~1e-36
 M_NEAR_THRESHOLD = 2.0 - 1e-8
 I2_EXP10_NEAR_THRESHOLD = 114270.81922153062314684727081578769283396302703245
 
@@ -74,7 +74,7 @@ def dipole_model(lam: float = LAMBDA) -> ModelParams:
 
 ALL_MODELS = (sharp_model, exponential_model, dipole_model)
 
-SPEC = QuadSpec()  # k_max = 400 = 40 * Lambda covers every default model
+SPEC = QuadSpec()  # tolerances only; the momentum range comes from the model
 
 ACC_BARE = BareCoupling(m_v0=ACC_M_V0, g0=ACC_G0)
 

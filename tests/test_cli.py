@@ -1,11 +1,15 @@
 import json
-import math
+import os
+import subprocess
+import sys
 
 import pytest
 
-from leemodel import BareCoupling, ConfigError, full_report
+import leemodel
+from leemodel import BareCoupling, ConfigError, QuadSpec, full_report
 from leemodel.cli import (
     COLUMNS,
+    OracleSpec,
     emit,
     load_config,
     main,
@@ -38,13 +42,8 @@ def test_parse_minimal_defaults():
     assert cfg.mode == "bare"
     assert cfg.bare == BareCoupling(m_v0=1.8, g0=0.0)
     assert cfg.sweep is None
-    assert cfg.quad.panels == 4
-    assert cfg.quad.nodes_per_panel == 24
-    assert cfg.quad.k_max == 400.0
-    assert cfg.quad.abs_tol == 1e-10
-    assert cfg.oracle.n == 1024
-    assert cfg.oracle.scheme == "gauss"
-    assert math.isclose(cfg.oracle.k_max, math.sqrt(99.0), rel_tol=1e-15)
+    assert cfg.quad == QuadSpec(abs_tol=1e-10, rel_tol=1e-10)
+    assert cfg.oracle == OracleSpec(n=1024, scheme="gauss")
     assert cfg.out_path == "report.csv"
     assert cfg.out_format == "csv"
 
@@ -101,7 +100,11 @@ def test_parse_renormalized_above_threshold():
 
 
 def test_parse_quad_and_oracle_errors():
-    assert _field_of(_config(quad={"panels": 0})) == "quad"
+    assert _field_of(_config(quad={"abs_tol": 0.0})) == "quad"
+    # the momentum range and the panel layout are not configurable
+    for section, key in (("quad", "panels"), ("quad", "nodes_per_panel"),
+                         ("quad", "k_max"), ("oracle", "k_max")):
+        assert _field_of(_config(**{section: {key: 4}})) == f"{section}.{key}"
     assert _field_of(_config(oracle={"scheme": "spectral"})) == "oracle.scheme"
     assert _field_of(_config(oracle={"n": 0})) == "oracle.n"
     assert _field_of(_config(output={"format": "xml"})) == "output.format"
@@ -295,6 +298,18 @@ def test_main_validate_oracle(tmp_path, capsys):
     assert main(["--config", ren, "--validate-oracle"]) == 2
 
 
+def test_main_validate_oracle_empty_momentum_range(tmp_path, capsys):
+    # a sharp cutoff at Lambda <= mu leaves no theta momenta to discretize
+    cfg = _write(tmp_path, "cfg.json", {
+        "model": {"form_factor": {"kind": "sharp", "lambda": 1.0}},
+        "input": {"mode": "bare", "m_V0": 1.8, "g0": 1.0},
+    })
+    assert main(["--config", cfg, "--validate-oracle"]) == 2
+    captured = capsys.readouterr()
+    assert "model.form_factor.lambda" in captured.err
+    assert "continuum" not in captured.out
+
+
 def test_load_config_reads_files(tmp_path):
     cfg_path = _write(tmp_path, "cfg.json",
                       {"input": {"mode": "bare", "m_V0": 1.8}})
@@ -302,17 +317,22 @@ def test_load_config_reads_files(tmp_path):
     assert cfg.bare.m_v0 == 1.8
 
 
-def test_module_entry_point(tmp_path):
-    import subprocess
-    import sys
+def _child_env() -> dict:
+    """Environment whose PYTHONPATH finds the leemodel under test, installed or not."""
+    src = os.path.dirname(os.path.dirname(leemodel.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return env
 
+
+def test_module_entry_point(tmp_path):
     out = tmp_path / "entry.csv"
     cfg = _write(tmp_path, "cfg.json", {
         "input": {"mode": "bare", "m_V0": 1.8, "g0": 1.0},
         "output": {"path": str(out)},
     })
     result = subprocess.run([sys.executable, "-m", "leemodel", "--config", cfg],
-                            capture_output=True, text=True)
+                            capture_output=True, text=True, env=_child_env())
     assert result.returncode == 0, result.stderr
     assert out.exists()
     assert "regime=Normal" in result.stdout
@@ -320,12 +340,9 @@ def test_module_entry_point(tmp_path):
 
 def test_import_loads_no_scipy():
     # scipy costs a few tenths of a second of every CLI start; nothing needs it
-    import subprocess
-    import sys
-
     code = ("import leemodel, sys; "
             "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
     result = subprocess.run([sys.executable, "-c", code],
-                            capture_output=True, text=True)
+                            capture_output=True, text=True, env=_child_env())
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"

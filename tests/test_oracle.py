@@ -183,6 +183,16 @@ def test_lowest_eigenpair_decoupled():
         lowest_eigenpair(bad)
 
 
+def test_lowest_eigenpair_first_mode_decoupled():
+    # c_1 = 0 makes d_1 an eigenvalue with no apex component; it is the lowest
+    # one unless the coupled part pulls a root below it
+    with pytest.raises(ValueError):
+        lowest_eigenpair(ArrowheadMatrix(apex=5.0, diag=[1.0, 2.0], coupling=[0.0, 1.0]))
+    below = ArrowheadMatrix(apex=0.8, diag=[1.0, 2.0], coupling=[0.0, 1.0])
+    assert math.isclose(lowest_eigenpair(below).energy, float(dense_cross_check(below)[0]),
+                        rel_tol=0, abs_tol=1e-12)
+
+
 def test_discrete_norm_identity():
     grid = build_grid(SHARP_K_CUT, 128, "gauss")
     mat = build_arrowhead(PARAMS, BareCoupling(1.8, 1.0), grid)

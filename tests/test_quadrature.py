@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import leemodel
 from leemodel import (
     FormFactor,
     ModelParams,
@@ -30,6 +31,7 @@ from helpers import (
     SHARP_K_CUT,
     SPEC,
     X_AT_G1,
+    dipole_model,
     exponential_model,
     riemann_radial,
     sharp_model,
@@ -115,13 +117,17 @@ def test_spectral_moments_at_threshold():
 def test_no_convergence_names_its_context():
     # delta = 1e-13 mu is beyond what 2**14 graded panels resolve
     params = exponential_model(lam=40.0)
+    spec = default_spec(params)
     m = 2.0 - 1e-13
-    with pytest.raises(NoConvergence) as err:
-        z_factor_integral(m, params, default_spec(params))
-    message = str(err.value)
-    for part in ("moment(s) (2,)", "exponential", "Lambda = 40.0", f"m = {m!r}",
-                 f"delta = {2.0 - m!r}", "16384 panels", "changed the estimate by"):
-        assert part in message, (part, message)
+    for what, mass, call in (
+            ("moment(s) (2,)", "m", lambda: z_factor_integral(m, params, spec)),
+            ("norm integral", "m_V", lambda: norm_integral(params, 1.0, m, spec))):
+        with pytest.raises(NoConvergence) as err:
+            call()
+        message = str(err.value)
+        for part in (what, "exponential", "Lambda = 40.0", f"{mass} = {m!r}",
+                     f"delta = {2.0 - m!r}", "16384 panels", "changed the estimate by"):
+            assert part in message, (part, message)
 
 
 def test_integrals_vanish_with_the_form_factor():
@@ -160,21 +166,25 @@ def test_derivative_identity_all_models():
 
 
 def test_sharp_cutoff_exactness():
-    # for the sharp family the limit is k(Lambda), never k_max
-    params = sharp_model()
-    tight = QuadSpec(k_max=SHARP_K_CUT)
-    huge = QuadSpec(k_max=500.0)
-    assert upper_momentum(params, tight) == upper_momentum(params, huge)
-    a = z_factor_integral(1.5, params, tight)
-    b = z_factor_integral(1.5, params, huge)
-    assert a == b
+    # for the sharp family the limit is exactly k(Lambda), not 40 Lambda
+    assert upper_momentum(sharp_model()) == SHARP_K_CUT
+    assert upper_momentum(sharp_model(lam=MU)) == 0.0
 
 
-def test_refinement_monotonicity():
+def test_refinement_monotonicity(monkeypatch):
     params = sharp_model()
-    a = z_factor_integral(1.5, params, QuadSpec(panels=4))
-    b = z_factor_integral(1.5, params, QuadSpec(panels=8))
+    a = z_factor_integral(1.5, params, SPEC)
+    monkeypatch.setattr(leemodel.quadrature, "START_PANELS", 8)
+    b = z_factor_integral(1.5, params, SPEC)
     assert abs(a - b) <= max(SPEC.abs_tol, SPEC.rel_tol * abs(b))
+
+
+def test_quadspec_default_matches_default_spec():
+    # the range belongs to the model, so a bare QuadSpec() cannot truncate a
+    # wide dipole early (its tail beyond 400 is 4e-4 of I1 at Lambda = 40)
+    params = dipole_model(lam=40.0)
+    assert (spectral_moments(1.5, params, QuadSpec())
+            == spectral_moments(1.5, params, default_spec(params)))
 
 
 def test_norm_integral():
@@ -186,6 +196,13 @@ def test_norm_integral():
     g0 = 1.3
     ratio = norm_integral(params, g0, 1.5, SPEC) / z_factor_integral(1.5, params, SPEC)
     assert math.isclose(ratio, g0 * g0 / TWO_PI_CUBED, rel_tol=1e-10)
+
+
+def test_norm_integral_near_threshold_golden():
+    # the cloud amplitude keeps delta ~ 1e-8 mu exact, as the moment pass does
+    params = exponential_model()
+    value = norm_integral(params, 1.0, M_NEAR_THRESHOLD, default_spec(params))
+    assert math.isclose(value, I2_EXP10_NEAR_THRESHOLD / TWO_PI_CUBED, rel_tol=1e-9)
 
 
 def test_norm_integral_finite_for_all_models():
@@ -214,21 +231,16 @@ def test_no_convergence_on_unresolvable_integrand():
 
 def test_quadspec_validation():
     with pytest.raises(ValueError):
-        QuadSpec(panels=0)
-    with pytest.raises(ValueError):
-        QuadSpec(nodes_per_panel=1)
-    with pytest.raises(ValueError):
-        QuadSpec(k_max=0.0)
-    with pytest.raises(ValueError):
         QuadSpec(abs_tol=0.0)
     with pytest.raises(ValueError):
         QuadSpec(rel_tol=-1.0)
 
 
 def test_default_spec_scales_with_cutoff():
+    # the spec carries only tolerances; the range of a decaying family is 40 Lambda
     params = ModelParams(m_n=1.0, mu=1.0, form_factor=FormFactor.exponential(2.5))
-    assert default_spec(params).k_max == 100.0
-    assert default_spec(params, panels=8).panels == 8
+    assert default_spec(params) == QuadSpec()
+    assert upper_momentum(params) == 100.0
 
 
 def test_scalar_integrand_broadcast():

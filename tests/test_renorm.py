@@ -79,8 +79,7 @@ def test_solve_round_trip():
     g0 = 0.8
     m_v = 1.3
     m_v0 = m_v - mass_shift(PARAMS, g0, m_v, SPEC)
-    recovered = solve_physical_mass(PARAMS, BareCoupling(m_v0, g0), SPEC,
-                                    root_tol=1e-13)
+    recovered = solve_physical_mass(PARAMS, BareCoupling(m_v0, g0), SPEC)
     assert math.isclose(recovered, m_v, rel_tol=1e-11)
 
 
