@@ -210,10 +210,10 @@ def parse_config(text: str) -> RunConfig:
     abs_tol = _real(qd, "quad", "abs_tol", default=1e-10)
     rel_tol = _real(qd, "quad", "rel_tol", default=1e-10)
     _no_leftovers(qd, "quad")
-    try:
-        quad = QuadSpec(abs_tol=abs_tol, rel_tol=rel_tol)
-    except ValueError as exc:
-        raise ConfigError("quad", str(exc)) from exc
+    for key, tol in (("abs_tol", abs_tol), ("rel_tol", rel_tol)):
+        if tol <= 0.0:
+            raise ConfigError(f"quad.{key}", "must be positive")
+    quad = QuadSpec(abs_tol=abs_tol, rel_tol=rel_tol)
 
     orc = _section(doc, "oracle")
     n = _integer(orc, "oracle", "n", default=_DEFAULT_ORACLE_N)

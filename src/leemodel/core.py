@@ -13,6 +13,9 @@ momentum-space amplitude is the vertex weight divided by (m_V - m_N - omega_k).
 All energies are in the same (arbitrary) unit; mu = 1 is the conventional
 scale.  All types here are immutable values and all functions are pure, so
 everything can be shared freely between threads and across parameter sweeps.
+That holds for the whole package: its only state, the quadrature's cached
+Gauss-Legendre nodes and the rules kept for the last model, is read-only and
+rebuilt bit for bit on a miss, so a thread never sees another's results.
 """
 
 from __future__ import annotations

@@ -15,6 +15,10 @@ rather than refine it.  :func:`upper_momentum` is the one place it is set.
 I1 and I2 are moments of one spectral density, summed together by
 :func:`spectral_moments`; the norm integral keeps its own integrand, the
 squared cloud amplitude, so that the norm condition stays an independent check.
+Only their energy denominator depends on m, so the rest of the integrand
+(nodes, weights, f^2) is built once per panel count and kept for the last model
+seen, for every later mass of a solve or sweep to reuse.  Only that one model is
+held, and its arrays are exactly those a fresh pass builds: no bit changes.
 
 The scheme is composite Gauss-Legendre with the panel count doubled until two
 successive estimates agree to tolerance; panels are graded toward k = 0 where
@@ -103,18 +107,24 @@ def graded_panels(hi: float, panels: int, n: int) -> tuple[np.ndarray, np.ndarra
     return np.concatenate(k), np.concatenate(wk)
 
 
-def _refine(sums: Callable, params: ModelParams, spec: QuadSpec, what: str) -> np.ndarray:
-    """sums(k, wk) over graded rules on the momentum range, doubled until every
-    component settles to max(abs_tol, rel_tol*|value|); an empty range sums to 0."""
+def _graded_rule(params: ModelParams) -> Callable:
+    """panels -> (k, wk): the graded rule of NODES_PER_PANEL nodes per panel on
+    the momentum range; an empty range (sharp Lambda <= mu) has no nodes."""
     hi = upper_momentum(params)
     if hi <= 0.0:
-        return sums(np.empty(0), np.empty(0))
+        return lambda panels: (np.empty(0), np.empty(0))
+    return lambda panels: graded_panels(hi, panels, panels * NODES_PER_PANEL)
+
+
+def _refine(sums: Callable, rule: Callable, spec: QuadSpec, what: str) -> np.ndarray:
+    """sums(*rule(panels)) with the panel count doubled from START_PANELS until
+    every component settles to max(abs_tol, rel_tol*|value|)."""
     panels = START_PANELS
-    prev = sums(*graded_panels(hi, panels, panels * NODES_PER_PANEL))
+    prev = sums(*rule(panels))
     diff = np.array(math.inf)
     while panels < PANEL_CAP:
         panels = min(2 * panels, PANEL_CAP)
-        cur = sums(*graded_panels(hi, panels, panels * NODES_PER_PANEL))
+        cur = sums(*rule(panels))
         diff = np.abs(cur - prev)
         if np.all(diff <= np.maximum(spec.abs_tol, spec.rel_tol * np.abs(cur))):
             return cur
@@ -139,19 +149,56 @@ def radial_integrate(f: Callable, params: ModelParams, spec: QuadSpec) -> float:
         vals = np.asarray(f(np.sqrt(k * k + mu * mu)), dtype=float)
         return FOUR_PI * np.sum(wk * k * k * np.broadcast_to(vals, k.shape))
 
-    return float(_refine(sums, params, spec, "radial quadrature"))
+    return float(_refine(sums, _graded_rule(params), spec, "radial quadrature"))
+
+
+@functools.lru_cache(maxsize=1)
+def _rules(params: ModelParams) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """Panel count -> (q, rho) of the last model seen, filled by :func:`_moment_rule`."""
+    return {}
+
+
+def _moment_rule(params: ModelParams) -> Callable:
+    """panels -> (q, rho), the m-independent part of the moment integrand on
+    the graded rule: q = k^2/(omega + mu) and rho = wk k^2 f^2 / (2 omega).
+
+    Each is built once per model and panel count and kept read-only in
+    :func:`_rules`; a racing thread at worst builds the same arrays twice.
+    The build works in place where that keeps the arithmetic, so a model used
+    for one pass only, where every lookup misses, costs about what it did uncached.
+    """
+    rules, graded = _rules(params), _graded_rule(params)
+    ff, mu = params.form_factor, params.mu
+
+    def rule(panels):
+        if panels not in rules:
+            k, wk = graded(panels)
+            k2 = np.multiply(k, k, out=k)
+            om = np.sqrt(k2 + mu * mu)
+            fval = np.asarray(ff.evaluate(om, mu), dtype=float)
+            rho = np.multiply(wk, k2, out=wk)
+            rho *= fval
+            rho *= fval
+            rho /= 2.0 * om
+            q = np.divide(k2, np.add(om, mu, out=om), out=om)
+            q.flags.writeable = rho.flags.writeable = False
+            rules[panels] = q, rho
+        return rules[panels]
+
+    return rule
 
 
 def spectral_moments(m: float, params: ModelParams, spec: QuadSpec,
                      orders: tuple[int, ...] = (1, 2)) -> tuple[float, ...]:
     """Moments I_n(m) = Int d^3k f^2(omega) / (2*omega) / (m - m_N - omega)^n, one per order.
 
-    All orders are summed from one f^2 evaluation per rule and refined until
-    each settles.  The denominator is -(delta + k^2/(omega + mu)) with
-    delta = m_N + mu - m formed once, so nothing cancels near the threshold.
+    All orders are summed from one f^2 evaluation per rule, kept for the model
+    (:func:`_moment_rule`), and refined until each settles.  The denominator is
+    -(delta + k^2/(omega + mu)) with delta = m_N + mu - m formed once, so
+    nothing cancels near the threshold.
     delta = 0 is allowed for I1 alone, which stays finite there.
     """
-    ff, mu = params.form_factor, params.mu
+    ff = params.form_factor
     delta = params.threshold - m
     if not (delta > 0.0 or (delta == 0.0 and max(orders) == 1)):
         raise StabilityViolation(
@@ -159,17 +206,14 @@ def spectral_moments(m: float, params: ModelParams, spec: QuadSpec,
             f"moment(s) {orders} need delta = m_N + mu - m > 0 (I1 alone allows 0)"
         )
 
-    def sums(k, wk):
-        k2 = k * k
-        om = np.sqrt(k2 + mu * mu)
-        fval = np.asarray(ff.evaluate(om, mu), dtype=float)
-        rho = wk * k2 * fval * fval / (2.0 * om)
-        inv = -1.0 / (delta + k2 / (om + mu))      # 1 / (m - m_N - omega)
+    def sums(q, rho):
+        inv = np.add(delta, q)
+        np.divide(-1.0, inv, out=inv)      # 1 / (m - m_N - omega)
         return FOUR_PI * np.array([rho.dot(inv ** n) for n in orders])
 
     what = (f"moment(s) {orders} of the {ff.kind} form factor (Lambda = {ff.lam!r}) "
             f"at m = {m!r}, delta = {delta!r}")
-    return tuple(float(v) for v in _refine(sums, params, spec, what))
+    return tuple(float(v) for v in _refine(sums, _moment_rule(params), spec, what))
 
 
 def mass_shift_integral(m: float, params: ModelParams, spec: QuadSpec) -> float:
@@ -207,4 +251,4 @@ def norm_integral(params: ModelParams, g0: float, m_v: float, spec: QuadSpec) ->
     ff = params.form_factor
     what = (f"norm integral of the {ff.kind} form factor (Lambda = {ff.lam!r}) "
             f"at m_V = {m_v!r}, delta = {params.threshold - m_v!r}")
-    return float(_refine(sums, params, spec, what))
+    return float(_refine(sums, _graded_rule(params), spec, what))

@@ -100,7 +100,8 @@ def test_parse_renormalized_above_threshold():
 
 
 def test_parse_quad_and_oracle_errors():
-    assert _field_of(_config(quad={"abs_tol": 0.0})) == "quad"
+    assert _field_of(_config(quad={"abs_tol": 0.0})) == "quad.abs_tol"
+    assert _field_of(_config(quad={"rel_tol": -1e-10})) == "quad.rel_tol"
     # the momentum range and the panel layout are not configurable
     for section, key in (("quad", "panels"), ("quad", "nodes_per_panel"),
                          ("quad", "k_max"), ("oracle", "k_max")):

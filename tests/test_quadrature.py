@@ -1,10 +1,14 @@
+import json
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 import leemodel
 from leemodel import (
+    BareCoupling,
     FormFactor,
     ModelParams,
     NoConvergence,
@@ -12,12 +16,22 @@ from leemodel import (
     StabilityViolation,
     TWO_PI_CUBED,
     default_spec,
+    full_report,
     mass_shift_integral,
     norm_integral,
     radial_integrate,
     spectral_moments,
     upper_momentum,
     z_factor_integral,
+)
+from leemodel.cli import parse_config, run_sweep
+from leemodel.quadrature import (
+    FOUR_PI,
+    NODES_PER_PANEL,
+    START_PANELS,
+    _graded_rule,
+    _refine,
+    _rules,
 )
 
 from helpers import (
@@ -112,6 +126,87 @@ def test_spectral_moments_at_threshold():
             spectral_moments(2.0, params, SPEC, orders=orders)
     with pytest.raises(StabilityViolation):
         spectral_moments(2.0 + 1e-12, params, SPEC, orders=(1,))
+
+
+def _uncached_moments(m, params, orders=(1, 2)):
+    # the moment pass with every rule rebuilt at every level, as before the
+    # m-independent part was kept per model
+    ff, mu = params.form_factor, params.mu
+    delta = params.threshold - m
+
+    def sums(k, wk):
+        k2 = k * k
+        om = np.sqrt(k2 + mu * mu)
+        fval = np.asarray(ff.evaluate(om, mu), dtype=float)
+        rho = wk * k2 * fval * fval / (2.0 * om)
+        inv = -1.0 / (delta + k2 / (om + mu))
+        return FOUR_PI * np.array([rho.dot(inv ** n) for n in orders])
+
+    return tuple(float(v) for v in _refine(sums, _graded_rule(params), SPEC, "reference"))
+
+
+def test_kept_rules_never_change_a_bit():
+    model_a, model_b = exponential_model(lam=40.0), dipole_model()
+    masses = (1.5, 1.99, M_NEAR_THRESHOLD)
+    reference = [_uncached_moments(m, model_a) for m in masses]
+    cold = []
+    for m in masses:
+        _rules.cache_clear()
+        cold.append(spectral_moments(m, model_a, SPEC))
+    _rules.cache_clear()
+    for m in (0.5, 1.9, 2.0 - 1e-6):  # fills the rules at other masses first
+        spectral_moments(m, model_a, SPEC)
+    warm = [spectral_moments(m, model_a, SPEC) for m in masses]
+    # model B replaces model A's rules, and must not read them
+    assert spectral_moments(1.5, model_b, SPEC) == _uncached_moments(1.5, model_b)
+    refilled = [spectral_moments(m, model_a, SPEC) for m in masses]
+    assert reference == cold == warm == refilled
+
+
+def test_kept_rules_are_read_only():
+    params = sharp_model()
+    spectral_moments(1.5, params, SPEC)
+    for arr in _rules(params)[START_PANELS]:
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+def test_bare_sweep_evaluates_the_form_factor_once_per_panel_count(monkeypatch):
+    sizes = []
+    evaluate = FormFactor.evaluate
+
+    def counted(self, omega_val, mu=None):
+        sizes.append(np.size(omega_val))
+        return evaluate(self, omega_val, mu)
+
+    monkeypatch.setattr(FormFactor, "evaluate", counted)
+    _rules.cache_clear()
+    cfg = parse_config(json.dumps({
+        "model": {"form_factor": {"kind": "exponential", "lambda": 10.0}},
+        "input": {"mode": "bare", "m_V0": 1.99},
+        "sweep": {"parameter": "g0", "start": 0.0, "stop": 3.0, "steps": 24}}))
+    rows = run_sweep(cfg)
+    assert len(rows) == 24 and not any(row["error"] for row in rows)
+    panels = sorted(_rules(cfg.params))
+    assert sorted(sizes) == [p * NODES_PER_PANEL for p in panels]
+
+
+def test_full_report_threads_match_serial():
+    # alternating models make every call evict the other thread's rules
+    points = [(make(), BareCoupling(1.9, g0))
+              for g0 in (0.5, 1.0, 2.0, 3.0) for make in (exponential_model, dipole_model)]
+    _rules.cache_clear()
+    serial = [full_report(params, bare, SPEC) for params, bare in points]
+    _rules.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            futures = [pool.submit(full_report, params, bare, SPEC) for params, bare in points]
+            threaded = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
 
 
 def test_no_convergence_names_its_context():
