@@ -19,7 +19,6 @@ from .core import (
     RenCoupling,
     dressing_amplitude,
     ensure_stable,
-    form_factor_eval,
     omega,
     vertex_weight,
 )
@@ -86,7 +85,7 @@ __all__ = [
     "build_arrowhead", "build_grid", "classify_regime", "convergence_study",
     "critical_coupling", "default_spec", "dense_cross_check",
     "dressing_amplitude", "dressing_strength", "ensure_stable",
-    "form_factor_eval", "full_report", "geometric_partial_sum",
+    "full_report", "geometric_partial_sum",
     "lowest_eigenpair", "mass_shift", "mass_shift_integral",
     "norm_integral", "omega", "radial_integrate", "regularized_z",
     "renormalize_coupling", "secular_value", "solve_physical_mass",

@@ -14,8 +14,9 @@ All energies are in the same (arbitrary) unit; mu = 1 is the conventional
 scale.  All types here are immutable values and all functions are pure, so
 everything can be shared freely between threads and across parameter sweeps.
 That holds for the whole package: its only state, the quadrature's cached
-Gauss-Legendre nodes and the rules kept for the last model, is read-only and
-rebuilt bit for bit on a miss, so a thread never sees another's results.
+Gauss-Legendre nodes and the moment rules kept for the last model (one set per
+threshold-scale octave and panel count), is read-only and rebuilt bit for bit
+on a miss, so a thread never sees another's results.
 """
 
 from __future__ import annotations
@@ -186,11 +187,6 @@ def omega(k, mu: float):
     if np.any(k_arr < 0.0) or not np.all(np.isfinite(k_arr)):
         raise ValueError("momentum magnitude k must be nonnegative and finite")
     return _maybe_scalar(np.sqrt(k_arr * k_arr + mu * mu), k)
-
-
-def form_factor_eval(ff: FormFactor, omega_val, mu: float | None = None):
-    """Evaluate the form factor at the given energy; see FormFactor.evaluate."""
-    return ff.evaluate(omega_val, mu)
 
 
 def vertex_weight(g0: float, ff: FormFactor, omega_val, mu: float | None = None):

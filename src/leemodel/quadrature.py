@@ -13,17 +13,27 @@ far above the quadrature tolerance, so moving it would change the answer
 rather than refine it.  :func:`upper_momentum` is the one place it is set.
 
 I1 and I2 are moments of one spectral density, summed together by
-:func:`spectral_moments`; the norm integral keeps its own integrand, the
-squared cloud amplitude, so that the norm condition stays an independent check.
-Only their energy denominator depends on m, so the rest of the integrand
-(nodes, weights, f^2) is built once per panel count and kept for the last model
-seen, for every later mass of a solve or sweep to reuse.  Only that one model is
-held, and its arrays are exactly those a fresh pass builds: no bit changes.
+:func:`spectral_moments`.  Near the N+theta threshold their integrand peaks on
+the scale kappa = sqrt(2*mu*delta), delta = m_N + mu - m, so the moment rule
+maps k = kappa*sinh(u) (the sinh transformation of Johnston & Elliott, IJNME
+62 (2005) 564) and lays uniform Gauss-Legendre panels on u in
+[0, asinh(k_max/kappa)]: the panel count then no longer grows as delta -> 0.
+kappa is floored at 1e-9*mu, so delta = 0 is allowed, and rounded down to a
+power of two.  Only the energy denominator depends on m, so the rest of the
+integrand (nodes, weights, f^2) is built once per (kappa, panel count) and kept
+for the last model seen: the masses of one solve or sweep fall in a few kappa
+octaves and reuse it.  The kept arrays are exactly those a fresh pass builds.
 
-The scheme is composite Gauss-Legendre with the panel count doubled until two
-successive estimates agree to tolerance; panels are graded toward k = 0 where
-near-threshold integrands peak.  The panel cap is 2**14; if the doubling
-sequence exhausts it, NoConvergence is raised.
+The norm integral keeps its own integrand, the squared cloud amplitude, on
+another rule, panels graded quadratically toward k = 0 (as for
+:func:`radial_integrate`), so that the norm condition stays an independent
+check.  That rule is anchored at k_max, so its panel count grows like
+sqrt(k_max/kappa): for the decaying families it runs out of panels below
+delta ~ 1e-11 mu at Lambda = 40 (1e-12 mu at Lambda = 10).
+
+Both rules are composite Gauss-Legendre with the panel count doubled until two
+successive estimates agree to tolerance.  The panel cap is 2**14; if the
+doubling sequence exhausts it, NoConvergence is raised.
 """
 
 from __future__ import annotations
@@ -153,37 +163,52 @@ def radial_integrate(f: Callable, params: ModelParams, spec: QuadSpec) -> float:
 
 
 @functools.lru_cache(maxsize=1)
-def _rules(params: ModelParams) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """Panel count -> (q, rho) of the last model seen, filled by :func:`_moment_rule`."""
+def _rules(params: ModelParams) -> dict[tuple[float, int], tuple[np.ndarray, np.ndarray]]:
+    """(kappa, panels) -> (q, rho) of the last model seen, filled by :func:`_moment_rule`."""
     return {}
 
 
-def _moment_rule(params: ModelParams) -> Callable:
-    """panels -> (q, rho), the m-independent part of the moment integrand on
-    the graded rule: q = k^2/(omega + mu) and rho = wk k^2 f^2 / (2 omega).
+def _threshold_scale(params: ModelParams, delta: float) -> float:
+    """kappa = max(sqrt(2 mu delta), 1e-9 mu), rounded down to a power of two."""
+    kappa = max(math.sqrt(2.0 * params.mu * delta), 1e-9 * params.mu)
+    return math.ldexp(0.5, math.frexp(kappa)[1])
 
-    Each is built once per model and panel count and kept read-only in
-    :func:`_rules`; a racing thread at worst builds the same arrays twice.
-    The build works in place where that keeps the arithmetic, so a model used
-    for one pass only, where every lookup misses, costs about what it did uncached.
+
+def _sinh_panels(hi: float, kappa: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes k = kappa sinh(u) on [0, hi] and their dk weights, from ``panels``
+    uniform NODES_PER_PANEL-node Gauss-Legendre panels in u on [0, asinh(hi/kappa)]."""
+    x, w = _gauss_nodes(NODES_PER_PANEL)
+    half = 0.5 * math.asinh(hi / kappa) / panels
+    u = ((2 * np.arange(panels) + 1)[:, None] * half + half * x).ravel()
+    return kappa * np.sinh(u), np.tile(kappa * half * w, panels) * np.cosh(u)
+
+
+def _moment_rule(params: ModelParams, delta: float) -> Callable:
+    """panels -> (q, rho), the m-independent part of the moment integrand on
+    the sinh rule at kappa = :func:`_threshold_scale`: q = k^2/(omega + mu)
+    and rho = wk k^2 f^2 / (2 omega).
+
+    Each is built once per model, kappa and panel count and kept read-only in
+    :func:`_rules` under the key (kappa, panels); a racing thread at worst
+    builds the same arrays twice.  An empty momentum range (sharp Lambda <= mu)
+    has no nodes.
     """
-    rules, graded = _rules(params), _graded_rule(params)
+    rules, hi = _rules(params), upper_momentum(params)
+    kappa = _threshold_scale(params, delta)
     ff, mu = params.form_factor, params.mu
 
     def rule(panels):
-        if panels not in rules:
-            k, wk = graded(panels)
-            k2 = np.multiply(k, k, out=k)
+        key = kappa, panels
+        if key not in rules:
+            k, wk = _sinh_panels(hi, kappa, panels) if hi > 0.0 else (np.empty(0),) * 2
+            k2 = k * k
             om = np.sqrt(k2 + mu * mu)
             fval = np.asarray(ff.evaluate(om, mu), dtype=float)
-            rho = np.multiply(wk, k2, out=wk)
-            rho *= fval
-            rho *= fval
-            rho /= 2.0 * om
-            q = np.divide(k2, np.add(om, mu, out=om), out=om)
+            rho = wk * k2 * fval * fval / (2.0 * om)
+            q = k2 / (om + mu)
             q.flags.writeable = rho.flags.writeable = False
-            rules[panels] = q, rho
-        return rules[panels]
+            rules[key] = q, rho
+        return rules[key]
 
     return rule
 
@@ -192,10 +217,11 @@ def spectral_moments(m: float, params: ModelParams, spec: QuadSpec,
                      orders: tuple[int, ...] = (1, 2)) -> tuple[float, ...]:
     """Moments I_n(m) = Int d^3k f^2(omega) / (2*omega) / (m - m_N - omega)^n, one per order.
 
-    All orders are summed from one f^2 evaluation per rule, kept for the model
-    (:func:`_moment_rule`), and refined until each settles.  The denominator is
-    -(delta + k^2/(omega + mu)) with delta = m_N + mu - m formed once, so
-    nothing cancels near the threshold.
+    All orders are summed from one f^2 evaluation per rule, the sinh rule
+    anchored at kappa ~ sqrt(2 mu delta) and kept for the model under
+    (kappa, panels) (:func:`_moment_rule`), and refined until each settles.
+    The denominator is -(delta + k^2/(omega + mu)) with delta = m_N + mu - m
+    formed once, so nothing cancels near the threshold.
     delta = 0 is allowed for I1 alone, which stays finite there.
     """
     ff = params.form_factor
@@ -213,7 +239,7 @@ def spectral_moments(m: float, params: ModelParams, spec: QuadSpec,
 
     what = (f"moment(s) {orders} of the {ff.kind} form factor (Lambda = {ff.lam!r}) "
             f"at m = {m!r}, delta = {delta!r}")
-    return tuple(float(v) for v in _refine(sums, _moment_rule(params), spec, what))
+    return tuple(float(v) for v in _refine(sums, _moment_rule(params, delta), spec, what))
 
 
 def mass_shift_integral(m: float, params: ModelParams, spec: QuadSpec) -> float:
@@ -242,7 +268,10 @@ def norm_integral(params: ModelParams, g0: float, m_v: float, spec: QuadSpec) ->
     Evaluated directly from the squared amplitude (:func:`dressing_amplitude`,
     which keeps full precision near the threshold); analytically it equals
     (g0^2 / (2 pi)^3) * z_factor_integral(m_v), and the two routes agreeing
-    is one of the package's consistency checks.
+    is one of the package's consistency checks.  It runs on the graded rule,
+    never on the moment pass's sinh rule or its kept arrays, so that check
+    stays independent; the price is its near-threshold limit (see the module
+    docstring), where it raises NoConvergence.
     """
     def sums(k, wk):
         amp = dressing_amplitude(params, g0, m_v, k)

@@ -79,6 +79,37 @@ SPEC = QuadSpec()  # tolerances only; the momentum range comes from the model
 ACC_BARE = BareCoupling(m_v0=ACC_M_V0, g0=ACC_G0)
 
 
+def sharp_moments_closed_form(lam: float, delta: float, mu: float = MU) -> tuple[float, float]:
+    """I1 and I2 of the sharp family at delta = m_N + mu - m, 0 < delta <= 2 mu.
+
+    With E = m - m_N = mu - delta, K = sqrt(Lambda^2 - mu^2), T = acosh(Lambda/mu)
+    and tau = tanh(T/2) (from k dk = omega d omega and omega = mu cosh t):
+
+        I1 = -2 pi [K + E T - 2 sqrt(mu^2 - E^2) arctan(sqrt((mu+E)/(mu-E)) tau)]
+        I2 = -dI1/dm = 2 pi [T + 2 E A / sqrt(mu^2 - E^2)
+                             - 2 mu tau / ((mu - E) + (mu + E) tau^2)]
+
+    where A is the arctan.  Plain float64, sharing no code with the package's
+    quadrature; delta enters directly, so nothing cancels near the threshold,
+    where arctan(x) is taken as pi/2 - arctan(1/x).
+    """
+    e = mu - delta
+    big_k = math.sqrt(lam * lam - mu * mu)
+    t = math.acosh(lam / mu)
+    tau = math.tanh(0.5 * t)
+    s = math.sqrt(delta * (2.0 * mu - delta))  # sqrt(mu^2 - E^2)
+    if (2.0 * mu - delta) * tau * tau > delta:
+        a = 0.5 * math.pi - math.atan(math.sqrt(delta / (2.0 * mu - delta)) / tau)
+    else:
+        a = math.atan(math.sqrt((2.0 * mu - delta) / delta) * tau)
+    # at E = -mu, A and s vanish together and A/s -> tau/delta
+    a_over_s = a / s if s > 0.0 else tau / delta
+    i1 = -2.0 * math.pi * (big_k + e * t - 2.0 * s * a)
+    i2 = 2.0 * math.pi * (t + 2.0 * e * a_over_s
+                          - 2.0 * mu * tau / (delta + (2.0 * mu - delta) * tau * tau))
+    return i1, i2
+
+
 def riemann_radial(f, k_hi: float, mu: float = MU, n: int = 10_000_000,
                    chunks: int = 25) -> float:
     """Brute-force midpoint Riemann sum of 4 pi Int_0^k_hi k^2 f(omega(k)) dk.

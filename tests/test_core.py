@@ -11,7 +11,6 @@ from leemodel import (
     RenCoupling,
     StabilityViolation,
     dressing_amplitude,
-    form_factor_eval,
     omega,
     vertex_weight,
 )
@@ -80,11 +79,6 @@ def test_form_factor_validation():
 def test_dipole_requires_mu():
     with pytest.raises(ValueError):
         FormFactor.dipole(10.0).evaluate(2.0)
-
-
-def test_form_factor_eval_delegates():
-    ff = FormFactor.sharp(10.0)
-    assert form_factor_eval(ff, 5.0) == ff.evaluate(5.0)
 
 
 def test_vertex_weight():

@@ -28,10 +28,12 @@ from leemodel.cli import parse_config, run_sweep
 from leemodel.quadrature import (
     FOUR_PI,
     NODES_PER_PANEL,
+    PANEL_CAP,
     START_PANELS,
-    _graded_rule,
     _refine,
     _rules,
+    _sinh_panels,
+    _threshold_scale,
 )
 
 from helpers import (
@@ -49,6 +51,7 @@ from helpers import (
     exponential_model,
     riemann_radial,
     sharp_model,
+    sharp_moments_closed_form,
 )
 
 
@@ -128,11 +131,23 @@ def test_spectral_moments_at_threshold():
         spectral_moments(2.0 + 1e-12, params, SPEC, orders=(1,))
 
 
+@pytest.mark.parametrize("lam", (1.5, 10.0, 40.0))
+@pytest.mark.parametrize("delta", (2.0, 0.5, 1e-3, 1e-8, 1e-12, 1e-14))
+def test_sharp_moments_match_closed_form(lam, delta):
+    # the float delta the package forms from m, down to where I2 ~ 1e7
+    m = 2.0 - delta
+    exact = sharp_moments_closed_form(lam, 2.0 - m)
+    values = spectral_moments(m, sharp_model(lam), SPEC)
+    for value, ref in zip(values, exact):
+        assert math.isclose(value, ref, rel_tol=1e-13), (value, ref)
+
+
 def _uncached_moments(m, params, orders=(1, 2)):
-    # the moment pass with every rule rebuilt at every level, as before the
-    # m-independent part was kept per model
+    # the moment pass with every sinh rule rebuilt at every level, as if
+    # nothing were kept for the model
     ff, mu = params.form_factor, params.mu
     delta = params.threshold - m
+    kappa = _threshold_scale(params, delta)
 
     def sums(k, wk):
         k2 = k * k
@@ -142,7 +157,10 @@ def _uncached_moments(m, params, orders=(1, 2)):
         inv = -1.0 / (delta + k2 / (om + mu))
         return FOUR_PI * np.array([rho.dot(inv ** n) for n in orders])
 
-    return tuple(float(v) for v in _refine(sums, _graded_rule(params), SPEC, "reference"))
+    def rule(panels):
+        return _sinh_panels(upper_momentum(params), kappa, panels)
+
+    return tuple(float(v) for v in _refine(sums, rule, SPEC, "reference"))
 
 
 def test_kept_rules_never_change_a_bit():
@@ -154,9 +172,15 @@ def test_kept_rules_never_change_a_bit():
         _rules.cache_clear()
         cold.append(spectral_moments(m, model_a, SPEC))
     _rules.cache_clear()
-    for m in (0.5, 1.9, 2.0 - 1e-6):  # fills the rules at other masses first
+    # other masses fill the rules first: the first three share the kappa
+    # octaves of the targets, so the warm passes below read kept rules
+    for m in (1.49, 1.991, 2.0 - 1.2e-8, 0.5, 1.9, 2.0 - 1e-6):
         spectral_moments(m, model_a, SPEC)
+    kept = set(_rules(model_a))
+    for m in masses:
+        assert (_threshold_scale(model_a, 2.0 - m), START_PANELS) in kept
     warm = [spectral_moments(m, model_a, SPEC) for m in masses]
+    assert set(_rules(model_a)) == kept
     # model B replaces model A's rules, and must not read them
     assert spectral_moments(1.5, model_b, SPEC) == _uncached_moments(1.5, model_b)
     refilled = [spectral_moments(m, model_a, SPEC) for m in masses]
@@ -165,13 +189,18 @@ def test_kept_rules_never_change_a_bit():
 
 def test_kept_rules_are_read_only():
     params = sharp_model()
+    _rules.cache_clear()
     spectral_moments(1.5, params, SPEC)
-    for arr in _rules(params)[START_PANELS]:
-        with pytest.raises(ValueError):
-            arr[0] = 0.0
+    spectral_moments(2.0 - 1e-10, params, SPEC)
+    kept = _rules(params)
+    assert len({kappa for kappa, _ in kept}) == 2
+    for rule in kept.values():
+        for arr in rule:
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
 
 
-def test_bare_sweep_evaluates_the_form_factor_once_per_panel_count(monkeypatch):
+def test_bare_sweep_evaluates_the_form_factor_once_per_octave_and_panel_count(monkeypatch):
     sizes = []
     evaluate = FormFactor.evaluate
 
@@ -187,8 +216,9 @@ def test_bare_sweep_evaluates_the_form_factor_once_per_panel_count(monkeypatch):
         "sweep": {"parameter": "g0", "start": 0.0, "stop": 3.0, "steps": 24}}))
     rows = run_sweep(cfg)
     assert len(rows) == 24 and not any(row["error"] for row in rows)
-    panels = sorted(_rules(cfg.params))
-    assert sorted(sizes) == [p * NODES_PER_PANEL for p in panels]
+    keys = list(_rules(cfg.params))
+    assert len(keys) > 2 and len({kappa for kappa, _ in keys}) > 1
+    assert sorted(sizes) == sorted(panels * NODES_PER_PANEL for _, panels in keys)
 
 
 def test_full_report_threads_match_serial():
@@ -209,20 +239,26 @@ def test_full_report_threads_match_serial():
     assert threaded == serial
 
 
-def test_no_convergence_names_its_context():
-    # delta = 1e-13 mu is beyond what 2**14 graded panels resolve
+def test_no_convergence_names_its_context(monkeypatch):
+    # delta = 1e-13 mu is beyond what 2**14 graded panels resolve, so the norm
+    # integral runs out of panels; the moment rule resolves it with 8 sinh
+    # panels, so it is held to 2 -> 4 panels here
     params = exponential_model(lam=40.0)
     spec = default_spec(params)
     m = 2.0 - 1e-13
-    for what, mass, call in (
-            ("moment(s) (2,)", "m", lambda: z_factor_integral(m, params, spec)),
-            ("norm integral", "m_V", lambda: norm_integral(params, 1.0, m, spec))):
+    for what, mass, call, start, cap in (
+            ("moment(s) (2,)", "m", lambda: z_factor_integral(m, params, spec), 2, 4),
+            ("norm integral", "m_V", lambda: norm_integral(params, 1.0, m, spec),
+             START_PANELS, PANEL_CAP)):
+        monkeypatch.setattr(leemodel.quadrature, "START_PANELS", start)
+        monkeypatch.setattr(leemodel.quadrature, "PANEL_CAP", cap)
         with pytest.raises(NoConvergence) as err:
             call()
         message = str(err.value)
         for part in (what, "exponential", "Lambda = 40.0", f"{mass} = {m!r}",
-                     f"delta = {2.0 - m!r}", "16384 panels", "changed the estimate by"):
+                     f"delta = {2.0 - m!r}", f"{cap} panels", "changed the estimate by"):
             assert part in message, (part, message)
+        assert "inf" not in message.split("changed the estimate by")[1], message
 
 
 def test_integrals_vanish_with_the_form_factor():

@@ -39,6 +39,7 @@ from helpers import (
     SPEC,
     X_AT_G1,
     Z_BARE_G1,
+    exponential_model,
     sharp_model,
 )
 
@@ -106,6 +107,20 @@ def test_solve_bound_state_close_to_threshold():
     assert report.m_v == solved
     assert report.regime is Regime.NORMAL
     assert abs(report.z_standard - z_from_bare(PARAMS, bare.g0, solved, SPEC)) < 1e-12
+
+
+def test_solve_bare_mass_just_below_threshold_at_large_cutoff():
+    # the first Newton step needs I2 at m_V0, 1e-12 mu below threshold, where
+    # the integrand lives on k ~ sqrt(2 mu delta) ~ 1.4e-6 of a range 1600
+    params = exponential_model(lam=40.0)
+    bare = BareCoupling(m_v0=PARAMS.threshold - 1e-12, g0=1.0)
+    m_v = solve_physical_mass(params, bare, SPEC)
+    assert math.isclose(m_v, 1.4974071787, rel_tol=1e-10)
+    residual = m_v - bare.m_v0 - mass_shift(params, bare.g0, m_v, SPEC)
+    assert abs(residual) <= 1e-12
+    report = full_report(params, bare, SPEC)
+    assert report.m_v == m_v and report.regime is Regime.NORMAL
+    assert math.isclose(report.z_standard, z_from_bare(params, 1.0, m_v, SPEC), rel_tol=1e-12)
 
 
 def test_solve_iteration_cap_names_its_context(monkeypatch):
