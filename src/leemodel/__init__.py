@@ -51,7 +51,6 @@ from .quadrature import (
     default_spec,
     mass_shift_integral,
     norm_integral,
-    radial_integrate,
     spectral_moments,
     upper_momentum,
     z_factor_integral,
@@ -87,7 +86,7 @@ __all__ = [
     "dressing_amplitude", "dressing_strength", "ensure_stable",
     "full_report", "geometric_partial_sum",
     "lowest_eigenpair", "mass_shift", "mass_shift_integral",
-    "norm_integral", "omega", "radial_integrate", "regularized_z",
+    "norm_integral", "omega", "regularized_z",
     "renormalize_coupling", "secular_value", "solve_physical_mass",
     "spectral_moments", "standard_z", "upper_momentum", "vertex_weight",
     "z_factor_integral", "z_from_bare",

@@ -18,9 +18,10 @@ eigenvector, 1 / (1 + sum_i c_i^2/(lam - d_i)^2), is the finite-n image of
 the overlap probability Z_V; as the grid refines, the lowest eigenpair
 converges to the continuum physical mass and Z_V.  This is a genuinely
 independent route to the same numbers as the continuum quadrature, which is
-the point: the two paths validate each other.  The "gauss" grid is built by the quadrature's graded
-composite Gauss-Legendre rule, but with 16-node panels against the
-quadrature's 24, so the two never share a node layout.
+the point: the two paths validate each other.  The "gauss" grid is the
+oracle's own composite Gauss-Legendre rule, its 16-node panels graded
+quadratically toward k = 0, while the continuum integrals use a sinh map with
+24- and 20-node panels, so the two never share a node layout.
 
 LAPACK's dense symmetric eigensolver (tridiagonal reduction, then divide and
 conquer) provides a second, structurally different eigenvalue route for
@@ -37,7 +38,7 @@ import numpy as np
 
 from .core import BareCoupling, ModelParams, omega, vertex_weight
 from .errors import NoConvergence, PoleHit
-from .quadrature import graded_panels
+from .quadrature import _gauss_nodes
 
 FOUR_PI = 4.0 * math.pi
 
@@ -77,13 +78,34 @@ class RadialGrid:
         return self.k.size
 
 
+def graded_panels(hi: float, panels: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n composite Gauss-Legendre nodes on [0, hi] and their dk weights.
+
+    Panel edges are hi * (j / panels)^2, graded quadratically toward k = 0,
+    where masses close to the threshold concentrate the cloud (on the scale
+    sqrt(2*mu*(threshold - m))).  Each panel carries n // panels nodes and the
+    first n % panels carry one more, so the nodes come out strictly increasing.
+    """
+    edges = hi * np.linspace(0.0, 1.0, panels + 1) ** 2
+    order, extra = divmod(n, panels)
+    k, wk = [], []
+    for m, a, b in ((order + 1, 0, extra), (order, extra, panels)):
+        if b > a:
+            x, w = _gauss_nodes(m)
+            half = 0.5 * (edges[a + 1:b + 1] - edges[a:b])
+            mid = 0.5 * (edges[a:b] + edges[a + 1:b + 1])
+            k.append((mid[:, None] + half[:, None] * x).ravel())
+            wk.append((half[:, None] * w).ravel())
+    return np.concatenate(k), np.concatenate(wk)
+
+
 def build_grid(k_max: float, n: int, scheme: str = GAUSS_LEGENDRE_K) -> RadialGrid:
     """Radial grid on (0, k_max]: midpoint nodes or Gauss-Legendre nodes.
 
     Uniform: k_i = (i - 1/2) dk with w_i = 4 pi k_i^2 dk.  Gauss-Legendre:
-    n nodes of the quadrature's composite rule over max(1, n // 16) panels
-    graded quadratically toward k = 0 (a single order-n rule for n < 32),
-    again with weights times 4 pi k^2.
+    n nodes of :func:`graded_panels` over max(1, n // PANEL_ORDER) panels (a
+    single order-n rule for n < 32), again with weights times 4 pi k^2; this
+    graded layout is used by the oracle alone.
     """
     if n < 1:
         raise ValueError("grid size n must be >= 1")

@@ -12,28 +12,28 @@ definition, not a free accuracy knob: the dipole tail beyond it is 7e-6 of I1,
 far above the quadrature tolerance, so moving it would change the answer
 rather than refine it.  :func:`upper_momentum` is the one place it is set.
 
-I1 and I2 are moments of one spectral density, summed together by
-:func:`spectral_moments`.  Near the N+theta threshold their integrand peaks on
-the scale kappa = sqrt(2*mu*delta), delta = m_N + mu - m, so the moment rule
-maps k = kappa*sinh(u) (the sinh transformation of Johnston & Elliott, IJNME
-62 (2005) 564) and lays uniform Gauss-Legendre panels on u in
-[0, asinh(k_max/kappa)]: the panel count then no longer grows as delta -> 0.
+I1, I2 and the norm of the cloud all peak, near the N+theta threshold, on
+the scale kappa = sqrt(2*mu*delta), delta = m_N + mu - m.  So one rule serves
+them: it maps k = kappa*sinh(u) (the sinh transformation of Johnston &
+Elliott, IJNME 62 (2005) 564) and lays uniform Gauss-Legendre panels on u in
+[0, asinh(k_max/kappa)], and the panel count no longer grows as delta -> 0.
 kappa is floored at 1e-9*mu, so delta = 0 is allowed, and rounded down to a
-power of two.  Only the energy denominator depends on m, so the rest of the
-integrand (nodes, weights, f^2) is built once per (kappa, panel count) and kept
-for the last model seen: the masses of one solve or sweep fall in a few kappa
-octaves and reuse it.  The kept arrays are exactly those a fresh pass builds.
+power of two.
+
+I1 and I2 are moments of one spectral density, summed together by
+:func:`spectral_moments` on 24-node panels.  Only the energy denominator
+depends on m, so the rest of the integrand (nodes, weights, f^2) is built
+once per (kappa, panel count) and kept for the last model seen: the masses of
+one solve or sweep fall in a few kappa octaves and reuse it.  The kept arrays
+are exactly those a fresh pass builds.
 
 The norm integral keeps its own integrand, the squared cloud amplitude, on
-another rule, panels graded quadratically toward k = 0 (as for
-:func:`radial_integrate`), so that the norm condition stays an independent
-check.  That rule is anchored at k_max, so its panel count grows like
-sqrt(k_max/kappa): for the decaying families it runs out of panels below
-delta ~ 1e-11 mu at Lambda = 40 (1e-12 mu at Lambda = 10).
+20-node panels of the same map, built afresh and never read from the kept
+moment arrays, so that the norm condition stays an independent check.
 
-Both rules are composite Gauss-Legendre with the panel count doubled until two
-successive estimates agree to tolerance.  The panel cap is 2**14; if the
-doubling sequence exhausts it, NoConvergence is raised.
+Every rule is refined by doubling the panel count until two successive
+estimates agree to tolerance.  The panel cap is 2**14; if the doubling
+sequence exhausts it, NoConvergence is raised.
 """
 
 from __future__ import annotations
@@ -50,10 +50,12 @@ from .errors import NoConvergence, StabilityViolation
 
 FOUR_PI = 4.0 * math.pi
 START_PANELS = 4
-# Must differ from the oracle's PANEL_ORDER (16): c4 compares the continuum
-# rule with the arrowhead on the "gauss" grid, which would otherwise be the
-# same discretization checked against itself.
+# Panel orders of the moment rule and the norm rule.  They must differ from
+# each other and from the oracle's PANEL_ORDER (16): c3 compares the norm with
+# I2 and c4 the moments with the arrowhead on the "gauss" grid, which would
+# otherwise be the same discretization checked against itself.
 NODES_PER_PANEL = 24
+NORM_ORDER = 20
 PANEL_CAP = 2 ** 14
 
 
@@ -94,38 +96,6 @@ def _gauss_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def graded_panels(hi: float, panels: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """n composite Gauss-Legendre nodes on [0, hi] and their dk weights.
-
-    Panel edges are hi * (j / panels)^2, graded quadratically toward k = 0:
-    masses close to the threshold concentrate the integrand near zero momentum
-    (on the scale sqrt(2*mu*(threshold - m))), and doubling graded panels gains
-    resolution there much faster than uniform splitting.  Each panel carries
-    n // panels nodes and the first n % panels carry one more, so the nodes
-    come out strictly increasing.
-    """
-    edges = hi * np.linspace(0.0, 1.0, panels + 1) ** 2
-    order, extra = divmod(n, panels)
-    k, wk = [], []
-    for m, a, b in ((order + 1, 0, extra), (order, extra, panels)):
-        if b > a:
-            x, w = _gauss_nodes(m)
-            half = 0.5 * (edges[a + 1:b + 1] - edges[a:b])
-            mid = 0.5 * (edges[a:b] + edges[a + 1:b + 1])
-            k.append((mid[:, None] + half[:, None] * x).ravel())
-            wk.append((half[:, None] * w).ravel())
-    return np.concatenate(k), np.concatenate(wk)
-
-
-def _graded_rule(params: ModelParams) -> Callable:
-    """panels -> (k, wk): the graded rule of NODES_PER_PANEL nodes per panel on
-    the momentum range; an empty range (sharp Lambda <= mu) has no nodes."""
-    hi = upper_momentum(params)
-    if hi <= 0.0:
-        return lambda panels: (np.empty(0), np.empty(0))
-    return lambda panels: graded_panels(hi, panels, panels * NODES_PER_PANEL)
-
-
 def _refine(sums: Callable, rule: Callable, spec: QuadSpec, what: str) -> np.ndarray:
     """sums(*rule(panels)) with the panel count doubled from START_PANELS until
     every component settles to max(abs_tol, rel_tol*|value|)."""
@@ -146,22 +116,6 @@ def _refine(sums: Callable, rule: Callable, spec: QuadSpec, what: str) -> np.nda
     )
 
 
-def radial_integrate(f: Callable, params: ModelParams, spec: QuadSpec) -> float:
-    """4*pi Int k^2 f(omega_k) dk over the form factor's momentum range.
-
-    ``f`` receives omega as a numpy array and must evaluate elementwise
-    (scalar returns are broadcast).  Refinement doubles the panel count until
-    successive estimates differ by less than max(abs_tol, rel_tol*|value|).
-    """
-    mu = params.mu
-
-    def sums(k, wk):
-        vals = np.asarray(f(np.sqrt(k * k + mu * mu)), dtype=float)
-        return FOUR_PI * np.sum(wk * k * k * np.broadcast_to(vals, k.shape))
-
-    return float(_refine(sums, _graded_rule(params), spec, "radial quadrature"))
-
-
 @functools.lru_cache(maxsize=1)
 def _rules(params: ModelParams) -> dict[tuple[float, int], tuple[np.ndarray, np.ndarray]]:
     """(kappa, panels) -> (q, rho) of the last model seen, filled by :func:`_moment_rule`."""
@@ -174,10 +128,14 @@ def _threshold_scale(params: ModelParams, delta: float) -> float:
     return math.ldexp(0.5, math.frexp(kappa)[1])
 
 
-def _sinh_panels(hi: float, kappa: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
+def _sinh_panels(hi: float, kappa: float, panels: int,
+                 order: int = NODES_PER_PANEL) -> tuple[np.ndarray, np.ndarray]:
     """Nodes k = kappa sinh(u) on [0, hi] and their dk weights, from ``panels``
-    uniform NODES_PER_PANEL-node Gauss-Legendre panels in u on [0, asinh(hi/kappa)]."""
-    x, w = _gauss_nodes(NODES_PER_PANEL)
+    uniform ``order``-node Gauss-Legendre panels in u on [0, asinh(hi/kappa)].
+    An empty momentum range (sharp Lambda <= mu) has no nodes."""
+    if hi <= 0.0:
+        return np.empty(0), np.empty(0)
+    x, w = _gauss_nodes(order)
     half = 0.5 * math.asinh(hi / kappa) / panels
     u = ((2 * np.arange(panels) + 1)[:, None] * half + half * x).ravel()
     return kappa * np.sinh(u), np.tile(kappa * half * w, panels) * np.cosh(u)
@@ -190,8 +148,7 @@ def _moment_rule(params: ModelParams, delta: float) -> Callable:
 
     Each is built once per model, kappa and panel count and kept read-only in
     :func:`_rules` under the key (kappa, panels); a racing thread at worst
-    builds the same arrays twice.  An empty momentum range (sharp Lambda <= mu)
-    has no nodes.
+    builds the same arrays twice.
     """
     rules, hi = _rules(params), upper_momentum(params)
     kappa = _threshold_scale(params, delta)
@@ -200,7 +157,7 @@ def _moment_rule(params: ModelParams, delta: float) -> Callable:
     def rule(panels):
         key = kappa, panels
         if key not in rules:
-            k, wk = _sinh_panels(hi, kappa, panels) if hi > 0.0 else (np.empty(0),) * 2
+            k, wk = _sinh_panels(hi, kappa, panels)
             k2 = k * k
             om = np.sqrt(k2 + mu * mu)
             fval = np.asarray(ff.evaluate(om, mu), dtype=float)
@@ -268,11 +225,14 @@ def norm_integral(params: ModelParams, g0: float, m_v: float, spec: QuadSpec) ->
     Evaluated directly from the squared amplitude (:func:`dressing_amplitude`,
     which keeps full precision near the threshold); analytically it equals
     (g0^2 / (2 pi)^3) * z_factor_integral(m_v), and the two routes agreeing
-    is one of the package's consistency checks.  It runs on the graded rule,
-    never on the moment pass's sinh rule or its kept arrays, so that check
-    stays independent; the price is its near-threshold limit (see the module
-    docstring), where it raises NoConvergence.
+    is one of the package's consistency checks.  It runs on the sinh rule at
+    the moment pass's kappa but with NORM_ORDER-node panels, built afresh at
+    every level and never read from :func:`_rules`, so that check stays
+    independent.
     """
+    ensure_stable(params, m_v)
+    hi, kappa = upper_momentum(params), _threshold_scale(params, params.threshold - m_v)
+
     def sums(k, wk):
         amp = dressing_amplitude(params, g0, m_v, k)
         return FOUR_PI * np.sum(wk * k * k * amp * amp)
@@ -280,4 +240,5 @@ def norm_integral(params: ModelParams, g0: float, m_v: float, spec: QuadSpec) ->
     ff = params.form_factor
     what = (f"norm integral of the {ff.kind} form factor (Lambda = {ff.lam!r}) "
             f"at m_V = {m_v!r}, delta = {params.threshold - m_v!r}")
-    return float(_refine(sums, _graded_rule(params), spec, what))
+    return float(_refine(sums, lambda panels: _sinh_panels(hi, kappa, panels, NORM_ORDER),
+                         spec, what))

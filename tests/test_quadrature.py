@@ -19,16 +19,17 @@ from leemodel import (
     full_report,
     mass_shift_integral,
     norm_integral,
-    radial_integrate,
     spectral_moments,
     upper_momentum,
     z_factor_integral,
+    z_from_bare,
 )
 from leemodel.cli import parse_config, run_sweep
+from leemodel.oracle import PANEL_ORDER
 from leemodel.quadrature import (
     FOUR_PI,
     NODES_PER_PANEL,
-    PANEL_CAP,
+    NORM_ORDER,
     START_PANELS,
     _refine,
     _rules,
@@ -55,30 +56,24 @@ from helpers import (
 )
 
 
-def _f2_over_2w(params):
-    ff, mu = params.form_factor, params.mu
-
-    def integrand(om):
-        fval = np.asarray(ff.evaluate(om, mu), dtype=float)
-        return fval * fval / (2.0 * om)
-
-    return integrand
-
-
-def test_zero_integrand():
-    assert radial_integrate(lambda om: 0.0, sharp_model(), SPEC) == 0.0
+def test_rule_orders_differ():
+    # c3 compares the norm rule with the moment rule and c4 the moment rule
+    # with the oracle's "gauss" grid; equal orders would check a rule with itself
+    assert len({NODES_PER_PANEL, NORM_ORDER, PANEL_ORDER}) == 3
 
 
 def test_ball_volume():
-    # sharp cutoff at Lambda = sqrt(5) puts the momentum edge exactly at k = 2
-    params = sharp_model(lam=math.sqrt(5.0))
-    value = radial_integrate(lambda om: 1.0, params, SPEC)
-    assert math.isclose(value, 32.0 * math.pi / 3.0, rel_tol=1e-13)
+    # both sinh rules integrate k^2 over the ball of radius 2 to its closed form
+    for order in (NODES_PER_PANEL, NORM_ORDER):
+        for kappa in (2.0 ** -30, 2.0 ** -10, 1.0):
+            k, wk = _sinh_panels(2.0, kappa, 8, order)
+            value = FOUR_PI * np.sum(wk * k * k)
+            assert math.isclose(value, 32.0 * math.pi / 3.0, rel_tol=1e-13), (order, kappa)
 
 
 def test_radial_f2_over_2w_golden_and_riemann():
-    params = sharp_model()
-    value = radial_integrate(_f2_over_2w(params), params, SPEC)
+    # the zeroth moment is Int d^3k f^2 / (2 omega)
+    (value,) = spectral_moments(1.5, sharp_model(), SPEC, orders=(0,))
     assert math.isclose(value, RADIAL_F2_OVER_2W, rel_tol=1e-11)
     brute = riemann_radial(lambda om: 1.0 / (2.0 * om), SHARP_K_CUT)
     assert math.isclose(value, brute, rel_tol=1e-8)
@@ -240,23 +235,21 @@ def test_full_report_threads_match_serial():
 
 
 def test_no_convergence_names_its_context(monkeypatch):
-    # delta = 1e-13 mu is beyond what 2**14 graded panels resolve, so the norm
-    # integral runs out of panels; the moment rule resolves it with 8 sinh
-    # panels, so it is held to 2 -> 4 panels here
+    # both sinh rules resolve delta = 1e-13 mu within 16 panels, so each is
+    # held to 2 -> 4 panels here to make it run out
     params = exponential_model(lam=40.0)
     spec = default_spec(params)
     m = 2.0 - 1e-13
-    for what, mass, call, start, cap in (
-            ("moment(s) (2,)", "m", lambda: z_factor_integral(m, params, spec), 2, 4),
-            ("norm integral", "m_V", lambda: norm_integral(params, 1.0, m, spec),
-             START_PANELS, PANEL_CAP)):
-        monkeypatch.setattr(leemodel.quadrature, "START_PANELS", start)
-        monkeypatch.setattr(leemodel.quadrature, "PANEL_CAP", cap)
+    monkeypatch.setattr(leemodel.quadrature, "START_PANELS", 2)
+    monkeypatch.setattr(leemodel.quadrature, "PANEL_CAP", 4)
+    for what, mass, call in (
+            ("moment(s) (2,)", "m", lambda: z_factor_integral(m, params, spec)),
+            ("norm integral", "m_V", lambda: norm_integral(params, 1.0, m, spec))):
         with pytest.raises(NoConvergence) as err:
             call()
         message = str(err.value)
         for part in (what, "exponential", "Lambda = 40.0", f"{mass} = {m!r}",
-                     f"delta = {2.0 - m!r}", f"{cap} panels", "changed the estimate by"):
+                     f"delta = {2.0 - m!r}", "4 panels", "changed the estimate by"):
             assert part in message, (part, message)
         assert "inf" not in message.split("changed the estimate by")[1], message
 
@@ -336,6 +329,21 @@ def test_norm_integral_near_threshold_golden():
     assert math.isclose(value, I2_EXP10_NEAR_THRESHOLD / TWO_PI_CUBED, rel_tol=1e-9)
 
 
+@pytest.mark.parametrize("make", ALL_MODELS)
+@pytest.mark.parametrize("lam", (10.0, 40.0))
+@pytest.mark.parametrize("delta", (1e-10, 1e-12, 1e-14))
+def test_norm_condition_near_threshold(make, lam, delta):
+    # Z (1 + cloud) = 1 with Z from the moment pass and the cloud from the norm
+    params = make(lam)
+    m_v = 2.0 - delta
+    cloud = norm_integral(params, 1.0, m_v, SPEC)
+    z = z_from_bare(params, 1.0, m_v, SPEC)
+    assert abs(z * (1.0 + cloud) - 1.0) < 1e-9, (z, cloud)
+    if make is sharp_model:
+        exact = sharp_moments_closed_form(lam, 2.0 - m_v)[1] / TWO_PI_CUBED
+        assert math.isclose(cloud, exact, rel_tol=1e-13), (cloud, exact)
+
+
 def test_norm_integral_finite_for_all_models():
     for make in ALL_MODELS:
         params = make()
@@ -355,9 +363,11 @@ def test_stability_violation():
 
 def test_no_convergence_on_unresolvable_integrand():
     # oscillation far below any reachable panel width: refinement never settles
-    params = sharp_model(lam=math.sqrt(5.0))
+    def sums(k, wk):
+        return FOUR_PI * np.sum(wk * k * k * np.sin(1e9 * k) ** 2)
+
     with pytest.raises(NoConvergence):
-        radial_integrate(lambda om: np.sin(1e9 * om) ** 2, params, SPEC)
+        _refine(sums, lambda panels: _sinh_panels(2.0, 1.0, panels), SPEC, "oscillation")
 
 
 def test_quadspec_validation():
@@ -372,9 +382,3 @@ def test_default_spec_scales_with_cutoff():
     params = ModelParams(m_n=1.0, mu=1.0, form_factor=FormFactor.exponential(2.5))
     assert default_spec(params) == QuadSpec()
     assert upper_momentum(params) == 100.0
-
-
-def test_scalar_integrand_broadcast():
-    params = sharp_model(lam=math.sqrt(5.0))
-    value = radial_integrate(lambda om: 2.5, params, SPEC)
-    assert math.isclose(value, 2.5 * 32.0 * math.pi / 3.0, rel_tol=1e-13)
