@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import sys
@@ -48,8 +49,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (BareCoupling, FormFactor, ModelParams, RenCoupling,
-                   FORM_FACTOR_KINDS, SHARP)
-from .errors import ConfigError, LeeModelError, NoBoundState
+                   FORM_FACTOR_KINDS, SHARP, ensure_stable)
+from .errors import ConfigError, LeeModelError, NoBoundState, StabilityViolation
 from .oracle import GRID_SCHEMES, GAUSS_LEGENDRE_K, convergence_study
 from .quadrature import QuadSpec, upper_momentum
 from .renorm import RenormReport, full_report
@@ -77,9 +78,7 @@ class OracleSpec:
 @dataclass(frozen=True)
 class RunConfig:
     params: ModelParams
-    mode: str
-    bare: BareCoupling | None
-    ren: RenCoupling | None
+    coupling: BareCoupling | RenCoupling
     sweep: SweepSpec | None
     quad: QuadSpec
     oracle: OracleSpec
@@ -168,22 +167,23 @@ def parse_config(text: str) -> RunConfig:
 
     inp = _section(doc, "input")
     mode = _string(inp, "input", "mode", choices=("bare", "renormalized"))
-    bare = ren = None
     if mode == "bare":
         m_v0 = _real(inp, "input", "m_V0")
         g0 = _real(inp, "input", "g0", default=0.0)
         if g0 < 0.0:
             raise ConfigError("input.g0", "must be nonnegative")
-        bare = BareCoupling(m_v0=m_v0, g0=g0)
+        coupling = BareCoupling(m_v0=m_v0, g0=g0)
     else:
         m_v = _real(inp, "input", "m_V")
         g = _real(inp, "input", "g", default=0.0)
         if g < 0.0:
             raise ConfigError("input.g", "must be nonnegative")
-        if not (m_v - params.m_n < params.mu):
+        try:
+            ensure_stable(params, m_v)
+        except StabilityViolation as exc:
             raise ConfigError("input.m_V",
-                              "must lie below the N+theta threshold m_N + mu")
-        ren = RenCoupling(m_v=m_v, g=g)
+                              "must lie below the N+theta threshold m_N + mu") from exc
+        coupling = RenCoupling(m_v=m_v, g=g)
     _no_leftovers(inp, "input")
 
     sweep = None
@@ -207,13 +207,13 @@ def parse_config(text: str) -> RunConfig:
         sweep = SweepSpec(parameter=parameter, start=start, stop=stop, steps=steps)
 
     qd = _section(doc, "quad")
-    abs_tol = _real(qd, "quad", "abs_tol", default=1e-10)
-    rel_tol = _real(qd, "quad", "rel_tol", default=1e-10)
+    tols = {field.name: _real(qd, "quad", field.name, default=field.default)
+            for field in dataclasses.fields(QuadSpec)}
     _no_leftovers(qd, "quad")
-    for key, tol in (("abs_tol", abs_tol), ("rel_tol", rel_tol)):
+    for key, tol in tols.items():
         if tol <= 0.0:
             raise ConfigError(f"quad.{key}", "must be positive")
-    quad = QuadSpec(abs_tol=abs_tol, rel_tol=rel_tol)
+    quad = QuadSpec(**tols)
 
     orc = _section(doc, "oracle")
     n = _integer(orc, "oracle", "n", default=_DEFAULT_ORACLE_N)
@@ -230,9 +230,8 @@ def parse_config(text: str) -> RunConfig:
                          choices=("csv", "json"))
     _no_leftovers(out, "output")
 
-    return RunConfig(params=params, mode=mode, bare=bare, ren=ren, sweep=sweep,
-                     quad=quad, oracle=oracle, out_path=out_path,
-                     out_format=out_format)
+    return RunConfig(params=params, coupling=coupling, sweep=sweep, quad=quad,
+                     oracle=oracle, out_path=out_path, out_format=out_format)
 
 
 def load_config(path: str) -> RunConfig:
@@ -242,8 +241,7 @@ def load_config(path: str) -> RunConfig:
 
 def run_point(config: RunConfig) -> RenormReport:
     """Evaluate the configured single point (delegates to full_report)."""
-    coupling = config.bare if config.mode == "bare" else config.ren
-    return full_report(config.params, coupling, config.quad)
+    return full_report(config.params, config.coupling, config.quad)
 
 
 def _report_row(report: RenormReport, sweep_value: float | None = None) -> dict:
@@ -271,17 +269,16 @@ def _error_row(sweep_value: float, exc: Exception) -> dict:
 
 
 def run_sweep(config: RunConfig) -> list[dict]:
-    """One row per sweep value, in sweep order; per-row errors do not abort."""
+    """One row per sweep value, in sweep order; per-row errors do not abort.
+
+    The swept parameter ("g0" or "g") is the name of the coupling's field."""
     sweep = config.sweep
     values = np.linspace(sweep.start, sweep.stop, sweep.steps)
     rows = []
     for value in values:
         value = float(value)
         try:
-            if sweep.parameter == "g0":
-                coupling = BareCoupling(m_v0=config.bare.m_v0, g0=value)
-            else:
-                coupling = RenCoupling(m_v=config.ren.m_v, g=value)
+            coupling = dataclasses.replace(config.coupling, **{sweep.parameter: value})
             report = full_report(config.params, coupling, config.quad)
             rows.append(_report_row(report, sweep_value=value))
         except LeeModelError as exc:
@@ -315,7 +312,7 @@ def emit(table: list[dict], out_format: str, path: str) -> None:
 
 
 def _validate_oracle(config: RunConfig) -> int:
-    if config.mode != "bare":
+    if not isinstance(config.coupling, BareCoupling):
         raise ConfigError("input.mode", "oracle validation needs a bare-mode configuration")
     k_max = upper_momentum(config.params)
     if k_max <= 0.0:
@@ -325,7 +322,7 @@ def _validate_oracle(config: RunConfig) -> int:
     m_v, z = report.m_v, report.z_standard
     n = config.oracle.n
     n_list = sorted({max(8, n // 64), max(16, n // 16), max(32, n // 4), n})
-    rows = convergence_study(config.params, config.bare, n_list, k_max,
+    rows = convergence_study(config.params, config.coupling, n_list, k_max,
                              config.oracle.scheme)
     print(f"continuum: m_V = {m_v:.12g}   Z_V = {z:.12g}")
     print(f"{'n':>8} {'m_V(n)':>20} {'Z_V(n)':>20} {'|err m_V|':>12} {'|err Z_V|':>12}")

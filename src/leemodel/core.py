@@ -14,9 +14,9 @@ All energies are in the same (arbitrary) unit; mu = 1 is the conventional
 scale.  All types here are immutable values and all functions are pure, so
 everything can be shared freely between threads and across parameter sweeps.
 That holds for the whole package: its only state, the quadrature's cached
-Gauss-Legendre nodes and the moment rules kept for the last model (one set per
-threshold-scale octave and panel count), is read-only and rebuilt bit for bit
-on a miss, so a thread never sees another's results.
+Gauss-Legendre nodes and its last 32 moment rules (one per model,
+threshold-scale octave and panel count), is memoized read-only arrays rebuilt
+bit for bit on a miss, so a thread never sees another's results.
 """
 
 from __future__ import annotations
@@ -95,12 +95,6 @@ class FormFactor:
             out = lam_sq / (lam_sq + om * om - mu * mu)
         return _maybe_scalar(out, omega_val)
 
-    def momentum_cutoff(self, mu: float) -> float | None:
-        """Momentum above which f vanishes identically, or None if unbounded."""
-        if self.kind == SHARP:
-            return math.sqrt(max(self.lam * self.lam - mu * mu, 0.0))
-        return None
-
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -147,7 +141,7 @@ class BareCoupling:
 class RenCoupling:
     """Physical V mass and renormalized coupling g (g >= 0).
 
-    A consistent point also needs m_v - m_N < mu (bound state below the
+    A consistent point also needs m_v < m_N + mu (bound state below the
     continuum); that window is checked wherever energy denominators appear,
     since it involves the model masses.
     """
@@ -171,8 +165,9 @@ class Regime(enum.Enum):
 
 
 def ensure_stable(params: ModelParams, m: float, label: str = "m_V") -> None:
-    """Require m - m_N < mu so all denominators (m - m_N - omega) stay negative."""
-    if not (m - params.m_n < params.mu):
+    """Require m < m_N + mu, which for floats is exactly delta = m_N + mu - m > 0,
+    the quantity every denominator -(delta + k^2/(omega + mu)) is built from."""
+    if not (m < params.threshold):
         raise StabilityViolation(
             f"{label} = {m!r} does not lie below the N+theta threshold "
             f"{params.threshold!r}; the bound-state sector ends there"

@@ -57,7 +57,6 @@ class RadialGrid:
 
     k: np.ndarray
     w: np.ndarray
-    scheme: str
 
     def __post_init__(self):
         k = np.asarray(self.k, dtype=float)
@@ -119,7 +118,7 @@ def build_grid(k_max: float, n: int, scheme: str = GAUSS_LEGENDRE_K) -> RadialGr
         k, w_lin = graded_panels(k_max, max(1, n // PANEL_ORDER), n)
     else:
         raise ValueError(f"unknown grid scheme {scheme!r}")
-    return RadialGrid(k=k, w=FOUR_PI * k * k * w_lin, scheme=scheme)
+    return RadialGrid(k=k, w=FOUR_PI * k * k * w_lin)
 
 
 @dataclass(frozen=True)

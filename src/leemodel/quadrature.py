@@ -22,10 +22,11 @@ power of two.
 
 I1 and I2 are moments of one spectral density, summed together by
 :func:`spectral_moments` on 24-node panels.  Only the energy denominator
-depends on m, so the rest of the integrand (nodes, weights, f^2) is built
-once per (kappa, panel count) and kept for the last model seen: the masses of
-one solve or sweep fall in a few kappa octaves and reuse it.  The kept arrays
-are exactly those a fresh pass builds.
+depends on m, so the rest of the integrand (nodes, weights, f^2) is one
+memoized function of (model, kappa, panel count), :func:`_moment_rule`, which
+keeps the last RULES_KEPT of them: the masses of one solve or sweep fall in a
+few kappa octaves and reuse them.  The kept arrays are read-only and exactly
+those a fresh pass builds.
 
 The norm integral keeps its own integrand, the squared cloud amplitude, on
 20-node panels of the same map, built afresh and never read from the kept
@@ -45,7 +46,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import ModelParams, dressing_amplitude, ensure_stable
+from .core import SHARP, ModelParams, dressing_amplitude, ensure_stable
 from .errors import NoConvergence, StabilityViolation
 
 FOUR_PI = 4.0 * math.pi
@@ -57,6 +58,9 @@ START_PANELS = 4
 NODES_PER_PANEL = 24
 NORM_ORDER = 20
 PANEL_CAP = 2 ** 14
+# Moment rules kept across calls, one per (model, kappa, panels): a sweep
+# touches at most 14, and at the panel cap 32 rules hold about 40 MB.
+RULES_KEPT = 32
 
 
 @dataclass(frozen=True)
@@ -83,8 +87,10 @@ def default_spec(params: ModelParams) -> QuadSpec:
 
 def upper_momentum(params: ModelParams) -> float:
     """Integration limit: the exact sharp cutoff sqrt(Lambda^2 - mu^2), else 40*Lambda."""
-    cut = params.form_factor.momentum_cutoff(params.mu)
-    return cut if cut is not None else 40.0 * params.form_factor.lam
+    ff, mu = params.form_factor, params.mu
+    if ff.kind == SHARP:
+        return math.sqrt(max(ff.lam * ff.lam - mu * mu, 0.0))
+    return 40.0 * ff.lam
 
 
 @functools.cache
@@ -96,15 +102,15 @@ def _gauss_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _refine(sums: Callable, rule: Callable, spec: QuadSpec, what: str) -> np.ndarray:
-    """sums(*rule(panels)) with the panel count doubled from START_PANELS until
+def _refine(estimate: Callable[[int], np.ndarray], spec: QuadSpec, what: str) -> np.ndarray:
+    """estimate(panels) with the panel count doubled from START_PANELS until
     every component settles to max(abs_tol, rel_tol*|value|)."""
     panels = START_PANELS
-    prev = sums(*rule(panels))
+    prev = estimate(panels)
     diff = np.array(math.inf)
     while panels < PANEL_CAP:
         panels = min(2 * panels, PANEL_CAP)
-        cur = sums(*rule(panels))
+        cur = estimate(panels)
         diff = np.abs(cur - prev)
         if np.all(diff <= np.maximum(spec.abs_tol, spec.rel_tol * np.abs(cur))):
             return cur
@@ -114,12 +120,6 @@ def _refine(sums: Callable, rule: Callable, spec: QuadSpec, what: str) -> np.nda
         f"{what} did not reach tolerance within {PANEL_CAP} panels "
         f"(last refinement changed the estimate by {changes})"
     )
-
-
-@functools.lru_cache(maxsize=1)
-def _rules(params: ModelParams) -> dict[tuple[float, int], tuple[np.ndarray, np.ndarray]]:
-    """(kappa, panels) -> (q, rho) of the last model seen, filled by :func:`_moment_rule`."""
-    return {}
 
 
 def _threshold_scale(params: ModelParams, delta: float) -> float:
@@ -141,33 +141,24 @@ def _sinh_panels(hi: float, kappa: float, panels: int,
     return kappa * np.sinh(u), np.tile(kappa * half * w, panels) * np.cosh(u)
 
 
-def _moment_rule(params: ModelParams, delta: float) -> Callable:
-    """panels -> (q, rho), the m-independent part of the moment integrand on
-    the sinh rule at kappa = :func:`_threshold_scale`: q = k^2/(omega + mu)
-    and rho = wk k^2 f^2 / (2 omega).
+@functools.lru_cache(maxsize=RULES_KEPT)
+def _moment_rule(params: ModelParams, kappa: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """(q, rho), the m-independent part of the moment integrand on ``panels``
+    panels of the sinh rule at ``kappa``: q = k^2/(omega + mu) and
+    rho = wk k^2 f^2 / (2 omega), both read-only.
 
-    Each is built once per model, kappa and panel count and kept read-only in
-    :func:`_rules` under the key (kappa, panels); a racing thread at worst
-    builds the same arrays twice.
+    The last RULES_KEPT (model, kappa, panels) rules are kept, so the steps
+    of a solve and the points of a sweep, which fall in a few kappa octaves,
+    evaluate the form factor once per octave and panel count.
     """
-    rules, hi = _rules(params), upper_momentum(params)
-    kappa = _threshold_scale(params, delta)
-    ff, mu = params.form_factor, params.mu
-
-    def rule(panels):
-        key = kappa, panels
-        if key not in rules:
-            k, wk = _sinh_panels(hi, kappa, panels)
-            k2 = k * k
-            om = np.sqrt(k2 + mu * mu)
-            fval = np.asarray(ff.evaluate(om, mu), dtype=float)
-            rho = wk * k2 * fval * fval / (2.0 * om)
-            q = k2 / (om + mu)
-            q.flags.writeable = rho.flags.writeable = False
-            rules[key] = q, rho
-        return rules[key]
-
-    return rule
+    k, wk = _sinh_panels(upper_momentum(params), kappa, panels)
+    k2, mu = k * k, params.mu
+    om = np.sqrt(k2 + mu * mu)
+    fval = np.asarray(params.form_factor.evaluate(om, mu), dtype=float)
+    rho = wk * k2 * fval * fval / (2.0 * om)
+    q = k2 / (om + mu)
+    q.flags.writeable = rho.flags.writeable = False
+    return q, rho
 
 
 def spectral_moments(m: float, params: ModelParams, spec: QuadSpec,
@@ -175,8 +166,8 @@ def spectral_moments(m: float, params: ModelParams, spec: QuadSpec,
     """Moments I_n(m) = Int d^3k f^2(omega) / (2*omega) / (m - m_N - omega)^n, one per order.
 
     All orders are summed from one f^2 evaluation per rule, the sinh rule
-    anchored at kappa ~ sqrt(2 mu delta) and kept for the model under
-    (kappa, panels) (:func:`_moment_rule`), and refined until each settles.
+    anchored at kappa ~ sqrt(2 mu delta) and kept per (model, kappa, panels)
+    (:func:`_moment_rule`), and refined until each settles.
     The denominator is -(delta + k^2/(omega + mu)) with delta = m_N + mu - m
     formed once, so nothing cancels near the threshold.
     delta = 0 is allowed for I1 alone, which stays finite there.
@@ -189,14 +180,17 @@ def spectral_moments(m: float, params: ModelParams, spec: QuadSpec,
             f"moment(s) {orders} need delta = m_N + mu - m > 0 (I1 alone allows 0)"
         )
 
-    def sums(q, rho):
+    kappa = _threshold_scale(params, delta)
+
+    def estimate(panels):
+        q, rho = _moment_rule(params, kappa, panels)
         inv = np.add(delta, q)
         np.divide(-1.0, inv, out=inv)      # 1 / (m - m_N - omega)
         return FOUR_PI * np.array([rho.dot(inv ** n) for n in orders])
 
     what = (f"moment(s) {orders} of the {ff.kind} form factor (Lambda = {ff.lam!r}) "
             f"at m = {m!r}, delta = {delta!r}")
-    return tuple(float(v) for v in _refine(sums, _moment_rule(params, delta), spec, what))
+    return tuple(float(v) for v in _refine(estimate, spec, what))
 
 
 def mass_shift_integral(m: float, params: ModelParams, spec: QuadSpec) -> float:
@@ -227,18 +221,18 @@ def norm_integral(params: ModelParams, g0: float, m_v: float, spec: QuadSpec) ->
     (g0^2 / (2 pi)^3) * z_factor_integral(m_v), and the two routes agreeing
     is one of the package's consistency checks.  It runs on the sinh rule at
     the moment pass's kappa but with NORM_ORDER-node panels, built afresh at
-    every level and never read from :func:`_rules`, so that check stays
+    every level and never read from :func:`_moment_rule`, so that check stays
     independent.
     """
     ensure_stable(params, m_v)
     hi, kappa = upper_momentum(params), _threshold_scale(params, params.threshold - m_v)
 
-    def sums(k, wk):
+    def estimate(panels):
+        k, wk = _sinh_panels(hi, kappa, panels, NORM_ORDER)
         amp = dressing_amplitude(params, g0, m_v, k)
         return FOUR_PI * np.sum(wk * k * k * amp * amp)
 
     ff = params.form_factor
     what = (f"norm integral of the {ff.kind} form factor (Lambda = {ff.lam!r}) "
             f"at m_V = {m_v!r}, delta = {params.threshold - m_v!r}")
-    return float(_refine(sums, lambda panels: _sinh_panels(hi, kappa, panels, NORM_ORDER),
-                         spec, what))
+    return float(_refine(estimate, spec, what))

@@ -39,8 +39,7 @@ def test_parse_minimal_defaults():
     assert cfg.params.m_n == 1.0
     assert cfg.params.form_factor.kind == "sharp"
     assert cfg.params.form_factor.lam == 10.0
-    assert cfg.mode == "bare"
-    assert cfg.bare == BareCoupling(m_v0=1.8, g0=0.0)
+    assert cfg.coupling == BareCoupling(m_v0=1.8, g0=0.0)
     assert cfg.sweep is None
     assert cfg.quad == QuadSpec(abs_tol=1e-10, rel_tol=1e-10)
     assert cfg.oracle == OracleSpec(n=1024, scheme="gauss")
@@ -97,6 +96,9 @@ def test_parse_sweep_errors():
 
 def test_parse_renormalized_above_threshold():
     assert _field_of('{"input": {"mode": "renormalized", "m_V": 2.0}}') == "input.m_V"
+    # 1.2 - 1.0 < 0.2 in floats, but 1.2 is the float threshold 1.0 + 0.2
+    assert _field_of('{"input": {"mode": "renormalized", "m_V": 1.2}, '
+                     '"model": {"m_N": 1.0, "mu": 0.2}}') == "input.m_V"
 
 
 def test_parse_quad_and_oracle_errors():
@@ -315,7 +317,7 @@ def test_load_config_reads_files(tmp_path):
     cfg_path = _write(tmp_path, "cfg.json",
                       {"input": {"mode": "bare", "m_V0": 1.8}})
     cfg = load_config(cfg_path)
-    assert cfg.bare.m_v0 == 1.8
+    assert cfg.coupling.m_v0 == 1.8
 
 
 def _child_env() -> dict:

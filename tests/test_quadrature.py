@@ -16,7 +16,9 @@ from leemodel import (
     StabilityViolation,
     TWO_PI_CUBED,
     default_spec,
+    ensure_stable,
     full_report,
+    mass_shift,
     mass_shift_integral,
     norm_integral,
     spectral_moments,
@@ -30,9 +32,10 @@ from leemodel.quadrature import (
     FOUR_PI,
     NODES_PER_PANEL,
     NORM_ORDER,
+    RULES_KEPT,
     START_PANELS,
+    _moment_rule,
     _refine,
-    _rules,
     _sinh_panels,
     _threshold_scale,
 )
@@ -144,7 +147,8 @@ def _uncached_moments(m, params, orders=(1, 2)):
     delta = params.threshold - m
     kappa = _threshold_scale(params, delta)
 
-    def sums(k, wk):
+    def estimate(panels):
+        k, wk = _sinh_panels(upper_momentum(params), kappa, panels)
         k2 = k * k
         om = np.sqrt(k2 + mu * mu)
         fval = np.asarray(ff.evaluate(om, mu), dtype=float)
@@ -152,10 +156,7 @@ def _uncached_moments(m, params, orders=(1, 2)):
         inv = -1.0 / (delta + k2 / (om + mu))
         return FOUR_PI * np.array([rho.dot(inv ** n) for n in orders])
 
-    def rule(panels):
-        return _sinh_panels(upper_momentum(params), kappa, panels)
-
-    return tuple(float(v) for v in _refine(sums, rule, SPEC, "reference"))
+    return tuple(float(v) for v in _refine(estimate, SPEC, "reference"))
 
 
 def test_kept_rules_never_change_a_bit():
@@ -164,65 +165,92 @@ def test_kept_rules_never_change_a_bit():
     reference = [_uncached_moments(m, model_a) for m in masses]
     cold = []
     for m in masses:
-        _rules.cache_clear()
+        _moment_rule.cache_clear()
         cold.append(spectral_moments(m, model_a, SPEC))
-    _rules.cache_clear()
+    _moment_rule.cache_clear()
     # other masses fill the rules first: the first three share the kappa
-    # octaves of the targets, so the warm passes below read kept rules
+    # octaves of the targets, so the warm passes below only read kept rules
     for m in (1.49, 1.991, 2.0 - 1.2e-8, 0.5, 1.9, 2.0 - 1e-6):
         spectral_moments(m, model_a, SPEC)
-    kept = set(_rules(model_a))
-    for m in masses:
-        assert (_threshold_scale(model_a, 2.0 - m), START_PANELS) in kept
+    filled = _moment_rule.cache_info()
     warm = [spectral_moments(m, model_a, SPEC) for m in masses]
-    assert set(_rules(model_a)) == kept
-    # model B replaces model A's rules, and must not read them
+    warmed = _moment_rule.cache_info()
+    assert warmed.misses == filled.misses and warmed.hits > filled.hits
+    # model B is kept next to model A: it must neither read nor evict A's rules
     assert spectral_moments(1.5, model_b, SPEC) == _uncached_moments(1.5, model_b)
+    before = _moment_rule.cache_info()
     refilled = [spectral_moments(m, model_a, SPEC) for m in masses]
+    assert _moment_rule.cache_info().misses == before.misses
     assert reference == cold == warm == refilled
 
 
 def test_kept_rules_are_read_only():
     params = sharp_model()
-    _rules.cache_clear()
-    spectral_moments(1.5, params, SPEC)
-    spectral_moments(2.0 - 1e-10, params, SPEC)
-    kept = _rules(params)
-    assert len({kappa for kappa, _ in kept}) == 2
-    for rule in kept.values():
-        for arr in rule:
-            with pytest.raises(ValueError):
-                arr[0] = 0.0
+    kappas = {_threshold_scale(params, delta) for delta in (0.5, 1e-10)}
+    assert len(kappas) == 2
+    for kappa in kappas:
+        for panels in (START_PANELS, 2 * START_PANELS):
+            for arr in _moment_rule(params, kappa, panels):
+                with pytest.raises(ValueError):
+                    arr[0] = 0.0
 
 
 def test_bare_sweep_evaluates_the_form_factor_once_per_octave_and_panel_count(monkeypatch):
-    sizes = []
-    evaluate = FormFactor.evaluate
+    sizes, keys = [], []
+    evaluate, sinh_panels = FormFactor.evaluate, _sinh_panels
 
     def counted(self, omega_val, mu=None):
         sizes.append(np.size(omega_val))
         return evaluate(self, omega_val, mu)
 
+    def recorded(hi, kappa, panels, order=NODES_PER_PANEL):
+        if order == NODES_PER_PANEL:
+            keys.append((kappa, panels))
+        return sinh_panels(hi, kappa, panels, order)
+
     monkeypatch.setattr(FormFactor, "evaluate", counted)
-    _rules.cache_clear()
+    monkeypatch.setattr(leemodel.quadrature, "_sinh_panels", recorded)
+    _moment_rule.cache_clear()
     cfg = parse_config(json.dumps({
         "model": {"form_factor": {"kind": "exponential", "lambda": 10.0}},
         "input": {"mode": "bare", "m_V0": 1.99},
         "sweep": {"parameter": "g0", "start": 0.0, "stop": 3.0, "steps": 24}}))
     rows = run_sweep(cfg)
     assert len(rows) == 24 and not any(row["error"] for row in rows)
-    keys = list(_rules(cfg.params))
-    assert len(keys) > 2 and len({kappa for kappa, _ in keys}) > 1
+    assert len(keys) == len(set(keys)) > 2 and len({kappa for kappa, _ in keys}) > 1
     assert sorted(sizes) == sorted(panels * NODES_PER_PANEL for _, panels in keys)
 
 
+def test_alternating_models_keep_their_rules(monkeypatch):
+    # the rules of two models fit side by side, so A, B, A, B builds each once
+    calls = []
+    evaluate = FormFactor.evaluate
+
+    def counted(self, omega_val, mu=None):
+        calls.append(self.kind)
+        return evaluate(self, omega_val, mu)
+
+    monkeypatch.setattr(FormFactor, "evaluate", counted)
+    _moment_rule.cache_clear()
+    model_a, model_b = exponential_model(), dipole_model()
+    reports = [full_report(params, BareCoupling(1.9, 1.0), SPEC)
+               for params in (model_a, model_b, model_a, model_b)]
+    assert reports[:2] == reports[2:]
+    assert len(calls) == 8
+    assert calls.count("exponential") == calls.count("dipole") == 4
+
+
 def test_full_report_threads_match_serial():
-    # alternating models make every call evict the other thread's rules
-    points = [(make(), BareCoupling(1.9, g0))
-              for g0 in (0.5, 1.0, 2.0, 3.0) for make in (exponential_model, dipole_model)]
-    _rules.cache_clear()
+    # 18 models of at least two rules each overflow the RULES_KEPT kept
+    # rules, so the threads evict each other's rules
+    points = [(make(lam), BareCoupling(1.9, g0))
+              for lam in (2.0, 3.0, 4.0, 5.0, 7.0, 10.0, 15.0, 20.0, 30.0)
+              for g0 in (0.5, 2.0) for make in (exponential_model, dipole_model)]
+    assert len({params for params, _ in points}) > 16
+    _moment_rule.cache_clear()
     serial = [full_report(params, bare, SPEC) for params, bare in points]
-    _rules.cache_clear()
+    assert _moment_rule.cache_info().misses > RULES_KEPT
+    _moment_rule.cache_clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -361,13 +389,33 @@ def test_stability_violation():
         norm_integral(params, 1.0, 2.0, SPEC)
 
 
+def test_stability_is_delta_positive_at_the_float_edge():
+    # m - m_N < mu and delta = m_N + mu - m > 0 disagree in the last ulp, both
+    # ways; every denominator is built from delta, so delta decides
+    edge = ModelParams(m_n=1.0, mu=0.2, form_factor=FormFactor.exponential(10.0))
+    assert edge.threshold == 1.2 and 1.2 - edge.m_n < edge.mu
+    for call in (lambda: ensure_stable(edge, 1.2),
+                 lambda: mass_shift_integral(1.2, edge, SPEC),
+                 lambda: mass_shift(edge, 1.0, 1.2, SPEC),
+                 lambda: norm_integral(edge, 1.0, 1.2, SPEC)):
+        with pytest.raises(StabilityViolation):
+            call()
+    inside = ModelParams(m_n=1.2633007483484249, mu=2.7275654321090865,
+                         form_factor=FormFactor.exponential(10.0))
+    m = 3.990866180457511
+    assert 0.0 < inside.threshold - m < 1e-15 and not m - inside.m_n < inside.mu
+    ensure_stable(inside, m)
+    assert mass_shift_integral(m, inside, SPEC) < 0.0
+
+
 def test_no_convergence_on_unresolvable_integrand():
     # oscillation far below any reachable panel width: refinement never settles
-    def sums(k, wk):
+    def estimate(panels):
+        k, wk = _sinh_panels(2.0, 1.0, panels)
         return FOUR_PI * np.sum(wk * k * k * np.sin(1e9 * k) ** 2)
 
     with pytest.raises(NoConvergence):
-        _refine(sums, lambda panels: _sinh_panels(2.0, 1.0, panels), SPEC, "oscillation")
+        _refine(estimate, SPEC, "oscillation")
 
 
 def test_quadspec_validation():
