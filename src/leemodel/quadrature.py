@@ -34,7 +34,8 @@ moment arrays, so that the norm condition stays an independent check.
 
 Every rule is refined by doubling the panel count until two successive
 estimates agree to tolerance.  The panel cap is 2**14; if the doubling
-sequence exhausts it, NoConvergence is raised.
+sequence exhausts it, NoConvergence is raised.  A mass solve refines only to
+pick a rule and to confirm its root: its other steps run on one level.
 """
 
 from __future__ import annotations
@@ -102,24 +103,21 @@ def _gauss_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _refine(estimate: Callable[[int], np.ndarray], spec: QuadSpec, what: str) -> np.ndarray:
-    """estimate(panels) with the panel count doubled from START_PANELS until
-    every component settles to max(abs_tol, rel_tol*|value|)."""
+def _refine(estimate: Callable[[int], list[float]], spec: QuadSpec,
+            what: Callable[[], str]) -> tuple[list[float], int]:
+    """(estimate(panels), panels), doubling from START_PANELS until each value settles."""
     panels = START_PANELS
-    prev = estimate(panels)
-    diff = np.array(math.inf)
+    cur = estimate(panels)
+    changes = [math.inf]
     while panels < PANEL_CAP:
         panels = min(2 * panels, PANEL_CAP)
-        cur = estimate(panels)
-        diff = np.abs(cur - prev)
-        if np.all(diff <= np.maximum(spec.abs_tol, spec.rel_tol * np.abs(cur))):
-            return cur
-        prev = cur
-    changes = ", ".join(f"{d:.3e}" for d in np.atleast_1d(diff))
+        prev, cur = cur, estimate(panels)
+        changes = [abs(c - p) for c, p in zip(cur, prev)]
+        if all(d <= max(spec.abs_tol, spec.rel_tol * abs(c)) for d, c in zip(changes, cur)):
+            return cur, panels
     raise NoConvergence(
-        f"{what} did not reach tolerance within {PANEL_CAP} panels "
-        f"(last refinement changed the estimate by {changes})"
-    )
+        f"{what()} did not reach tolerance within {PANEL_CAP} panels "
+        f"(last refinement changed the estimate by {', '.join(f'{d:.3e}' for d in changes)})")
 
 
 def _threshold_scale(params: ModelParams, delta: float) -> float:
@@ -161,6 +159,30 @@ def _moment_rule(params: ModelParams, kappa: float, panels: int) -> tuple[np.nda
     return q, rho
 
 
+def _moments_on(params: ModelParams, kappa: float, panels: int, delta: float,
+                orders: tuple[int, ...]) -> list[float]:
+    """The moments of ``orders`` at delta on ``panels`` panels of the sinh rule at kappa."""
+    q, rho = _moment_rule(params, kappa, panels)
+    inv = np.add(delta, q)
+    np.divide(-1.0, inv, out=inv)      # 1 / (m - m_N - omega)
+    return [FOUR_PI * float(rho.dot(inv ** n)) for n in orders]
+
+
+def _moment_pass(m: float, params: ModelParams, spec: QuadSpec,
+                 orders: tuple[int, ...]) -> tuple[list[float], tuple[float, int]]:
+    """:func:`spectral_moments` and the rule they settled on, (kappa, panels)."""
+    delta = params.threshold - m
+    if not (delta > 0.0 or (delta == 0.0 and max(orders) == 1)):
+        raise StabilityViolation(
+            f"m = {m!r} is not below the N+theta threshold {params.threshold!r}; "
+            f"moment(s) {orders} need delta = m_N + mu - m > 0 (I1 alone allows 0)")
+    kappa, ff = _threshold_scale(params, delta), params.form_factor
+    values, panels = _refine(lambda n: _moments_on(params, kappa, n, delta, orders), spec,
+                             lambda: f"moment(s) {orders} of the {ff.kind} form factor "
+                                     f"(Lambda = {ff.lam!r}) at m = {m!r}, delta = {delta!r}")
+    return values, (kappa, panels)
+
+
 def spectral_moments(m: float, params: ModelParams, spec: QuadSpec,
                      orders: tuple[int, ...] = (1, 2)) -> tuple[float, ...]:
     """Moments I_n(m) = Int d^3k f^2(omega) / (2*omega) / (m - m_N - omega)^n, one per order.
@@ -172,25 +194,7 @@ def spectral_moments(m: float, params: ModelParams, spec: QuadSpec,
     formed once, so nothing cancels near the threshold.
     delta = 0 is allowed for I1 alone, which stays finite there.
     """
-    ff = params.form_factor
-    delta = params.threshold - m
-    if not (delta > 0.0 or (delta == 0.0 and max(orders) == 1)):
-        raise StabilityViolation(
-            f"m = {m!r} is not below the N+theta threshold {params.threshold!r}; "
-            f"moment(s) {orders} need delta = m_N + mu - m > 0 (I1 alone allows 0)"
-        )
-
-    kappa = _threshold_scale(params, delta)
-
-    def estimate(panels):
-        q, rho = _moment_rule(params, kappa, panels)
-        inv = np.add(delta, q)
-        np.divide(-1.0, inv, out=inv)      # 1 / (m - m_N - omega)
-        return FOUR_PI * np.array([rho.dot(inv ** n) for n in orders])
-
-    what = (f"moment(s) {orders} of the {ff.kind} form factor (Lambda = {ff.lam!r}) "
-            f"at m = {m!r}, delta = {delta!r}")
-    return tuple(float(v) for v in _refine(estimate, spec, what))
+    return tuple(_moment_pass(m, params, spec, orders)[0])
 
 
 def mass_shift_integral(m: float, params: ModelParams, spec: QuadSpec) -> float:
@@ -230,9 +234,9 @@ def norm_integral(params: ModelParams, g0: float, m_v: float, spec: QuadSpec) ->
     def estimate(panels):
         k, wk = _sinh_panels(hi, kappa, panels, NORM_ORDER)
         amp = dressing_amplitude(params, g0, m_v, k)
-        return FOUR_PI * np.sum(wk * k * k * amp * amp)
+        return [FOUR_PI * float(np.sum(wk * k * k * amp * amp))]
 
     ff = params.form_factor
-    what = (f"norm integral of the {ff.kind} form factor (Lambda = {ff.lam!r}) "
-            f"at m_V = {m_v!r}, delta = {params.threshold - m_v!r}")
-    return float(_refine(estimate, spec, what))
+    return _refine(estimate, spec, lambda: (
+        f"norm integral of the {ff.kind} form factor (Lambda = {ff.lam!r}) "
+        f"at m_V = {m_v!r}, delta = {params.threshold - m_v!r}"))[0][0]

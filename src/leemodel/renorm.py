@@ -19,8 +19,9 @@ reported side by side: ``z_standard`` (1 - x, possibly negative) and
 ``z_regularized`` (max(1 - x, 0)).
 
 Since I2 = -dI1/dm, the slope of the mass residual m - m_V0 - (g0^2/(2 pi)^3) I1(m)
-is exactly 1/Z_V: the physical mass is found by Newton steps, each one moment
-pass for I1 and I2 together, and Z_V comes from the last step's I2.
+is exactly 1/Z_V: the physical mass is found by Newton steps on one quadrature
+rule, refined only to pick it and to confirm the root, and Z_V comes from the
+confirming pass's I2.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass, replace
 
 from .core import BareCoupling, ModelParams, Regime, RenCoupling, ensure_stable
 from .errors import DegenerateModel, GhostRegime, NoBoundState, NoConvergence
-from .quadrature import QuadSpec, mass_shift_integral, spectral_moments, z_factor_integral
+from .quadrature import QuadSpec, _moment_pass, _moments_on, mass_shift_integral, z_factor_integral
 
 TWO_PI_CUBED = (2.0 * math.pi) ** 3
 
@@ -81,7 +82,8 @@ def _newton(params: ModelParams, bare: BareCoupling,
     F >= 0.  At or above it a bound state exists iff F(threshold) > 0; the
     start threshold - F(threshold) lies left of the root, and a step that
     would overshoot the threshold takes the chord to (threshold, F(threshold)).
-    Returns None when there is no bound state.
+    Steps after a refined pass run on its rule; one that settles there is refined
+    again at the same m.  Returns None when there is no bound state.
     """
     thr = params.threshold
     if bare.g0 == 0.0:
@@ -90,17 +92,25 @@ def _newton(params: ModelParams, bare: BareCoupling,
     f_thr = None
     m = bare.m_v0
     if m >= thr:
-        f_thr = thr - bare.m_v0 - c * spectral_moments(thr, params, spec, orders=(1,))[0]
+        f_thr = thr - bare.m_v0 - c * _moment_pass(thr, params, spec, (1,))[0][0]
         if f_thr <= 0.0:
             return None
         m = thr - f_thr
+    rule = None
     for _ in range(NEWTON_CAP):
-        i1, i2 = spectral_moments(m, params, spec)
+        held = rule
+        if held is None:
+            (i1, i2), rule = _moment_pass(m, params, spec, (1, 2))
+        else:
+            i1, i2 = _moments_on(params, *held, thr - m, (1, 2))
         f = m - bare.m_v0 - c * i1
         s = c * i2
         step = f / (1.0 + s)
         if abs(step) <= ROOT_TOL * max(1.0, abs(m)):
-            return m, s
+            if held is None:
+                return m, s
+            rule = None
+            continue
         nxt = m - step
         if nxt >= thr:  # only from left of the root, so f_thr is set
             nxt = m - f * (thr - m) / (f_thr - f)
@@ -117,8 +127,8 @@ def solve_physical_mass(params: ModelParams, bare: BareCoupling,
     """Physical V mass: the root of F(m) = m - m_V0 - mass_shift(m) below threshold.
 
     F is strictly increasing, so the root is unique when it exists; Newton
-    steps stop once one moves m by at most ROOT_TOL * max(1, |m|).  Returns
-    None when F(threshold) <= 0: the V state has dissolved into the continuum.
+    steps stop once a refined one moves m by at most ROOT_TOL * max(1, |m|);
+    None means F(threshold) <= 0: the V state has dissolved into the continuum.
     """
     solved = _newton(params, bare, spec)
     return None if solved is None else solved[0]
@@ -224,7 +234,7 @@ def _from_renormalized(params: ModelParams, ren: RenCoupling, spec: QuadSpec) ->
     """Report of a renormalized point from one moment pass at m_V; the
     bare-side fields exist iff x < 1, where g0^2 = g^2 / (1 - x)."""
     ensure_stable(params, ren.m_v)
-    i1, i2 = spectral_moments(ren.m_v, params, spec)
+    i1, i2 = _moment_pass(ren.m_v, params, spec, (1, 2))[0]
     g_sq = ren.g * ren.g
     x = g_sq / TWO_PI_CUBED * i2
     m_v0 = delta_m = g0_sq = None
@@ -260,7 +270,7 @@ def full_report(params: ModelParams, coupling: "BareCoupling | RenCoupling",
     """Evaluate the whole renormalization chain at one parameter point.
 
     From a bare input the physical mass is solved first; s = (g0^2/(2 pi)^3) I2
-    from its last step gives Z_V = 1/(1 + s), g^2 = Z_V g0^2 and x = Z_V s, always
+    from its confirming pass gives Z_V = 1/(1 + s), g^2 = Z_V g0^2 and x = Z_V s, always
     in the normal regime.  From a renormalized input the strength decides the
     regime; outside the Normal regime the bare-side fields are absent (None)
     rather than an error, so ghost points remain reportable.

@@ -18,6 +18,7 @@ from leemodel import (
     BareCoupling,
     FormFactor,
     ModelParams,
+    QuadSpec,
     Regime,
     RenCoupling,
     bare_from_renormalized,
@@ -27,7 +28,7 @@ from leemodel import (
     spectral_moments,
 )
 
-from helpers import M_N, MU
+from helpers import M_N, MU, sharp_moments_closed_form
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -55,3 +56,24 @@ def test_bare_round_trip_and_mass_residual(family, lam, log_delta, log_s):
         params, RenCoupling(m_v=report.m_v, g=math.sqrt(report.g_sq)), spec)
     assert abs(back.m_v0 - bare.m_v0) <= 1e-8 * max(1.0, abs(bare.m_v0))
     assert abs(back.g0 - bare.g0) <= 1e-8 * bare.g0
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(lam=st.floats(1.5, 40.0),
+       log_delta=st.floats(-14.0, math.log10(1.9)),
+       log_s=st.floats(-2.0, 2.0))
+def test_sharp_bare_solve_matches_closed_form(lam, log_delta, log_s):
+    # the bare pair and both checks come from the closed form, which shares
+    # no code with the quadrature the solve runs on
+    params = ModelParams(m_n=M_N, mu=MU, form_factor=FormFactor.sharp(lam))
+    delta = 10.0 ** log_delta
+    i1, i2 = sharp_moments_closed_form(lam, delta)
+    g0 = math.sqrt(10.0 ** log_s * TWO_PI_CUBED / i2)
+    c = g0 * g0 / TWO_PI_CUBED
+    bare = BareCoupling(m_v0=params.threshold - delta - c * i1, g0=g0)
+
+    report = full_report(params, bare, QuadSpec())
+    i1_cf, i2_cf = sharp_moments_closed_form(lam, params.threshold - report.m_v)
+    residual = report.m_v - bare.m_v0 - c * i1_cf
+    assert abs(residual) * report.z_standard <= 1e-11
+    assert abs(report.z_standard - 1.0 / (1.0 + c * i2_cf)) <= 1e-11

@@ -154,9 +154,9 @@ def _uncached_moments(m, params, orders=(1, 2)):
         fval = np.asarray(ff.evaluate(om, mu), dtype=float)
         rho = wk * k2 * fval * fval / (2.0 * om)
         inv = -1.0 / (delta + k2 / (om + mu))
-        return FOUR_PI * np.array([rho.dot(inv ** n) for n in orders])
+        return (FOUR_PI * np.array([rho.dot(inv ** n) for n in orders])).tolist()
 
-    return tuple(float(v) for v in _refine(estimate, SPEC, "reference"))
+    return tuple(_refine(estimate, SPEC, lambda: "reference")[0])
 
 
 def test_kept_rules_never_change_a_bit():
@@ -412,10 +412,10 @@ def test_no_convergence_on_unresolvable_integrand():
     # oscillation far below any reachable panel width: refinement never settles
     def estimate(panels):
         k, wk = _sinh_panels(2.0, 1.0, panels)
-        return FOUR_PI * np.sum(wk * k * k * np.sin(1e9 * k) ** 2)
+        return [FOUR_PI * float(np.sum(wk * k * k * np.sin(1e9 * k) ** 2))]
 
     with pytest.raises(NoConvergence):
-        _refine(estimate, SPEC, "oscillation")
+        _refine(estimate, SPEC, lambda: "oscillation")
 
 
 def test_quadspec_validation():
