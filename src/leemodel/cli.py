@@ -98,37 +98,21 @@ def _no_leftovers(sec: dict, path: str) -> None:
         raise ConfigError(f"{path}.{key}", "unknown field")
 
 
-def _real(sec: dict, path: str, key: str, default=None):
+def _field(sec: dict, path: str, key: str, kind: type, default=None, choices=None):
+    """Pop ``key`` from ``sec`` as a float, int or str (``kind``); ``default``
+    when absent, or a missing-field error if that is None."""
     if key not in sec:
         if default is None:
             raise ConfigError(f"{path}.{key}", "required field is missing")
         return default
     val = sec.pop(key)
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ConfigError(f"{path}.{key}", "must be a number")
-    val = float(val)
-    if not math.isfinite(val):
-        raise ConfigError(f"{path}.{key}", "must be finite")
-    return val
-
-
-def _integer(sec: dict, path: str, key: str, default=None):
-    if key not in sec:
-        return default
-    val = sec.pop(key)
-    if isinstance(val, bool) or not isinstance(val, int):
-        raise ConfigError(f"{path}.{key}", "must be an integer")
-    return val
-
-
-def _string(sec: dict, path: str, key: str, default=None, choices=None):
-    if key not in sec:
-        if default is None:
-            raise ConfigError(f"{path}.{key}", "required field is missing")
-        return default
-    val = sec.pop(key)
-    if not isinstance(val, str):
-        raise ConfigError(f"{path}.{key}", "must be a string")
+    if isinstance(val, bool) or not isinstance(val, (int, float) if kind is float else kind):
+        article = {float: "a number", int: "an integer", str: "a string"}[kind]
+        raise ConfigError(f"{path}.{key}", f"must be {article}")
+    if kind is float:
+        val = float(val)
+        if not math.isfinite(val):
+            raise ConfigError(f"{path}.{key}", "must be finite")
     if choices is not None and val not in choices:
         raise ConfigError(f"{path}.{key}", f"must be one of {', '.join(choices)}")
     return val
@@ -152,30 +136,29 @@ def parse_config(text: str) -> RunConfig:
     if not isinstance(ff_sec, dict):
         raise ConfigError("model.form_factor", "must be an object")
     ff_sec = dict(ff_sec)
-    kind = _string(ff_sec, "model.form_factor", "kind", default=SHARP,
-                   choices=FORM_FACTOR_KINDS)
-    lam = _real(ff_sec, "model.form_factor", "lambda", default=10.0)
+    kind = _field(ff_sec, "model.form_factor", "kind", str, SHARP, FORM_FACTOR_KINDS)
+    lam = _field(ff_sec, "model.form_factor", "lambda", float, 10.0)
     _no_leftovers(ff_sec, "model.form_factor")
     if lam <= 0.0:
         raise ConfigError("model.form_factor.lambda", "must be positive")
-    m_n = _real(model, "model", "m_N", default=1.0)
-    mu = _real(model, "model", "mu", default=1.0)
+    m_n = _field(model, "model", "m_N", float, 1.0)
+    mu = _field(model, "model", "mu", float, 1.0)
     _no_leftovers(model, "model")
     if mu <= 0.0:
         raise ConfigError("model.mu", "must be positive")
     params = ModelParams(m_n=m_n, mu=mu, form_factor=FormFactor(kind, lam))
 
     inp = _section(doc, "input")
-    mode = _string(inp, "input", "mode", choices=("bare", "renormalized"))
+    mode = _field(inp, "input", "mode", str, choices=("bare", "renormalized"))
     if mode == "bare":
-        m_v0 = _real(inp, "input", "m_V0")
-        g0 = _real(inp, "input", "g0", default=0.0)
+        m_v0 = _field(inp, "input", "m_V0", float)
+        g0 = _field(inp, "input", "g0", float, 0.0)
         if g0 < 0.0:
             raise ConfigError("input.g0", "must be nonnegative")
         coupling = BareCoupling(m_v0=m_v0, g0=g0)
     else:
-        m_v = _real(inp, "input", "m_V")
-        g = _real(inp, "input", "g", default=0.0)
+        m_v = _field(inp, "input", "m_V", float)
+        g = _field(inp, "input", "g", float, 0.0)
         if g < 0.0:
             raise ConfigError("input.g", "must be nonnegative")
         try:
@@ -189,16 +172,16 @@ def parse_config(text: str) -> RunConfig:
     sweep = None
     if "sweep" in doc:
         sw = _section(doc, "sweep")
-        parameter = _string(sw, "sweep", "parameter", choices=("g", "g0"))
+        parameter = _field(sw, "sweep", "parameter", str, choices=("g", "g0"))
         if parameter == "g0" and mode != "bare":
             raise ConfigError("sweep.parameter", "g0 sweeps require bare mode")
         if parameter == "g" and mode != "renormalized":
             raise ConfigError("sweep.parameter", "g sweeps require renormalized mode")
-        start = _real(sw, "sweep", "start", default=0.0)
-        stop = _real(sw, "sweep", "stop")
-        steps = _integer(sw, "sweep", "steps")
+        start = _field(sw, "sweep", "start", float, 0.0)
+        stop = _field(sw, "sweep", "stop", float)
+        steps = _field(sw, "sweep", "steps", int, 0)  # absent reads as 0, rejected below
         _no_leftovers(sw, "sweep")
-        if steps is None or steps < 2:
+        if steps < 2:
             raise ConfigError("sweep.steps", "must be an integer >= 2")
         if start < 0.0:
             raise ConfigError("sweep.start", "coupling values must be nonnegative")
@@ -207,7 +190,7 @@ def parse_config(text: str) -> RunConfig:
         sweep = SweepSpec(parameter=parameter, start=start, stop=stop, steps=steps)
 
     qd = _section(doc, "quad")
-    tols = {field.name: _real(qd, "quad", field.name, default=field.default)
+    tols = {field.name: _field(qd, "quad", field.name, float, field.default)
             for field in dataclasses.fields(QuadSpec)}
     _no_leftovers(qd, "quad")
     for key, tol in tols.items():
@@ -216,18 +199,16 @@ def parse_config(text: str) -> RunConfig:
     quad = QuadSpec(**tols)
 
     orc = _section(doc, "oracle")
-    n = _integer(orc, "oracle", "n", default=_DEFAULT_ORACLE_N)
-    scheme = _string(orc, "oracle", "scheme", default=GAUSS_LEGENDRE_K,
-                     choices=GRID_SCHEMES)
+    n = _field(orc, "oracle", "n", int, _DEFAULT_ORACLE_N)
+    scheme = _field(orc, "oracle", "scheme", str, GAUSS_LEGENDRE_K, GRID_SCHEMES)
     _no_leftovers(orc, "oracle")
     if n < 1:
         raise ConfigError("oracle.n", "must be a positive integer")
     oracle = OracleSpec(n=n, scheme=scheme)
 
     out = _section(doc, "output")
-    out_path = _string(out, "output", "path", default="report.csv")
-    out_format = _string(out, "output", "format", default="csv",
-                         choices=("csv", "json"))
+    out_path = _field(out, "output", "path", str, "report.csv")
+    out_format = _field(out, "output", "format", str, "csv", ("csv", "json"))
     _no_leftovers(out, "output")
 
     return RunConfig(params=params, coupling=coupling, sweep=sweep, quad=quad,
@@ -237,11 +218,6 @@ def parse_config(text: str) -> RunConfig:
 def load_config(path: str) -> RunConfig:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_config(fh.read())
-
-
-def run_point(config: RunConfig) -> RenormReport:
-    """Evaluate the configured single point (delegates to full_report)."""
-    return full_report(config.params, config.coupling, config.quad)
 
 
 def _report_row(report: RenormReport, sweep_value: float | None = None) -> dict:
@@ -318,7 +294,7 @@ def _validate_oracle(config: RunConfig) -> int:
     if k_max <= 0.0:
         raise ConfigError("model.form_factor.lambda", "must exceed mu for oracle "
                           "validation: a sharp cutoff at or below mu leaves no momenta")
-    report = run_point(config)
+    report = full_report(config.params, config.coupling, config.quad)
     m_v, z = report.m_v, report.z_standard
     n = config.oracle.n
     n_list = sorted({max(8, n // 64), max(16, n // 16), max(32, n // 4), n})
@@ -365,7 +341,7 @@ def main(argv=None) -> int:
             summary = (f"sweep {config.sweep.parameter}: {good}/{len(table)} points ok "
                        f"over [{config.sweep.start:g}, {config.sweep.stop:g}]")
         else:
-            report = run_point(config)
+            report = full_report(config.params, config.coupling, config.quad)
             table = [_report_row(report)]
             summary = (f"point: regime={report.regime.value} m_V={report.m_v:.9g} "
                        f"x={report.x:.9g} Z={report.z_regularized:.9g}")

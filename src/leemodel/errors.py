@@ -15,8 +15,9 @@ class StabilityViolation(LeeModelError, ValueError):
 
 
 class NoConvergence(LeeModelError, RuntimeError):
-    """An iterative scheme (quadrature refinement, bisection) failed to
-    reach its tolerance within the documented iteration cap."""
+    """An iterative scheme (quadrature refinement, the Newton solve for the
+    physical mass, secular bisection) failed to reach its tolerance within
+    the documented iteration cap."""
 
 
 class DegenerateModel(LeeModelError, ValueError):
@@ -34,11 +35,12 @@ class NoBoundState(LeeModelError, RuntimeError):
 
 
 class GhostRegime(LeeModelError, RuntimeError):
-    """Raised when a renormalized point with x >= 1 is mapped back to bare
-    parameters: no real bare coupling reproduces it.
+    """Raised when a renormalized point outside the Normal regime (Critical
+    or Ghost) is mapped back to bare parameters: no real bare coupling
+    reproduces it.
 
-    Carries the diagnostic report (negative standard Z, zero regularized Z)
-    in the ``report`` attribute.
+    Carries the diagnostic report (in the Ghost regime a negative standard Z
+    and zero regularized Z) in the ``report`` attribute.
     """
 
     def __init__(self, message: str, report=None):

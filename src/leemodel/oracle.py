@@ -38,9 +38,7 @@ import numpy as np
 
 from .core import BareCoupling, ModelParams, omega, vertex_weight
 from .errors import NoConvergence, PoleHit
-from .quadrature import _gauss_nodes
-
-FOUR_PI = 4.0 * math.pi
+from .quadrature import FOUR_PI, _gauss_nodes
 
 UNIFORM_K = "uniform"
 GAUSS_LEGENDRE_K = "gauss"

@@ -213,7 +213,6 @@ def z_factor_integral(m: float, params: ModelParams, spec: QuadSpec) -> float:
     Strictly positive wherever the form factor has support, and equal to
     minus the derivative of :func:`mass_shift_integral` with respect to m.
     """
-    ensure_stable(params, m, label="m")
     return spectral_moments(m, params, spec, orders=(2,))[0]
 
 

@@ -28,10 +28,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .core import BareCoupling, ModelParams, Regime, RenCoupling, ensure_stable
-from .errors import DegenerateModel, GhostRegime, NoBoundState, NoConvergence
+from .errors import DegenerateModel, GhostRegime, NoBoundState, NoConvergence, StabilityViolation
 from .quadrature import QuadSpec, _moment_pass, _moments_on, mass_shift_integral, z_factor_integral
 
 TWO_PI_CUBED = (2.0 * math.pi) ** 3
@@ -81,7 +81,9 @@ def _newton(params: ModelParams, bare: BareCoupling,
     fall monotonically onto it; below the threshold they start at m_V0, where
     F >= 0.  At or above it a bound state exists iff F(threshold) > 0; the
     start threshold - F(threshold) lies left of the root, and a step that
-    would overshoot the threshold takes the chord to (threshold, F(threshold)).
+    would reach the threshold takes the chord to (threshold, F(threshold)) or
+    the midpoint of m and the threshold, whichever lies further right, so that
+    delta at least halves instead of creeping along the chord.
     Steps after a refined pass run on its rule; one that settles there is refined
     again at the same m.  Returns None when there is no bound state.
     """
@@ -113,7 +115,7 @@ def _newton(params: ModelParams, bare: BareCoupling,
             continue
         nxt = m - step
         if nxt >= thr:  # only from left of the root, so f_thr is set
-            nxt = m - f * (thr - m) / (f_thr - f)
+            nxt = max(m - f * (thr - m) / (f_thr - f), thr - 0.5 * (thr - m))
         m = nxt
     ff = params.form_factor
     raise NoConvergence(
@@ -140,9 +142,6 @@ def z_from_bare(params: ModelParams, g0: float, m_v: float, spec: QuadSpec) -> f
     1 / (1 + (g0^2/(2 pi)^3) I2(m_V)); always in (0, 1], equal to 1 only in
     the free theory, and strictly decreasing in g0.
     """
-    ensure_stable(params, m_v)
-    if g0 == 0.0:
-        return 1.0
     return 1.0 / (1.0 + g0 * g0 / TWO_PI_CUBED * z_factor_integral(m_v, params, spec))
 
 
@@ -159,9 +158,6 @@ def dressing_strength(params: ModelParams, g: float, m_v: float, spec: QuadSpec)
     x < 1 is the normal regime; x > 1 is the ghost regime where the standard
     presentation of Z_V turns negative.
     """
-    ensure_stable(params, m_v)
-    if g == 0.0:
-        return 0.0
     return g * g / TWO_PI_CUBED * z_factor_integral(m_v, params, spec)
 
 
@@ -220,7 +216,6 @@ def classify_regime(x: float) -> Regime:
 
 def critical_coupling(params: ModelParams, m_v: float, spec: QuadSpec) -> float:
     """Renormalized coupling at which x = 1 and both Z presentations vanish."""
-    ensure_stable(params, m_v)
     integral = z_factor_integral(m_v, params, spec)
     if integral <= 0.0:
         raise DegenerateModel(
@@ -232,20 +227,23 @@ def critical_coupling(params: ModelParams, m_v: float, spec: QuadSpec) -> float:
 
 def _from_renormalized(params: ModelParams, ren: RenCoupling, spec: QuadSpec) -> RenormReport:
     """Report of a renormalized point from one moment pass at m_V; the
-    bare-side fields exist iff x < 1, where g0^2 = g^2 / (1 - x)."""
-    ensure_stable(params, ren.m_v)
+    bare-side fields exist iff the regime is Normal, where g0^2 = g^2 / (1 - x)."""
     i1, i2 = _moment_pass(ren.m_v, params, spec, (1, 2))[0]
     g_sq = ren.g * ren.g
     x = g_sq / TWO_PI_CUBED * i2
+    if not math.isfinite(x):  # also catches g^2 = inf, which makes x inf or nan
+        raise StabilityViolation(
+            f"g = {ren.g!r} at m_V = {ren.m_v!r} gives g^2 = {g_sq!r} and x = {x!r}; "
+            f"the renormalized coupling must keep both finite")
+    regime = classify_regime(x)
     m_v0 = delta_m = g0_sq = None
-    if x < 1.0:
+    if regime is Regime.NORMAL:
         g0_sq = g_sq / (1.0 - x)
         m_v0 = ren.m_v - g0_sq / TWO_PI_CUBED * i1
         delta_m = ren.m_v - m_v0
     return RenormReport(
         m_v=ren.m_v, m_v0=m_v0, delta_m=delta_m, g0_sq=g0_sq, g_sq=g_sq, x=x,
-        z_standard=standard_z(x), z_regularized=regularized_z(x),
-        regime=classify_regime(x),
+        z_standard=standard_z(x), z_regularized=regularized_z(x), regime=regime,
     )
 
 
@@ -253,15 +251,16 @@ def bare_from_renormalized(params: ModelParams, ren: RenCoupling,
                            spec: QuadSpec) -> BareCoupling:
     """Invert the renormalization maps: (m_V, g) -> (m_V0, g0).
 
-    Only possible in the normal regime: g0^2 = g^2 / (1 - x) needs x < 1.
-    For x >= 1 no real bare coupling exists (the computational face of the
-    ghost), and a GhostRegime error carrying the diagnostic report
-    (z_standard < 0, z_regularized = 0) is raised.
+    Only possible in the Normal regime: g0^2 = g^2 / (1 - x) needs x < 1, and
+    classify_regime's Critical band around x = 1 counts as x = 1.  Outside
+    the Normal regime no real bare coupling exists (the computational face of
+    the ghost), and a GhostRegime error carrying the diagnostic report
+    (in the Ghost regime z_standard < 0 and z_regularized = 0) is raised.
     """
     report = _from_renormalized(params, ren, spec)
     if report.g0_sq is None:
-        raise GhostRegime(f"x = {report.x:.6g} >= 1: no real bare coupling "
-                          f"reproduces this renormalized point", report)
+        raise GhostRegime(f"x = {report.x!r} is in the {report.regime.value} regime: no real "
+                          f"bare coupling reproduces this renormalized point", report)
     return BareCoupling(m_v0=report.m_v0, g0=math.sqrt(report.g0_sq))
 
 
@@ -272,8 +271,9 @@ def full_report(params: ModelParams, coupling: "BareCoupling | RenCoupling",
     From a bare input the physical mass is solved first; s = (g0^2/(2 pi)^3) I2
     from its confirming pass gives Z_V = 1/(1 + s), g^2 = Z_V g0^2 and x = Z_V s, always
     in the normal regime.  From a renormalized input the strength decides the
-    regime; outside the Normal regime the bare-side fields are absent (None)
-    rather than an error, so ghost points remain reportable.
+    regime; outside the Normal regime (Critical or Ghost) the bare-side fields
+    are absent (None) rather than an error, so ghost points remain reportable.
+    A renormalized g whose g^2 or x overflows raises StabilityViolation.
     """
     if isinstance(coupling, BareCoupling):
         solved = _newton(params, coupling, spec)
@@ -291,8 +291,6 @@ def full_report(params: ModelParams, coupling: "BareCoupling | RenCoupling",
         )
 
     if isinstance(coupling, RenCoupling):
-        report = _from_renormalized(params, coupling, spec)
-        return (report if report.regime is Regime.NORMAL
-                else replace(report, m_v0=None, delta_m=None, g0_sq=None))
+        return _from_renormalized(params, coupling, spec)
 
     raise TypeError(f"expected BareCoupling or RenCoupling, got {type(coupling).__name__}")

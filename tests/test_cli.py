@@ -14,13 +14,10 @@ from leemodel.cli import (
     load_config,
     main,
     parse_config,
-    run_point,
     run_sweep,
 )
 
-from helpers import G_CRIT_15, sharp_model
-
-PARAMS = sharp_model()
+from helpers import G_CRIT_15
 
 MINIMAL = '{"input": {"mode": "bare", "m_V0": 1.8}}'
 
@@ -115,16 +112,10 @@ def test_parse_quad_and_oracle_errors():
 
 # --- point and sweep runs --------------------------------------------------------
 
-def test_run_point_delegates_to_full_report():
-    cfg = parse_config(_config())
-    report = run_point(cfg)
-    direct = full_report(PARAMS, BareCoupling(1.8, 1.0), cfg.quad)
-    assert report == direct  # identical floats, not merely close
-
-
-def test_run_point_ghost_is_a_result():
+def test_full_report_of_a_ghost_config_is_a_result():
     doc = {"input": {"mode": "renormalized", "m_V": 1.5, "g": 2.0 * G_CRIT_15}}
-    report = run_point(parse_config(json.dumps(doc)))
+    cfg = parse_config(json.dumps(doc))
+    report = full_report(cfg.params, cfg.coupling, cfg.quad)
     assert report.regime.value == "Ghost"
     assert report.z_regularized == 0.0
     assert report.m_v0 is None
@@ -175,7 +166,7 @@ def test_emit_empty_table_header_only(tmp_path):
 
 def test_emit_free_theory_row_both_formats(tmp_path):
     cfg = parse_config(MINIMAL)
-    report = run_point(cfg)
+    report = full_report(cfg.params, cfg.coupling, cfg.quad)
     from leemodel.cli import _report_row
 
     row = _report_row(report)

@@ -13,9 +13,12 @@ from leemodel import (
     ModelParams,
     NoConvergence,
     QuadSpec,
+    RenCoupling,
     StabilityViolation,
     TWO_PI_CUBED,
+    critical_coupling,
     default_spec,
+    dressing_strength,
     ensure_stable,
     full_report,
     mass_shift,
@@ -396,7 +399,14 @@ def test_stability_is_delta_positive_at_the_float_edge():
     assert edge.threshold == 1.2 and 1.2 - edge.m_n < edge.mu
     for call in (lambda: ensure_stable(edge, 1.2),
                  lambda: mass_shift_integral(1.2, edge, SPEC),
+                 lambda: z_factor_integral(1.2, edge, SPEC),
                  lambda: mass_shift(edge, 1.0, 1.2, SPEC),
+                 lambda: z_from_bare(edge, 1.0, 1.2, SPEC),
+                 lambda: z_from_bare(edge, 0.0, 1.2, SPEC),
+                 lambda: dressing_strength(edge, 1.0, 1.2, SPEC),
+                 lambda: dressing_strength(edge, 0.0, 1.2, SPEC),
+                 lambda: critical_coupling(edge, 1.2, SPEC),
+                 lambda: full_report(edge, RenCoupling(m_v=1.2, g=1.0), SPEC),
                  lambda: norm_integral(edge, 1.0, 1.2, SPEC)):
         with pytest.raises(StabilityViolation):
             call()
@@ -406,6 +416,8 @@ def test_stability_is_delta_positive_at_the_float_edge():
     assert 0.0 < inside.threshold - m < 1e-15 and not m - inside.m_n < inside.mu
     ensure_stable(inside, m)
     assert mass_shift_integral(m, inside, SPEC) < 0.0
+    assert 0.0 < z_from_bare(inside, 1.0, m, SPEC) < 1.0
+    assert full_report(inside, RenCoupling(m_v=m, g=1.0), SPEC).x > 0.0
 
 
 def test_no_convergence_on_unresolvable_integrand():

@@ -8,7 +8,9 @@ from leemodel import (
     TWO_PI_CUBED,
     BareCoupling,
     DegenerateModel,
+    FormFactor,
     GhostRegime,
+    ModelParams,
     NoBoundState,
     NoConvergence,
     Regime,
@@ -124,6 +126,26 @@ def test_solve_bare_mass_just_below_threshold_at_large_cutoff():
     report = full_report(params, bare, SPEC)
     assert report.m_v == m_v and report.regime is Regime.NORMAL
     assert math.isclose(report.z_standard, z_from_bare(params, 1.0, m_v, SPEC), rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("m_n, mu, kind, lam, m_v0, g0", (
+    (1.0, 0.10715163212068368, "exponential", 0.1851229980542, 28.735000474474038,
+     282031.17324425746),
+    (0.0, 0.00021682346309802333, "sharp", 0.0004567533446216621, 0.05828898241851116,
+     977.21444868813),
+    (0.0, 59.374727282669824, "dipole", 75.95644987807825, 14325.741786711471,
+     101585.5095819998),
+), ids=("exponential", "sharp", "dipole"))
+def test_solve_strong_coupling_from_above_threshold(m_n, mu, kind, lam, m_v0, g0):
+    # the start lies far left of the root and every Newton step overshoots the
+    # threshold; the chord alone moved delta only linearly and hit NEWTON_CAP
+    params, bare = ModelParams(m_n, mu, FormFactor(kind, lam)), BareCoupling(m_v0, g0)
+    report = full_report(params, bare, SPEC)
+    assert report.m_v < params.threshold and 0.0 < report.z_standard < 1.0
+    i1, i2 = spectral_moments(report.m_v, params, SPEC)
+    c = g0 * g0 / TWO_PI_CUBED
+    step = (report.m_v - m_v0 - c * i1) / (1.0 + c * i2)
+    assert abs(step) <= leemodel.renorm.ROOT_TOL * max(1.0, abs(report.m_v))
 
 
 def test_solve_iteration_cap_names_its_context(monkeypatch):
@@ -365,6 +387,26 @@ def test_full_report_renormalized_critical():
     assert abs(report.x - 1.0) <= 1e-12
     assert report.m_v0 is None
     assert report.z_regularized >= 0.0
+
+
+def test_critical_band_below_one_has_no_bare_side():
+    # x = 1 - 8e-14 lies in the Critical band; g0^2 = g^2 / (1 - x) would be
+    # about 1e13 times g^2, a bare theory the regime says does not exist
+    ren = RenCoupling(m_v=1.5, g=(1.0 - 4e-14) * critical_coupling(PARAMS, 1.5, SPEC))
+    report = full_report(PARAMS, ren, SPEC)
+    assert report.x < 1.0 and report.regime is Regime.CRITICAL
+    assert report.m_v0 is None and report.delta_m is None and report.g0_sq is None
+    with pytest.raises(GhostRegime) as err:
+        bare_from_renormalized(PARAMS, ren, SPEC)
+    assert err.value.report == report
+    assert f"x = {report.x!r}" in str(err.value)
+
+
+@pytest.mark.parametrize("call", (full_report, bare_from_renormalized))
+def test_renormalized_coupling_with_infinite_square_raises(call):
+    # g^2 overflows to inf: no report with x = inf and z_standard = -inf
+    with pytest.raises(StabilityViolation, match="g = 1e[+]160"):
+        call(PARAMS, RenCoupling(m_v=1.5, g=1e160), SPEC)
 
 
 def test_full_report_rejects_other_types():
