@@ -26,7 +26,9 @@ depends on m, so the rest of the integrand (nodes, weights, f^2) is one
 memoized function of (model, kappa, panel count), :func:`_moment_rule`, which
 keeps the last RULES_KEPT of them: the masses of one solve or sweep fall in a
 few kappa octaves and reuse them.  The kept arrays are read-only and exactly
-those a fresh pass builds.
+those a fresh pass builds.  A rule settles at 8 panels (192 nodes) or so, and
+on arrays that small a build or a level costs numpy calls, not arithmetic per
+node: each is written with as few array operations as its bits allow.
 
 The norm integral keeps its own integrand, the squared cloud amplitude, on
 20-node panels of the same map, built afresh and never read from the kept
@@ -135,8 +137,9 @@ def _sinh_panels(hi: float, kappa: float, panels: int,
         return np.empty(0), np.empty(0)
     x, w = _gauss_nodes(order)
     half = 0.5 * math.asinh(hi / kappa) / panels
-    u = ((2 * np.arange(panels) + 1)[:, None] * half + half * x).ravel()
-    return kappa * np.sinh(u), np.tile(kappa * half * w, panels) * np.cosh(u)
+    # one (panels, order) grid: panel midpoints down, Gauss abscissae across
+    u = np.arange(1, 2 * panels, 2, dtype=float)[:, None] * half + half * x
+    return (kappa * np.sinh(u)).ravel(), ((kappa * half * w) * np.cosh(u)).ravel()
 
 
 @functools.lru_cache(maxsize=RULES_KEPT)
@@ -152,7 +155,7 @@ def _moment_rule(params: ModelParams, kappa: float, panels: int) -> tuple[np.nda
     k, wk = _sinh_panels(upper_momentum(params), kappa, panels)
     k2, mu = k * k, params.mu
     om = np.sqrt(k2 + mu * mu)
-    fval = np.asarray(params.form_factor.evaluate(om, mu), dtype=float)
+    fval = params.form_factor.evaluate(om, mu)
     rho = wk * k2 * fval * fval / (2.0 * om)
     q = k2 / (om + mu)
     q.flags.writeable = rho.flags.writeable = False
@@ -165,7 +168,7 @@ def _moments_on(params: ModelParams, kappa: float, panels: int, delta: float,
     q, rho = _moment_rule(params, kappa, panels)
     inv = np.add(delta, q)
     np.divide(-1.0, inv, out=inv)      # 1 / (m - m_N - omega)
-    return [FOUR_PI * float(rho.dot(inv ** n)) for n in orders]
+    return [FOUR_PI * float(rho.dot(inv if n == 1 else inv ** n)) for n in orders]
 
 
 def _moment_pass(m: float, params: ModelParams, spec: QuadSpec,

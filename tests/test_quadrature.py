@@ -77,6 +77,29 @@ def test_ball_volume():
             assert math.isclose(value, 32.0 * math.pi / 3.0, rel_tol=1e-13), (order, kappa)
 
 
+def _tiled_sinh_panels(hi, kappa, panels, order):
+    # the rule as first written, one flat u and the weights tiled per panel
+    x, w = np.polynomial.legendre.leggauss(order)
+    half = 0.5 * math.asinh(hi / kappa) / panels
+    u = ((2 * np.arange(panels) + 1)[:, None] * half + half * x).ravel()
+    return kappa * np.sinh(u), np.tile(kappa * half * w, panels) * np.cosh(u)
+
+
+def test_sinh_panels_match_the_tiled_rule_bit_for_bit():
+    for order in (NODES_PER_PANEL, NORM_ORDER):
+        for hi in (0.5, 40.0, 1600.0):
+            for kappa in (2.0 ** -30, 2.0 ** -10, 1.0):
+                for panels in (1, 4, 8, 2 ** 14):
+                    got = _sinh_panels(hi, kappa, panels, order)
+                    want = _tiled_sinh_panels(hi, kappa, panels, order)
+                    for a, b in zip(got, want):
+                        assert a.shape == (panels * order,)
+                        assert np.array_equal(a, b), (order, hi, kappa, panels)
+        # a sharp cutoff at or below mu leaves an empty range
+        for got in _sinh_panels(0.0, 1.0, 8, order):
+            assert got.shape == (0,)
+
+
 def test_radial_f2_over_2w_golden_and_riemann():
     # the zeroth moment is Int d^3k f^2 / (2 omega)
     (value,) = spectral_moments(1.5, sharp_model(), SPEC, orders=(0,))
