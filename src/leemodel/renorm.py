@@ -42,6 +42,7 @@ ROOT_TOL = 1e-12    # see solve_physical_mass
 REGIME_TOL = 1e-12  # see classify_regime
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
+_EPS = sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -85,7 +86,11 @@ def _newton(params: ModelParams, bare: BareCoupling,
     the midpoint of m and the threshold, whichever lies further right, so that
     delta at least halves instead of creeping along the chord.
     Steps after a refined pass run on its rule; one that settles there is refined
-    again at the same m.  Returns None when there is no bound state.
+    again at the same m.  A step settles when it moves m by at most
+    ROOT_TOL * min(delta, max(1, |m|)), relative to delta = threshold - m so
+    that delta, and Z and x through it, keep their accuracy near the
+    threshold; or by at most 4 ulp(m) + 8 eps (|m - m_V0| + |c I1|) / (1 + s),
+    the rounding floor of F itself.  Returns None when there is no bound state.
     """
     thr = params.threshold
     if bare.g0 == 0.0:
@@ -108,7 +113,11 @@ def _newton(params: ModelParams, bare: BareCoupling,
         f = m - bare.m_v0 - c * i1
         s = c * i2
         step = f / (1.0 + s)
-        if abs(step) <= ROOT_TOL * max(1.0, abs(m)):
+        # relative to delta, down to the rounding floor below which F cannot
+        # resolve a step (formed only when the relative test fails)
+        if (abs(step) <= ROOT_TOL * min(thr - m, max(1.0, abs(m)))
+                or abs(step) <= 4.0 * math.ulp(m)
+                + 8.0 * _EPS * (abs(m - bare.m_v0) + abs(c * i1)) / (1.0 + s)):
             if held is None:
                 return m, s
             rule = None
@@ -129,8 +138,10 @@ def solve_physical_mass(params: ModelParams, bare: BareCoupling,
     """Physical V mass: the root of F(m) = m - m_V0 - mass_shift(m) below threshold.
 
     F is strictly increasing, so the root is unique when it exists; Newton
-    steps stop once a refined one moves m by at most ROOT_TOL * max(1, |m|);
-    None means F(threshold) <= 0: the V state has dissolved into the continuum.
+    steps stop once a refined one moves m by at most
+    ROOT_TOL * min(delta, max(1, |m|)), delta = m_N + mu - m, or by no more
+    than rounding in F allows (see :func:`_newton`); None means
+    F(threshold) <= 0: the V state has dissolved into the continuum.
     """
     solved = _newton(params, bare, spec)
     return None if solved is None else solved[0]

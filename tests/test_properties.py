@@ -8,6 +8,7 @@ m_V0 stays below, so both branches of the mass solve are exercised.
 """
 
 import math
+import sys
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,6 +28,7 @@ from leemodel import (
     mass_shift,
     spectral_moments,
 )
+from leemodel.renorm import ROOT_TOL
 
 from helpers import M_N, MU, sharp_moments_closed_form
 
@@ -77,3 +79,26 @@ def test_sharp_bare_solve_matches_closed_form(lam, log_delta, log_s):
     residual = report.m_v - bare.m_v0 - c * i1_cf
     assert abs(residual) * report.z_standard <= 1e-11
     assert abs(report.z_standard - 1.0 / (1.0 + c * i2_cf)) <= 1e-11
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(lam=st.floats(1.5, 40.0),
+       log_delta=st.floats(-14.0, math.log10(2.0)),
+       log_s=st.floats(-2.0, 2.0))
+def test_sharp_bare_solve_stops_relative_to_delta(lam, log_delta, log_s):
+    # the bare pair is built from the closed form at m_V = threshold - delta,
+    # and the solve must return m_V to ROOT_TOL relative to delta (capped at
+    # max(1, |m|)) plus 4 ulp and the rounding floor of F: 8 eps (|m - m_V0|
+    # + |c I1|) / (1 + s) for the stop, as much again for building the pair
+    params = ModelParams(m_n=M_N, mu=MU, form_factor=FormFactor.sharp(lam))
+    delta = 10.0 ** log_delta
+    m_v = params.threshold - delta
+    i1, i2 = sharp_moments_closed_form(lam, delta)
+    g0 = math.sqrt(10.0 ** log_s * TWO_PI_CUBED / i2)
+    c = g0 * g0 / TWO_PI_CUBED
+    bare = BareCoupling(m_v0=m_v - c * i1, g0=g0)
+
+    report = full_report(params, bare, QuadSpec())
+    floor = 16.0 * sys.float_info.epsilon * (abs(m_v - bare.m_v0) + abs(c * i1)) / (1.0 + c * i2)
+    bound = ROOT_TOL * min(delta, max(1.0, abs(m_v))) + 4.0 * math.ulp(m_v) + floor
+    assert abs(report.m_v - m_v) <= bound

@@ -114,6 +114,22 @@ def test_solve_bound_state_close_to_threshold():
     assert abs(report.z_standard - z_from_bare(PARAMS, bare.g0, solved, SPEC)) < 1e-12
 
 
+@pytest.mark.parametrize("make", ALL_MODELS)
+@pytest.mark.parametrize("lam", (10.0, 40.0))
+@pytest.mark.parametrize("delta", (1e-10, 1e-12))
+def test_round_trip_close_to_threshold_recovers_m_v(make, lam, delta):
+    # x = 1/4 at delta below threshold, mapped to the bare pair and solved
+    # back: the stop is relative to delta, so m_V, and delta with it, returns
+    # to a few ulp where a stop at 1e-12 * max(1, |m|) left delta 67% off
+    params = make(lam=lam)
+    m_v = params.threshold - delta
+    g = 0.5 * critical_coupling(params, m_v, SPEC)
+    bare = bare_from_renormalized(params, RenCoupling(m_v=m_v, g=g), SPEC)
+    report = full_report(params, bare, SPEC)
+    assert report.regime is Regime.NORMAL
+    assert abs(report.m_v - m_v) <= 4.0 * math.ulp(m_v)
+
+
 def test_solve_bare_mass_just_below_threshold_at_large_cutoff():
     # the first Newton step needs I2 at m_V0, 1e-12 mu below threshold, where
     # the integrand lives on k ~ sqrt(2 mu delta) ~ 1.4e-6 of a range 1600
