@@ -146,7 +146,12 @@ def parse_config(text: str) -> RunConfig:
     _no_leftovers(model, "model")
     if mu <= 0.0:
         raise ConfigError("model.mu", "must be positive")
-    params = ModelParams(m_n=m_n, mu=mu, form_factor=FormFactor(kind, lam))
+    if not math.isfinite(mu * mu):
+        raise ConfigError("model.mu", "must have a finite square")
+    try:
+        params = ModelParams(m_n=m_n, mu=mu, form_factor=FormFactor(kind, lam))
+    except ValueError as exc:  # what is left is the momentum range, which Lambda sets
+        raise ConfigError("model.form_factor.lambda", str(exc)) from exc
 
     inp = _section(doc, "input")
     mode = _field(inp, "input", "mode", str, choices=("bare", "renormalized"))
@@ -155,6 +160,8 @@ def parse_config(text: str) -> RunConfig:
         g0 = _field(inp, "input", "g0", float, 0.0)
         if g0 < 0.0:
             raise ConfigError("input.g0", "must be nonnegative")
+        if not math.isfinite(g0 * g0):
+            raise ConfigError("input.g0", "must have a finite square")
         coupling = BareCoupling(m_v0=m_v0, g0=g0)
     else:
         m_v = _field(inp, "input", "m_V", float)
@@ -187,6 +194,8 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError("sweep.start", "coupling values must be nonnegative")
         if not start < stop:
             raise ConfigError("sweep.start", "must be strictly less than sweep.stop")
+        if parameter == "g0" and not math.isfinite(stop * stop):
+            raise ConfigError("sweep.stop", "must have a finite square")
         sweep = SweepSpec(parameter=parameter, start=start, stop=stop, steps=steps)
 
     qd = _section(doc, "quad")

@@ -103,6 +103,11 @@ class ModelParams:
     ``m_n`` and ``mu`` are the N and theta masses; the bare V mass and the
     coupling live in :class:`BareCoupling` / :class:`RenCoupling` because they
     are the quantities the renormalization maps exchange.
+
+    The domain is checked here, once: a finite m_N, a positive mu with a
+    finite square (so below 1.3e154, which also keeps the threshold m_N + mu
+    finite), and a momentum range on which every product of the quadrature
+    rules stays finite (:func:`leemodel.quadrature.ensure_finite_rules`).
     """
 
     m_n: float
@@ -110,12 +115,14 @@ class ModelParams:
     form_factor: FormFactor
 
     def __post_init__(self):
-        if not (math.isfinite(self.mu) and self.mu > 0.0):
-            raise ValueError("theta mass mu must be positive and finite")
+        if not (math.isfinite(self.mu * self.mu) and self.mu > 0.0):
+            raise ValueError("theta mass mu must be positive with a finite square")
         if not math.isfinite(self.m_n):
             raise ValueError("N mass must be finite")
         if not isinstance(self.form_factor, FormFactor):
             raise ValueError("form_factor must be a FormFactor instance")
+        from .quadrature import ensure_finite_rules  # quadrature imports this module
+        ensure_finite_rules(self)
 
     @property
     def threshold(self) -> float:
@@ -125,7 +132,7 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class BareCoupling:
-    """Bare V mass and bare coupling (only g0^2 is observable; g0 >= 0)."""
+    """Bare V mass and bare coupling (only g0^2 is observable, and must be finite; g0 >= 0)."""
 
     m_v0: float
     g0: float
@@ -133,8 +140,8 @@ class BareCoupling:
     def __post_init__(self):
         if not math.isfinite(self.m_v0):
             raise ValueError("bare V mass must be finite")
-        if not (math.isfinite(self.g0) and self.g0 >= 0.0):
-            raise ValueError("bare coupling g0 must be nonnegative and finite")
+        if not (math.isfinite(self.g0 * self.g0) and self.g0 >= 0.0):
+            raise ValueError("bare coupling g0 must be nonnegative with a finite square")
 
 
 @dataclass(frozen=True)

@@ -142,6 +142,34 @@ def _sinh_panels(hi: float, kappa: float, panels: int,
     return (kappa * np.sinh(u)).ravel(), ((kappa * half * w) * np.cosh(u)).ravel()
 
 
+def ensure_finite_rules(params: ModelParams) -> None:
+    """Raise ValueError unless every product the model's sinh rules form is finite.
+
+    :class:`ModelParams` calls this when it is built, so the rules pay nothing
+    for it.  A rule of P >= START_PANELS panels at kappa has its nodes at u in
+    (0, U), U = asinh(hi/kappa), hi = upper_momentum(params), so k = kappa
+    sinh(u) <= hi, and as every Gauss weight w < 1, wk = kappa (U/2P) w
+    cosh(u) <= (U/2P) hypot(hi, kappa).  Hence hi^2 + mu^2 (which bounds k^2,
+    omega^2, omega + mu and the dipole's denominator), hi/kappa and
+    wk k^2 <= U/(2 START_PANELS) hi^2 hypot(hi, kappa), the largest product
+    of :func:`_moment_rule` and of the norm rule, must be finite.  All of them
+    are largest at the floor of kappa.
+    """
+    hi, mu = upper_momentum(params), params.mu
+    if hi == 0.0:  # an empty sharp range has no nodes
+        return
+    kappa = _threshold_scale(params, 0.0)
+    largest = (hi * hi + mu * mu, hi / kappa,
+               math.asinh(hi / kappa) / (2 * START_PANELS) * hi * hi * math.hypot(hi, kappa))
+    if all(value < math.inf for value in largest):
+        return
+    ff = params.form_factor
+    raise ValueError(
+        f"the momentum range [0, {hi!r}] of the {ff.kind} form factor (Lambda = {ff.lam!r}, "
+        f"mu = {mu!r}) overflows its quadrature rule: k_max^2 + mu^2, "
+        f"k_max / (1e-9 mu) and wk k^2 must stay finite")
+
+
 @functools.lru_cache(maxsize=RULES_KEPT)
 def _moment_rule(params: ModelParams, kappa: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
     """(q, rho), the m-independent part of the moment integrand on ``panels``

@@ -276,6 +276,29 @@ def test_main_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("doc, field", (
+    ({"model": {"m_N": 1e308, "mu": 1e308}}, "model.mu"),
+    ({"model": {"mu": 1e160, "form_factor": {"kind": "dipole"}}}, "model.mu"),
+    ({"model": {"form_factor": {"kind": "exponential", "lambda": 1e102}}},
+     "model.form_factor.lambda"),
+    ({"model": {"form_factor": {"kind": "dipole", "lambda": 1e102}}},
+     "model.form_factor.lambda"),
+    ({"model": {"form_factor": {"kind": "sharp", "lambda": 1e104}}},
+     "model.form_factor.lambda"),
+    ({"model": {"mu": 1e-300, "form_factor": {"kind": "dipole", "lambda": 1.0}}},
+     "model.form_factor.lambda"),
+    ({"input": {"mode": "bare", "m_V0": 1.8, "g0": 1e160}}, "input.g0"),
+    ({"sweep": {"parameter": "g0", "stop": 1e160, "steps": 3}}, "sweep.stop"),
+))
+def test_input_domain_errors_name_the_field(tmp_path, capsys, doc, field):
+    doc = {"input": {"mode": "bare", "m_V0": 1.8}, **doc,
+           "output": {"path": str(tmp_path / "x.csv")}}
+    assert _field_of(json.dumps(doc)) == field
+    assert main(["--config", _write(tmp_path, "cfg.json", doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {field}:") and "Traceback" not in err
+
+
 def test_main_validate_oracle(tmp_path, capsys):
     cfg = _write(tmp_path, "cfg.json", {
         "input": {"mode": "bare", "m_V0": 1.8, "g0": 1.0},

@@ -146,6 +146,24 @@ def test_params_validation():
     assert sharp_model().threshold == 2.0
 
 
+def test_infinite_threshold_is_rejected_at_construction():
+    # m_N = mu = 1e308 once put the threshold at inf and ended in NoConvergence
+    # at "delta = inf"; mu^2 finite keeps m_N + mu finite
+    with pytest.raises(ValueError, match="finite square"):
+        ModelParams(m_n=1e308, mu=1e308, form_factor=FormFactor.sharp(10.0))
+    with pytest.raises(ValueError, match="finite square"):
+        ModelParams(m_n=1.0, mu=1e160, form_factor=FormFactor.dipole(10.0))
+    huge = ModelParams(m_n=1.7976931348623157e308, mu=1e154, form_factor=FormFactor.sharp(1.0))
+    assert math.isfinite(huge.threshold)
+
+
+def test_coupling_with_infinite_square_is_rejected_at_construction():
+    # g0 = 1e160 once drove the Newton solve to NaN
+    with pytest.raises(ValueError, match="finite square"):
+        BareCoupling(m_v0=1.5, g0=1e160)
+    assert BareCoupling(m_v0=1.5, g0=1e154).g0 == 1e154
+
+
 def test_regime_labels():
     assert Regime.NORMAL.value == "Normal"
     assert Regime.CRITICAL.value == "Critical"

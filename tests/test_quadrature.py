@@ -100,6 +100,49 @@ def test_sinh_panels_match_the_tiled_rule_bit_for_bit():
             assert got.shape == (0,)
 
 
+def _largest_lambda_built(kind):
+    # bisect Lambda over what ModelParams accepts, down to adjacent floats
+    lo, hi = 1.0, 1e300
+    while math.nextafter(lo, hi) != hi:
+        mid = math.sqrt(lo * hi) if hi > 1.0001 * lo else 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        try:
+            ModelParams(m_n=-MU, mu=MU, form_factor=FormFactor(kind, mid))
+            lo = mid
+        except ValueError:
+            hi = mid
+    return lo, hi
+
+
+@pytest.mark.parametrize("kind, first_overflow", (
+    ("sharp", 1e103), ("exponential", 2.3e101), ("dipole", 2.3e101)))
+def test_rule_range_edge(kind, first_overflow):
+    # from first_overflow on, wk * k^2 in _moment_rule overflowed; the
+    # construction check bounds that product from above, within a few weights
+    inside, outside = _largest_lambda_built(kind)
+    assert math.nextafter(inside, math.inf) == outside
+    assert first_overflow / 30.0 < inside < first_overflow
+    with pytest.raises(ValueError, match="overflows its quadrature rule"):
+        ModelParams(m_n=-MU, mu=MU, form_factor=FormFactor(kind, outside))
+    # just inside, every rule is finite at its largest products, which the
+    # kappa floor gives: delta = 0 for I1, delta << 1e-9 mu for I2 and the norm
+    params = ModelParams(m_n=-MU, mu=MU, form_factor=FormFactor(kind, inside))
+    near = -1e-20 * MU
+    assert _threshold_scale(params, -near) == _threshold_scale(params, 0.0)
+    values = (*spectral_moments(params.threshold, params, SPEC, orders=(1,)),
+              *spectral_moments(near, params, SPEC),
+              norm_integral(params, 1.0, near, SPEC))
+    assert all(math.isfinite(v) and v != 0.0 for v in values)
+
+
+def test_rule_range_follows_lambda_over_mu():
+    # k_max / kappa must stay finite, and kappa is floored at 1e-9 mu
+    with pytest.raises(ValueError, match="overflows its quadrature rule"):
+        ModelParams(m_n=0.0, mu=1e-300, form_factor=FormFactor.dipole(1.0))
+    ModelParams(m_n=0.0, mu=1e-200, form_factor=FormFactor.dipole(1.0))
+
+
 def test_radial_f2_over_2w_golden_and_riemann():
     # the zeroth moment is Int d^3k f^2 / (2 omega)
     (value,) = spectral_moments(1.5, sharp_model(), SPEC, orders=(0,))
