@@ -158,11 +158,10 @@ def parse_config(text: str) -> RunConfig:
     if mode == "bare":
         m_v0 = _field(inp, "input", "m_V0", float)
         g0 = _field(inp, "input", "g0", float, 0.0)
-        if g0 < 0.0:
-            raise ConfigError("input.g0", "must be nonnegative")
-        if not math.isfinite(g0 * g0):
-            raise ConfigError("input.g0", "must have a finite square")
-        coupling = BareCoupling(m_v0=m_v0, g0=g0)
+        try:  # m_V0 is finite, so only g0 can fail
+            coupling = BareCoupling(m_v0=m_v0, g0=g0)
+        except ValueError as exc:
+            raise ConfigError("input.g0", str(exc)) from exc
     else:
         m_v = _field(inp, "input", "m_V", float)
         g = _field(inp, "input", "g", float, 0.0)
@@ -194,8 +193,11 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError("sweep.start", "coupling values must be nonnegative")
         if not start < stop:
             raise ConfigError("sweep.start", "must be strictly less than sweep.stop")
-        if parameter == "g0" and not math.isfinite(stop * stop):
-            raise ConfigError("sweep.stop", "must have a finite square")
+        if parameter == "g0":
+            try:  # the last coupling the sweep builds
+                dataclasses.replace(coupling, g0=stop)
+            except ValueError as exc:
+                raise ConfigError("sweep.stop", str(exc)) from exc
         sweep = SweepSpec(parameter=parameter, start=start, stop=stop, steps=steps)
 
     qd = _section(doc, "quad")

@@ -91,6 +91,8 @@ def _newton(params: ModelParams, bare: BareCoupling,
     that delta, and Z and x through it, keep their accuracy near the
     threshold; or by at most 4 ulp(m) + 8 eps (|m - m_V0| + |c I1|) / (1 + s),
     the rounding floor of F itself.  Returns None when there is no bound state.
+    An F or s that overflows raises StabilityViolation: no step is taken, or
+    accepted, on an infinite residual.
     """
     thr = params.threshold
     if bare.g0 == 0.0:
@@ -100,6 +102,8 @@ def _newton(params: ModelParams, bare: BareCoupling,
     m = bare.m_v0
     if m >= thr:
         f_thr = thr - bare.m_v0 - c * _moment_pass(thr, params, spec, (1,))[0][0]
+        if not math.isfinite(f_thr):
+            raise _overflow(params, bare, thr, f"F = {f_thr!r}")
         if f_thr <= 0.0:
             return None
         m = thr - f_thr
@@ -112,6 +116,8 @@ def _newton(params: ModelParams, bare: BareCoupling,
             i1, i2 = _moments_on(params, *held, thr - m, (1, 2))
         f = m - bare.m_v0 - c * i1
         s = c * i2
+        if not (math.isfinite(f) and math.isfinite(s)):
+            raise _overflow(params, bare, m, f"F = {f!r}, c I2 = {s!r}")
         step = f / (1.0 + s)
         # relative to delta, down to the rounding floor below which F cannot
         # resolve a step (formed only when the relative test fails)
@@ -131,6 +137,16 @@ def _newton(params: ModelParams, bare: BareCoupling,
         f"Newton solve on moments (1, 2) of the {ff.kind} form factor (Lambda = "
         f"{ff.lam!r}, m_V0 = {bare.m_v0!r}, g0 = {bare.g0!r}) stopped after {NEWTON_CAP} "
         f"steps at m = {m!r}, delta = {thr - m!r} (last step changed m by {step:.3e})")
+
+
+def _overflow(params: ModelParams, bare: BareCoupling, m: float,
+              values: str) -> StabilityViolation:
+    ff = params.form_factor
+    return StabilityViolation(
+        f"g0 = {bare.g0!r} (m_V0 = {bare.m_v0!r}) overflows the mass residual "
+        f"F(m) = m - m_V0 - (g0^2/(2 pi)^3) I1(m) of the {ff.kind} form factor "
+        f"(Lambda = {ff.lam!r}) at m = {m!r}: {values}; F and "
+        f"(g0^2/(2 pi)^3) I2 must stay finite")
 
 
 def solve_physical_mass(params: ModelParams, bare: BareCoupling,

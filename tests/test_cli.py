@@ -299,6 +299,27 @@ def test_input_domain_errors_name_the_field(tmp_path, capsys, doc, field):
     assert err.startswith(f"config error: {field}:") and "Traceback" not in err
 
 
+def test_mass_residual_overflow_is_an_error_not_a_root(tmp_path, capsys):
+    # exponential Lambda = 1e3 and g0 = 1e154 overflow c I1; the point run
+    # fails without output, and the sweep's last row is an error row
+    model = {"form_factor": {"kind": "exponential", "lambda": 1e3}}
+    out = tmp_path / "x.csv"
+    point = _write(tmp_path, "point.json", {
+        "model": model, "input": {"mode": "bare", "m_V0": 1.5, "g0": 1e154},
+        "output": {"path": str(out)},
+    })
+    assert main(["--config", point]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: g0 = 1e+154") and "Traceback" not in err
+    assert not out.exists()
+    rows = run_sweep(parse_config(json.dumps({
+        "model": model, "input": {"mode": "bare", "m_V0": 1.5},
+        "sweep": {"parameter": "g0", "start": 0.0, "stop": 1e154, "steps": 2},
+    })))
+    assert rows[0]["m_V"] == 1.5 and not rows[0]["error"]
+    assert rows[1]["m_V"] is None and rows[1]["error"].startswith("StabilityViolation")
+
+
 def test_main_validate_oracle(tmp_path, capsys):
     cfg = _write(tmp_path, "cfg.json", {
         "input": {"mode": "bare", "m_V0": 1.8, "g0": 1.0},

@@ -425,6 +425,16 @@ def test_renormalized_coupling_with_infinite_square_raises(call):
         call(PARAMS, RenCoupling(m_v=1.5, g=1e160), SPEC)
 
 
+@pytest.mark.parametrize("m_v0", (1.5, 2.5))  # below and above the threshold 2
+@pytest.mark.parametrize("call", (full_report, solve_physical_mass))
+def test_bare_coupling_whose_mass_residual_overflows_raises(call, m_v0):
+    # c I1 overflows to -inf at exponential Lambda = 1e3 and g0 = 1e154, a
+    # coupling with a finite square; the infinite step once passed the
+    # rounding-floor stop, and m_V = m_V0 came back as the root
+    with pytest.raises(StabilityViolation, match="g0 = 1e[+]154"):
+        call(exponential_model(1e3), BareCoupling(m_v0=m_v0, g0=1e154), SPEC)
+
+
 def test_full_report_rejects_other_types():
     with pytest.raises(TypeError):
         full_report(PARAMS, (1.5, 1.0), SPEC)
