@@ -31,9 +31,10 @@ point and the fixed column set::
 Numbers are rendered with 17 significant digits, so parsing the file back
 reproduces every float exactly; identical configs produce byte-identical
 files.  Per-point failures in a sweep land in the "error" column and the run
-continues.  Exit codes: 0 success, 2 bad configuration, 3 no bound state
-(bare mode), 4 output I/O failure.  A ghost-regime result is a result, not
-an error.
+continues.  Exit codes: 0 success, 1 a numerical failure raised as a typed
+LeeModelError (NoConvergence, say, or an overflowing mass residual), 2 bad
+configuration, 3 no bound state (bare mode), 4 output I/O failure.  A
+ghost-regime result is a result, not an error.
 """
 
 from __future__ import annotations
@@ -118,6 +119,14 @@ def _field(sec: dict, path: str, key: str, kind: type, default=None, choices=Non
     return val
 
 
+def _build(field: str, make, *args, **kw):
+    """``make(*args, **kw)``, with its ValueError reported as a ConfigError on ``field``."""
+    try:
+        return make(*args, **kw)
+    except ValueError as exc:
+        raise ConfigError(field, str(exc)) from exc
+
+
 def parse_config(text: str) -> RunConfig:
     """Validate a JSON config document and apply defaults."""
     try:
@@ -139,65 +148,48 @@ def parse_config(text: str) -> RunConfig:
     kind = _field(ff_sec, "model.form_factor", "kind", str, SHARP, FORM_FACTOR_KINDS)
     lam = _field(ff_sec, "model.form_factor", "lambda", float, 10.0)
     _no_leftovers(ff_sec, "model.form_factor")
-    if lam <= 0.0:
-        raise ConfigError("model.form_factor.lambda", "must be positive")
+    form_factor = _build("model.form_factor.lambda", FormFactor, kind, lam)
     m_n = _field(model, "model", "m_N", float, 1.0)
     mu = _field(model, "model", "mu", float, 1.0)
     _no_leftovers(model, "model")
-    if mu <= 0.0:
-        raise ConfigError("model.mu", "must be positive")
-    if not math.isfinite(mu * mu):
-        raise ConfigError("model.mu", "must have a finite square")
-    try:
-        params = ModelParams(m_n=m_n, mu=mu, form_factor=FormFactor(kind, lam))
-    except ValueError as exc:  # what is left is the momentum range, which Lambda sets
-        raise ConfigError("model.form_factor.lambda", str(exc)) from exc
+    if not (mu > 0.0 and math.isfinite(mu * mu)):
+        raise ConfigError("model.mu", "must be positive with a finite square")
+    # with mu in range, what ModelParams can still refuse is the momentum range, set by Lambda
+    params = _build("model.form_factor.lambda", ModelParams, m_n, mu, form_factor)
 
     inp = _section(doc, "input")
     mode = _field(inp, "input", "mode", str, choices=("bare", "renormalized"))
-    if mode == "bare":
-        m_v0 = _field(inp, "input", "m_V0", float)
-        g0 = _field(inp, "input", "g0", float, 0.0)
-        try:  # m_V0 is finite, so only g0 can fail
-            coupling = BareCoupling(m_v0=m_v0, g0=g0)
-        except ValueError as exc:
-            raise ConfigError("input.g0", str(exc)) from exc
-    else:
-        m_v = _field(inp, "input", "m_V", float)
-        g = _field(inp, "input", "g", float, 0.0)
-        if g < 0.0:
-            raise ConfigError("input.g", "must be nonnegative")
+    make, mass_key, coupling_key = {"bare": (BareCoupling, "m_V0", "g0"),
+                                    "renormalized": (RenCoupling, "m_V", "g")}[mode]
+    mass = _field(inp, "input", mass_key, float)
+    strength = _field(inp, "input", coupling_key, float, 0.0)
+    coupling = _build(f"input.{coupling_key}", make, mass, strength)
+    if make is RenCoupling:
         try:
-            ensure_stable(params, m_v)
+            ensure_stable(params, mass)
         except StabilityViolation as exc:
             raise ConfigError("input.m_V",
                               "must lie below the N+theta threshold m_N + mu") from exc
-        coupling = RenCoupling(m_v=m_v, g=g)
     _no_leftovers(inp, "input")
 
     sweep = None
     if "sweep" in doc:
         sw = _section(doc, "sweep")
         parameter = _field(sw, "sweep", "parameter", str, choices=("g", "g0"))
-        if parameter == "g0" and mode != "bare":
-            raise ConfigError("sweep.parameter", "g0 sweeps require bare mode")
-        if parameter == "g" and mode != "renormalized":
-            raise ConfigError("sweep.parameter", "g sweeps require renormalized mode")
+        if parameter != coupling_key:
+            raise ConfigError("sweep.parameter", f"{parameter} sweeps require "
+                              f"{'bare' if parameter == 'g0' else 'renormalized'} mode")
         start = _field(sw, "sweep", "start", float, 0.0)
         stop = _field(sw, "sweep", "stop", float)
         steps = _field(sw, "sweep", "steps", int, 0)  # absent reads as 0, rejected below
         _no_leftovers(sw, "sweep")
         if steps < 2:
             raise ConfigError("sweep.steps", "must be an integer >= 2")
-        if start < 0.0:
-            raise ConfigError("sweep.start", "coupling values must be nonnegative")
+        # the first and the last coupling the sweep builds
+        _build("sweep.start", dataclasses.replace, coupling, **{parameter: start})
         if not start < stop:
             raise ConfigError("sweep.start", "must be strictly less than sweep.stop")
-        if parameter == "g0":
-            try:  # the last coupling the sweep builds
-                dataclasses.replace(coupling, g0=stop)
-            except ValueError as exc:
-                raise ConfigError("sweep.stop", str(exc)) from exc
+        _build("sweep.stop", dataclasses.replace, coupling, **{parameter: stop})
         sweep = SweepSpec(parameter=parameter, start=start, stop=stop, steps=steps)
 
     qd = _section(doc, "quad")

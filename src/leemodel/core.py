@@ -4,9 +4,11 @@ The model couples a V particle to an N particle plus a theta boson of mass
 mu; a theta of momentum k carries energy omega_k = sqrt(k^2 + mu^2).  Every
 interaction vertex is weighted by
 
-    g0 * (2*pi)**(-3/2) * f(omega_k) / sqrt(2*omega_k),
+    g0 * (2*pi)**(-3/2) * f(k) / sqrt(2*omega_k),
 
-where f is a regulating form factor with cutoff scale Lambda.  The dressed V
+where f is a regulating form factor with cutoff scale Lambda.  Momentum k is
+the one variable of the kinematics: the form factor, the vertex and the cloud
+amplitude all take k and mu, and form omega_k themselves.  The dressed V
 state below the N+theta threshold m_N + mu carries an N-theta cloud whose
 momentum-space amplitude is the vertex weight divided by (m_V - m_N - omega_k).
 
@@ -46,14 +48,17 @@ def _maybe_scalar(out: np.ndarray, like) -> "float | np.ndarray":
 
 @dataclass(frozen=True)
 class FormFactor:
-    """Vertex regulator f(omega) with cutoff scale ``lam``.
+    """Vertex regulator f of the theta momentum k, with cutoff scale ``lam``.
 
-    Three families are supported, all normalized so that 0 <= f <= 1 on the
-    physical domain omega >= mu and f(mu) > 0:
+    Three families are supported, all normalized so that 0 <= f <= 1 for
+    every k >= 0 and f(0) > 0 (omega = sqrt(k^2 + mu^2)):
 
     * ``sharp``:        f = 1 for omega <= Lambda, else 0
     * ``exponential``:  f = exp(-omega / Lambda)
-    * ``dipole``:       f = Lambda^2 / (Lambda^2 + k^2), with k^2 = omega^2 - mu^2
+    * ``dipole``:       f = Lambda^2 / (Lambda^2 + k^2)
+
+    Lambda must be finite with a positive square, so that the dipole's
+    Lambda^2 does not underflow to 0.
     """
 
     kind: str
@@ -62,8 +67,9 @@ class FormFactor:
     def __post_init__(self):
         if self.kind not in FORM_FACTOR_KINDS:
             raise ValueError(f"unknown form factor kind {self.kind!r}")
-        if not (math.isfinite(self.lam) and self.lam > 0.0):
-            raise ValueError("form factor cutoff Lambda must be positive and finite")
+        if not (math.isfinite(self.lam) and self.lam > 0.0 and self.lam * self.lam > 0.0):
+            raise ValueError("form factor cutoff Lambda must be positive and finite, "
+                             "with a positive square")
 
     @classmethod
     def sharp(cls, lam: float) -> "FormFactor":
@@ -77,23 +83,17 @@ class FormFactor:
     def dipole(cls, lam: float) -> "FormFactor":
         return cls(DIPOLE, lam)
 
-    def evaluate(self, omega_val, mu: float | None = None):
-        """f(omega) for scalar or array ``omega_val``.
-
-        The dipole family is a function of the momentum, so it needs the
-        theta mass ``mu`` to convert omega back to k^2 = omega^2 - mu^2.
-        """
-        om = np.asarray(omega_val, dtype=float)
-        if self.kind == SHARP:
-            out = np.where(om <= self.lam, 1.0, 0.0)
-        elif self.kind == EXPONENTIAL:
-            out = np.exp(-om / self.lam)
-        else:
-            if mu is None:
-                raise ValueError("dipole form factor evaluation requires mu")
+    def evaluate(self, k, mu: float):
+        """f at momentum ``k`` (scalar or array) for theta mass ``mu``; omega is
+        formed exactly as :func:`omega` forms it."""
+        k_arr = np.asarray(k, dtype=float)
+        if self.kind == DIPOLE:
             lam_sq = self.lam * self.lam
-            out = lam_sq / (lam_sq + om * om - mu * mu)
-        return _maybe_scalar(out, omega_val)
+            return _maybe_scalar(lam_sq / (lam_sq + k_arr * k_arr), k)
+        om = np.sqrt(k_arr * k_arr + mu * mu)
+        if self.kind == SHARP:
+            return _maybe_scalar(np.where(om <= self.lam, 1.0, 0.0), k)
+        return _maybe_scalar(np.exp(-om / self.lam), k)
 
 
 @dataclass(frozen=True)
@@ -191,24 +191,22 @@ def omega(k, mu: float):
     return _maybe_scalar(np.sqrt(k_arr * k_arr + mu * mu), k)
 
 
-def vertex_weight(g0: float, ff: FormFactor, omega_val, mu: float | None = None):
-    """Interaction vertex g0 (2 pi)^(-3/2) f(omega) (2 omega)^(-1/2)."""
-    om = np.asarray(omega_val, dtype=float)
-    out = g0 / TWO_PI_32 * ff.evaluate(om, mu) / np.sqrt(2.0 * om)
-    return _maybe_scalar(out, omega_val)
+def vertex_weight(g0: float, ff: FormFactor, k, mu: float):
+    """Interaction vertex g0 (2 pi)^(-3/2) f(k) (2 omega_k)^(-1/2) at momentum ``k``."""
+    out = g0 / TWO_PI_32 * ff.evaluate(k, mu) / np.sqrt(2.0 * omega(k, mu))
+    return _maybe_scalar(out, k)
 
 
 def dressing_amplitude(params: ModelParams, g0: float, m_v: float, k):
     """Momentum-space amplitude of the N-theta cloud in the dressed V state.
 
-    Equals vertex_weight(omega_k) / (m_V - m_N - omega_k); strictly negative
+    Equals vertex_weight(k) / (m_V - m_N - omega_k); strictly negative
     wherever g0 > 0 and the form factor is nonzero, and square-integrable in
     d^3k for every supported form factor family.  The denominator is written
     as -(delta + k^2/(omega_k + mu)) with delta = m_N + mu - m_V, so nothing
     cancels near the threshold.
     """
     ensure_stable(params, m_v)
-    om = np.asarray(omega(k, params.mu), dtype=float)
-    weight = np.asarray(vertex_weight(g0, params.form_factor, om, params.mu), dtype=float)
-    out = -weight / (params.threshold - m_v + np.square(k) / (om + params.mu))
+    weight = vertex_weight(g0, params.form_factor, k, params.mu)
+    out = -weight / (params.threshold - m_v + np.square(k) / (omega(k, params.mu) + params.mu))
     return _maybe_scalar(out, k)

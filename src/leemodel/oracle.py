@@ -6,7 +6,7 @@ arrowhead matrix
 
     [ m_V0   c_1    c_2   ...  ]
     [ c_1    d_1               ]          d_i = m_N + omega(k_i)
-    [ c_2           d_2        ]          c_i = vertex_weight(omega(k_i)) * sqrt(w_i)
+    [ c_2           d_2        ]          c_i = vertex_weight(k_i) * sqrt(w_i)
     [ ...assumed zero...  d_n  ]
 
 Its eigenvalues with nonvanishing apex component are the roots of the secular
@@ -157,10 +157,8 @@ class ArrowheadMatrix:
 def build_arrowhead(params: ModelParams, bare: BareCoupling,
                     grid: RadialGrid) -> ArrowheadMatrix:
     """Truncated sector Hamiltonian on the given radial grid."""
-    om = np.asarray(omega(grid.k, params.mu), dtype=float)
-    d = params.m_n + om
-    c = np.asarray(vertex_weight(bare.g0, params.form_factor, om, params.mu),
-                   dtype=float) * np.sqrt(grid.w)
+    d = params.m_n + omega(grid.k, params.mu)
+    c = vertex_weight(bare.g0, params.form_factor, grid.k, params.mu) * np.sqrt(grid.w)
     return ArrowheadMatrix(apex=bare.m_v0, diag=d, coupling=c)
 
 

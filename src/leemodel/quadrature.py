@@ -150,7 +150,7 @@ def ensure_finite_rules(params: ModelParams) -> None:
     (0, U), U = asinh(hi/kappa), hi = upper_momentum(params), so k = kappa
     sinh(u) <= hi, and as every Gauss weight w < 1, wk = kappa (U/2P) w
     cosh(u) <= (U/2P) hypot(hi, kappa).  Hence hi^2 + mu^2 (which bounds k^2,
-    omega^2, omega + mu and the dipole's denominator), hi/kappa and
+    omega^2 and omega + mu; the dipole's Lambda^2 + k^2 is below 2 hi^2), hi/kappa and
     wk k^2 <= U/(2 START_PANELS) hi^2 hypot(hi, kappa), the largest product
     of :func:`_moment_rule` and of the norm rule, must be finite.  All of them
     are largest at the floor of kappa, and the last bound implies the others:
@@ -182,7 +182,7 @@ def _moment_rule(params: ModelParams, kappa: float, panels: int) -> tuple[np.nda
     k, wk = _sinh_panels(upper_momentum(params), kappa, panels)
     k2, mu = k * k, params.mu
     om = np.sqrt(k2 + mu * mu)
-    fval = params.form_factor.evaluate(om, mu)
+    fval = params.form_factor.evaluate(k, mu)
     rho = wk * k2 * fval * fval / (2.0 * om)
     q = k2 / (om + mu)
     q.flags.writeable = rho.flags.writeable = False

@@ -30,7 +30,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .core import BareCoupling, ModelParams, Regime, RenCoupling, ensure_stable
+from .core import BareCoupling, ModelParams, Regime, RenCoupling
 from .errors import DegenerateModel, GhostRegime, NoBoundState, NoConvergence, StabilityViolation
 from .quadrature import QuadSpec, _moment_pass, _moments_on, mass_shift_integral, z_factor_integral
 
@@ -68,9 +68,6 @@ class RenormReport:
 
 def mass_shift(params: ModelParams, g0: float, m_v: float, spec: QuadSpec) -> float:
     """Self-energy shift delta m_V = (g0^2/(2 pi)^3) I1(m_V); always <= 0."""
-    ensure_stable(params, m_v)
-    if g0 == 0.0:
-        return 0.0
     return g0 * g0 / TWO_PI_CUBED * mass_shift_integral(m_v, params, spec)
 
 

@@ -110,6 +110,32 @@ def sharp_moments_closed_form(lam: float, delta: float, mu: float = MU) -> tuple
     return i1, i2
 
 
+def dipole_moments_reference(lam: float, delta: float, mu: float = MU,
+                             panels: int = 64, order: int = 24) -> tuple[float, float]:
+    """I1 and I2 of the dipole family at delta = m_N + mu - m, summed in k.
+
+    Gauss-Legendre panels of the given order on dyadic pieces
+    [2^-j, 2^(1-j)] * 40 Lambda of the momentum range (the last one reaching
+    down to 0), so every scale from Lambda down to kappa = sqrt(2 mu delta)
+    is resolved on a panel of its own size; f = Lambda^2/(Lambda^2 + k^2) and
+    the denominator -(delta + k^2/(omega + mu)) are written in k, so nothing
+    cancels for Lambda << mu.  Plain float64 and no sinh map, sharing no code
+    with the package's quadrature.
+    """
+    x, w = np.polynomial.legendre.leggauss(order)
+    edges = 40.0 * lam * 2.0 ** -np.arange(panels, -1, -1.0)
+    edges[0] = 0.0
+    lo, hi = edges[:-1, None], edges[1:, None]
+    k = (0.5 * (lo + hi) + 0.5 * (hi - lo) * x).ravel()
+    wk = (0.5 * (hi - lo) * w).ravel()
+    om = np.sqrt(k * k + mu * mu)
+    f = lam * lam / (lam * lam + k * k)
+    rho = wk * k * k * f * f / (2.0 * om)
+    inv = -1.0 / (delta + k * k / (om + mu))
+    return (4.0 * math.pi * float(np.sum(rho * inv)),
+            4.0 * math.pi * float(np.sum(rho * inv * inv)))
+
+
 def riemann_radial(f, k_hi: float, mu: float = MU, n: int = 10_000_000,
                    chunks: int = 25) -> float:
     """Brute-force midpoint Riemann sum of 4 pi Int_0^k_hi k^2 f(omega(k)) dk.

@@ -289,6 +289,12 @@ def test_main_exit_codes(tmp_path, capsys):
      "model.form_factor.lambda"),
     ({"input": {"mode": "bare", "m_V0": 1.8, "g0": 1e160}}, "input.g0"),
     ({"sweep": {"parameter": "g0", "stop": 1e160, "steps": 3}}, "sweep.stop"),
+    ({"sweep": {"parameter": "g0", "start": 1e160, "stop": 1e161, "steps": 3}}, "sweep.start"),
+    ({"model": {"form_factor": {"kind": "dipole", "lambda": 1e-170}}},
+     "model.form_factor.lambda"),
+    ({"input": {"mode": "renormalized", "m_V": 1.5, "g": -1.0}}, "input.g"),
+    ({"input": {"mode": "renormalized", "m_V": 1.5},
+      "sweep": {"parameter": "g", "start": -1.0, "stop": 1.0, "steps": 3}}, "sweep.start"),
 ))
 def test_input_domain_errors_name_the_field(tmp_path, capsys, doc, field):
     doc = {"input": {"mode": "bare", "m_V0": 1.8}, **doc,

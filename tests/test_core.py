@@ -46,23 +46,32 @@ def test_omega_monotone_and_bounded():
 
 def test_form_factor_families():
     sharp = FormFactor.sharp(10.0)
-    assert sharp.evaluate(5.0) == 1.0
-    assert sharp.evaluate(11.0) == 0.0
+    assert sharp.evaluate(5.0, MU) == 1.0
+    assert sharp.evaluate(11.0, MU) == 0.0
     expo = FormFactor.exponential(2.0)
-    assert math.isclose(expo.evaluate(2.0), math.exp(-1.0), rel_tol=1e-15)
+    assert math.isclose(expo.evaluate(math.sqrt(3.0), MU), math.exp(-1.0), rel_tol=1e-15)
     dip = FormFactor.dipole(3.0)
-    om_k3 = omega(3.0, 1.0)  # k = 3 -> f = 9/(9+9)
-    assert math.isclose(dip.evaluate(om_k3, mu=1.0), 0.5, rel_tol=1e-14)
+    assert dip.evaluate(3.0, MU) == 0.5  # f = 9/(9+9)
+
+
+def test_form_factor_forms_omega_as_omega_does():
+    # sharp and exponential are functions of omega_k, formed bit for bit as omega() forms it
+    k = np.concatenate([[0.0], np.random.default_rng(5).uniform(0.0, 30.0, 300)])
+    for mu in (1e-3, MU, 7.0):
+        om = omega(k, mu)
+        assert np.array_equal(FormFactor.sharp(10.0).evaluate(k, mu),
+                              np.where(om <= 10.0, 1.0, 0.0))
+        assert np.array_equal(FormFactor.exponential(3.0).evaluate(k, mu), np.exp(-om / 3.0))
 
 
 def test_form_factor_bounds_on_physical_domain():
     rng = np.random.default_rng(11)
-    om = np.concatenate([[MU], rng.uniform(MU, 50.0, 500)])
+    k = np.concatenate([[0.0], rng.uniform(0.0, 50.0, 500)])
     for ff in (FormFactor.sharp(10.0), FormFactor.exponential(10.0),
                FormFactor.dipole(10.0)):
-        vals = np.asarray(ff.evaluate(om, mu=MU))
+        vals = np.asarray(ff.evaluate(k, MU))
         assert np.all(vals >= 0.0) and np.all(vals <= 1.0)
-        assert ff.evaluate(MU, mu=MU) > 0.0
+        assert ff.evaluate(0.0, MU) > 0.0
 
 
 def test_form_factor_validation():
@@ -74,18 +83,17 @@ def test_form_factor_validation():
         FormFactor.exponential(-1.0)
     with pytest.raises(ValueError):
         FormFactor.dipole(math.inf)
-
-
-def test_dipole_requires_mu():
-    with pytest.raises(ValueError):
-        FormFactor.dipole(10.0).evaluate(2.0)
+    with pytest.raises(ValueError):  # Lambda^2 underflows to 0
+        FormFactor.dipole(1e-170)
+    assert FormFactor.dipole(1e-160).lam == 1e-160
 
 
 def test_vertex_weight():
     ff = FormFactor.sharp(10.0)
-    assert vertex_weight(0.0, ff, 2.0) == 0.0
-    assert math.isclose(vertex_weight(1.0, ff, 2.0), VERTEX_AT_W2, rel_tol=1e-14)
-    assert vertex_weight(1.0, ff, 11.0) == 0.0
+    k_w2 = math.sqrt(3.0)  # omega = 2
+    assert vertex_weight(0.0, ff, k_w2, MU) == 0.0
+    assert math.isclose(vertex_weight(1.0, ff, k_w2, MU), VERTEX_AT_W2, rel_tol=1e-14)
+    assert vertex_weight(1.0, ff, 11.0, MU) == 0.0
 
 
 def test_dressing_amplitude_values():

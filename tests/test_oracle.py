@@ -93,8 +93,7 @@ def test_build_arrowhead_entries_pointwise():
     mat = build_arrowhead(PARAMS, bare, grid)
     om = np.asarray(omega(grid.k, PARAMS.mu))
     assert np.allclose(mat.diag, PARAMS.m_n + om, rtol=1e-14, atol=0.0)
-    expected = np.asarray(vertex_weight(bare.g0, PARAMS.form_factor, om,
-                                        PARAMS.mu)) * np.sqrt(grid.w)
+    expected = vertex_weight(bare.g0, PARAMS.form_factor, grid.k, PARAMS.mu) * np.sqrt(grid.w)
     assert np.allclose(mat.coupling, expected, rtol=1e-14, atol=0.0)
 
 

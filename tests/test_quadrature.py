@@ -50,11 +50,13 @@ from helpers import (
     I2_EXP10_NEAR_THRESHOLD,
     M_NEAR_THRESHOLD,
     MU,
+    M_N,
     RADIAL_F2_OVER_2W,
     SHARP_K_CUT,
     SPEC,
     X_AT_G1,
     dipole_model,
+    dipole_moments_reference,
     exponential_model,
     riemann_radial,
     sharp_model,
@@ -209,6 +211,33 @@ def test_sharp_moments_match_closed_form(lam, delta):
         assert math.isclose(value, ref, rel_tol=1e-13), (value, ref)
 
 
+@pytest.mark.parametrize("lam_over_mu", (1e-2, 1e-4, 1e-7))
+@pytest.mark.parametrize("delta", (0.5, 1e-6))
+def test_dipole_moments_for_lambda_far_below_mu(lam_over_mu, delta):
+    # f is evaluated on k itself: rebuilding k^2 as omega^2 - mu^2 lost
+    # eps (mu/Lambda)^2 of it, 6e-9 at Lambda = 1e-4 mu and 7e-3 at 1e-7 mu
+    params = ModelParams(m_n=M_N, mu=MU, form_factor=FormFactor.dipole(lam_over_mu * MU))
+    m = params.threshold - delta * MU
+    exact = dipole_moments_reference(lam_over_mu * MU, params.threshold - m)
+    for value, ref in zip(spectral_moments(m, params, SPEC), exact):
+        assert math.isclose(value, ref, rel_tol=1e-11), (value, ref)
+
+
+@pytest.mark.parametrize("kind", ("sharp", "exponential", "dipole"))
+@pytest.mark.parametrize("lam_over_mu", (1e-140, 1e-150, 1e-155, 1e-160, 1e-170,
+                                         1e-300, 1e-310, 1e-320))
+@pytest.mark.parametrize("mu", (1e-100, 1.0, 1e100))
+def test_tiny_lambda_is_refused_or_finite(kind, lam_over_mu, mu):
+    # a Lambda whose square underflows is refused when built; any other gives
+    # finite moments with no numpy warning (warnings are errors here)
+    try:
+        params = ModelParams(m_n=0.0, mu=mu, form_factor=FormFactor(kind, lam_over_mu * mu))
+    except ValueError:
+        assert (lam_over_mu * mu) ** 2 == 0.0
+        return
+    assert all(math.isfinite(v) for v in spectral_moments(0.5 * mu, params, SPEC))
+
+
 def _uncached_moments(m, params, orders=(1, 2)):
     # the moment pass with every sinh rule rebuilt at every level, as if
     # nothing were kept for the model
@@ -220,7 +249,7 @@ def _uncached_moments(m, params, orders=(1, 2)):
         k, wk = _sinh_panels(upper_momentum(params), kappa, panels)
         k2 = k * k
         om = np.sqrt(k2 + mu * mu)
-        fval = np.asarray(ff.evaluate(om, mu), dtype=float)
+        fval = ff.evaluate(k, mu)
         rho = wk * k2 * fval * fval / (2.0 * om)
         inv = -1.0 / (delta + k2 / (om + mu))
         return (FOUR_PI * np.array([rho.dot(inv ** n) for n in orders])).tolist()
@@ -268,9 +297,9 @@ def test_bare_sweep_evaluates_the_form_factor_once_per_octave_and_panel_count(mo
     sizes, keys = [], []
     evaluate, sinh_panels = FormFactor.evaluate, _sinh_panels
 
-    def counted(self, omega_val, mu=None):
-        sizes.append(np.size(omega_val))
-        return evaluate(self, omega_val, mu)
+    def counted(self, k, mu):
+        sizes.append(np.size(k))
+        return evaluate(self, k, mu)
 
     def recorded(hi, kappa, panels, order=NODES_PER_PANEL):
         if order == NODES_PER_PANEL:
@@ -295,9 +324,9 @@ def test_alternating_models_keep_their_rules(monkeypatch):
     calls = []
     evaluate = FormFactor.evaluate
 
-    def counted(self, omega_val, mu=None):
+    def counted(self, k, mu):
         calls.append(self.kind)
-        return evaluate(self, omega_val, mu)
+        return evaluate(self, k, mu)
 
     monkeypatch.setattr(FormFactor, "evaluate", counted)
     _moment_rule.cache_clear()
