@@ -34,7 +34,8 @@ files.  Per-point failures in a sweep land in the "error" column and the run
 continues.  Exit codes: 0 success, 1 a numerical failure raised as a typed
 LeeModelError (NoConvergence, say, or an overflowing mass residual), 2 bad
 configuration, 3 no bound state (bare mode), 4 output I/O failure.  A
-ghost-regime result is a result, not an error.
+ghost-regime result is a result, not an error.  Config values are checked by
+the library's own rules, and an error names the field with their message.
 """
 
 from __future__ import annotations
@@ -50,8 +51,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (BareCoupling, FormFactor, ModelParams, RenCoupling,
-                   FORM_FACTOR_KINDS, SHARP, ensure_stable)
-from .errors import ConfigError, LeeModelError, NoBoundState, StabilityViolation
+                   FORM_FACTOR_KINDS, SHARP, _ensure_mu, ensure_stable)
+from .errors import ConfigError, LeeModelError, NoBoundState
 from .oracle import GRID_SCHEMES, GAUSS_LEGENDRE_K, convergence_study
 from .quadrature import QuadSpec, upper_momentum
 from .renorm import RenormReport, full_report
@@ -87,10 +88,11 @@ class RunConfig:
     out_format: str
 
 
-def _section(doc: dict, name: str) -> dict:
-    sec = doc.get(name, {})
+def _section(parent: dict, path: str) -> dict:
+    """Pop the object at ``path``, whose last part is its key in ``parent``."""
+    sec = parent.pop(path.rsplit(".", 1)[-1], {})
     if not isinstance(sec, dict):
-        raise ConfigError(name, "must be an object")
+        raise ConfigError(path, "must be an object")
     return dict(sec)
 
 
@@ -141,10 +143,7 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(key, "unknown section")
 
     model = _section(doc, "model")
-    ff_sec = model.pop("form_factor", {})
-    if not isinstance(ff_sec, dict):
-        raise ConfigError("model.form_factor", "must be an object")
-    ff_sec = dict(ff_sec)
+    ff_sec = _section(model, "model.form_factor")
     kind = _field(ff_sec, "model.form_factor", "kind", str, SHARP, FORM_FACTOR_KINDS)
     lam = _field(ff_sec, "model.form_factor", "lambda", float, 10.0)
     _no_leftovers(ff_sec, "model.form_factor")
@@ -152,8 +151,7 @@ def parse_config(text: str) -> RunConfig:
     m_n = _field(model, "model", "m_N", float, 1.0)
     mu = _field(model, "model", "mu", float, 1.0)
     _no_leftovers(model, "model")
-    if not (mu > 0.0 and math.isfinite(mu * mu)):
-        raise ConfigError("model.mu", "must be positive with a finite square")
+    _build("model.mu", _ensure_mu, mu)
     # with mu in range, what ModelParams can still refuse is the momentum range, set by Lambda
     params = _build("model.form_factor.lambda", ModelParams, m_n, mu, form_factor)
 
@@ -165,11 +163,7 @@ def parse_config(text: str) -> RunConfig:
     strength = _field(inp, "input", coupling_key, float, 0.0)
     coupling = _build(f"input.{coupling_key}", make, mass, strength)
     if make is RenCoupling:
-        try:
-            ensure_stable(params, mass)
-        except StabilityViolation as exc:
-            raise ConfigError("input.m_V",
-                              "must lie below the N+theta threshold m_N + mu") from exc
+        _build("input.m_V", ensure_stable, params, mass)
     _no_leftovers(inp, "input")
 
     sweep = None
@@ -196,10 +190,9 @@ def parse_config(text: str) -> RunConfig:
     tols = {field.name: _field(qd, "quad", field.name, float, field.default)
             for field in dataclasses.fields(QuadSpec)}
     _no_leftovers(qd, "quad")
+    quad = QuadSpec()
     for key, tol in tols.items():
-        if tol <= 0.0:
-            raise ConfigError(f"quad.{key}", "must be positive")
-    quad = QuadSpec(**tols)
+        quad = _build(f"quad.{key}", dataclasses.replace, quad, **{key: tol})
 
     orc = _section(doc, "oracle")
     n = _field(orc, "oracle", "n", int, _DEFAULT_ORACLE_N)

@@ -96,6 +96,16 @@ class FormFactor:
         return _maybe_scalar(np.exp(-om / self.lam), k)
 
 
+def _ensure_mu(mu: float) -> None:
+    if not (math.isfinite(mu * mu) and mu > 0.0):
+        raise ValueError("theta mass mu must be positive with a finite square")
+
+
+def _ensure_coupling(name: str, g: float) -> None:
+    if not (math.isfinite(g * g) and g >= 0.0):
+        raise ValueError(f"{name} must be nonnegative with a finite square")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Masses and regulator defining one Lee-model instance.
@@ -104,10 +114,10 @@ class ModelParams:
     coupling live in :class:`BareCoupling` / :class:`RenCoupling` because they
     are the quantities the renormalization maps exchange.
 
-    The domain is checked here, once: a finite m_N, a positive mu with a
-    finite square (so below 1.3e154, which also keeps the threshold m_N + mu
-    finite), and a momentum range on which every product of the quadrature
-    rules stays finite (:func:`leemodel.quadrature.ensure_finite_rules`).
+    The domain is checked here, once: a finite m_N, mu positive with a finite
+    square (below 1.3e154, which keeps m_N + mu finite; :func:`omega` applies
+    the same rule), and a momentum range on which every product of the
+    quadrature rules stays finite (:func:`leemodel.quadrature.ensure_finite_rules`).
     """
 
     m_n: float
@@ -115,8 +125,7 @@ class ModelParams:
     form_factor: FormFactor
 
     def __post_init__(self):
-        if not (math.isfinite(self.mu * self.mu) and self.mu > 0.0):
-            raise ValueError("theta mass mu must be positive with a finite square")
+        _ensure_mu(self.mu)
         if not math.isfinite(self.m_n):
             raise ValueError("N mass must be finite")
         if not isinstance(self.form_factor, FormFactor):
@@ -132,7 +141,7 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class BareCoupling:
-    """Bare V mass and bare coupling (only g0^2 is observable, and must be finite; g0 >= 0)."""
+    """Bare V mass m_v0 (finite) and coupling g0 >= 0 with a finite square (g0^2 is observable)."""
 
     m_v0: float
     g0: float
@@ -140,17 +149,16 @@ class BareCoupling:
     def __post_init__(self):
         if not math.isfinite(self.m_v0):
             raise ValueError("bare V mass must be finite")
-        if not (math.isfinite(self.g0 * self.g0) and self.g0 >= 0.0):
-            raise ValueError("bare coupling g0 must be nonnegative with a finite square")
+        _ensure_coupling("bare coupling g0", self.g0)
 
 
 @dataclass(frozen=True)
 class RenCoupling:
-    """Physical V mass and renormalized coupling g (g >= 0).
+    """Physical V mass m_v (finite) and coupling g >= 0 with a finite square, as for g0.
 
     A consistent point also needs m_v < m_N + mu (bound state below the
-    continuum); that window is checked wherever energy denominators appear,
-    since it involves the model masses.
+    continuum); that window involves the model masses, so
+    :func:`ensure_stable` tests it wherever energy denominators appear.
     """
 
     m_v: float
@@ -159,8 +167,7 @@ class RenCoupling:
     def __post_init__(self):
         if not math.isfinite(self.m_v):
             raise ValueError("physical V mass must be finite")
-        if not (math.isfinite(self.g) and self.g >= 0.0):
-            raise ValueError("renormalized coupling g must be nonnegative and finite")
+        _ensure_coupling("renormalized coupling g", self.g)
 
 
 class Regime(enum.Enum):
@@ -183,8 +190,7 @@ def ensure_stable(params: ModelParams, m: float, label: str = "m_V") -> None:
 
 def omega(k, mu: float):
     """Theta energy sqrt(k^2 + mu^2) for momentum magnitude k (scalar or array)."""
-    if not (math.isfinite(mu) and mu > 0.0):
-        raise ValueError("mu must be positive and finite")
+    _ensure_mu(mu)
     k_arr = np.asarray(k, dtype=float)
     if np.any(k_arr < 0.0) or not np.all(np.isfinite(k_arr)):
         raise ValueError("momentum magnitude k must be nonnegative and finite")

@@ -21,8 +21,9 @@ class NoConvergence(LeeModelError, RuntimeError):
 
 
 class DegenerateModel(LeeModelError, ValueError):
-    """The form factor vanishes on the whole integration range, so the
-    coupling-strength integral is zero and no critical coupling exists."""
+    """The model is degenerate: its form factor vanishes on the whole range, so
+    no critical coupling exists, or an oracle grid's continuum energies
+    m_N + omega_k coincide in floats (m_N = 1e102, say)."""
 
 
 class PoleHit(LeeModelError, ValueError):

@@ -37,7 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import BareCoupling, ModelParams, omega, vertex_weight
-from .errors import NoConvergence, PoleHit
+from .errors import DegenerateModel, NoConvergence, PoleHit
 from .quadrature import FOUR_PI, _gauss_nodes
 
 UNIFORM_K = "uniform"
@@ -135,7 +135,7 @@ class ArrowheadMatrix:
         if d.ndim != 1 or c.shape != d.shape or d.size < 1:
             raise ValueError("diag and coupling must be 1-d arrays of equal length")
         if not np.all(np.diff(d) > 0.0):
-            raise ValueError("diagonal entries must be strictly increasing")
+            raise DegenerateModel("diagonal entries must be strictly increasing")
         d.flags.writeable = False
         c.flags.writeable = False
 

@@ -50,7 +50,7 @@ from typing import Callable
 import numpy as np
 
 from .core import SHARP, ModelParams, dressing_amplitude, ensure_stable
-from .errors import NoConvergence, StabilityViolation
+from .errors import NoConvergence
 
 FOUR_PI = 4.0 * math.pi
 START_PANELS = 4
@@ -202,10 +202,8 @@ def _moment_pass(m: float, params: ModelParams, spec: QuadSpec,
                  orders: tuple[int, ...]) -> tuple[list[float], tuple[float, int]]:
     """:func:`spectral_moments` and the rule they settled on, (kappa, panels)."""
     delta = params.threshold - m
-    if not (delta > 0.0 or (delta == 0.0 and max(orders) == 1)):
-        raise StabilityViolation(
-            f"m = {m!r} is not below the N+theta threshold {params.threshold!r}; "
-            f"moment(s) {orders} need delta = m_N + mu - m > 0 (I1 alone allows 0)")
+    if delta != 0.0 or max(orders) != 1:  # I1 alone is finite at delta = 0
+        ensure_stable(params, m, label="m")
     kappa, ff = _threshold_scale(params, delta), params.form_factor
     values, panels = _refine(lambda n: _moments_on(params, kappa, n, delta, orders), spec,
                              lambda: f"moment(s) {orders} of the {ff.kind} form factor "

@@ -255,10 +255,10 @@ def _from_renormalized(params: ModelParams, ren: RenCoupling, spec: QuadSpec) ->
     i1, i2 = _moment_pass(ren.m_v, params, spec, (1, 2))[0]
     g_sq = ren.g * ren.g
     x = g_sq / TWO_PI_CUBED * i2
-    if not math.isfinite(x):  # also catches g^2 = inf, which makes x inf or nan
+    if not math.isfinite(x):  # g^2 is finite, but a large I2 can still overflow x
         raise StabilityViolation(
-            f"g = {ren.g!r} at m_V = {ren.m_v!r} gives g^2 = {g_sq!r} and x = {x!r}; "
-            f"the renormalized coupling must keep both finite")
+            f"g = {ren.g!r} at m_V = {ren.m_v!r} gives x = {x!r}; "
+            f"the renormalized coupling must keep x finite")
     regime = classify_regime(x)
     m_v0 = delta_m = g0_sq = None
     if regime is Regime.NORMAL:
@@ -297,7 +297,7 @@ def full_report(params: ModelParams, coupling: "BareCoupling | RenCoupling",
     in the normal regime.  From a renormalized input the strength decides the
     regime; outside the Normal regime (Critical or Ghost) the bare-side fields
     are absent (None) rather than an error, so ghost points remain reportable.
-    A renormalized g whose g^2 or x overflows raises StabilityViolation.
+    A renormalized g whose x overflows raises StabilityViolation.
     """
     if isinstance(coupling, BareCoupling):
         solved = _newton(params, coupling, spec)

@@ -1,10 +1,15 @@
 import ast
 import importlib
 import importlib.util
+import itertools
+import json
+import os
 import pathlib
+from unittest import mock
 
 import leemodel
 from leemodel import BareCoupling, full_report
+from leemodel.cli import parse_config
 from leemodel.oracle import build_arrowhead, build_grid
 from leemodel.quadrature import _moment_rule
 
@@ -12,6 +17,14 @@ from helpers import ALL_MODELS, SHARP_K_CUT, SPEC, sharp_model
 
 BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
 WORKLOADS = BENCH / "workloads.py"
+
+
+def _load_bench(name: str):
+    """The benchmark module ``bench/<name>.py``, loaded as the benchmark loads it."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_benchmark_uses_only_the_public_api():
@@ -38,10 +51,7 @@ def test_traced_form_factor_spans_carry_their_node_count():
     # node array it was passed, read positionally, so every call in the
     # package must pass it that way; rules are built cold so each family
     # evaluates its form factor, and the oracle reaches it through vertex_weight
-    spec = importlib.util.spec_from_file_location("bench_spans", BENCH / "spans.py")
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
-    recorder = spans.SpanRecorder()
+    recorder = _load_bench("spans").SpanRecorder()
     recorder.install()
     try:
         for make in ALL_MODELS:
@@ -53,3 +63,20 @@ def test_traced_form_factor_spans_carry_their_node_count():
     evaluated = [span for span in recorder.spans if span.name == "core.evaluate"]
     assert len(evaluated) > len(ALL_MODELS)
     assert all(span.error is None and span.size > 0 for span in evaluated), evaluated
+
+
+def test_benchmark_config_documents_parse(tmp_path):
+    # every sweep-bare job is a CLI run on a config file, and the setup run
+    # starts the CLI on FREE_CONFIG: a refusal would fail every job, or abort
+    # the benchmark before it measured anything
+    with mock.patch.dict(os.environ):  # run.py pins the BLAS threads at import
+        run = _load_bench("run")
+    workloads = _load_bench("workloads")
+    documents = [json.dumps(run.FREE_CONFIG)]
+    for seed in (1, 2, 3):
+        sweeps = workloads.SweepBare(seed, str(tmp_path))
+        for job in itertools.islice(sweeps.jobs(), 12):
+            sweeps.prepare(job)
+            documents.append(pathlib.Path(sweeps._paths()[0]).read_text(encoding="utf-8"))
+    for text in documents:
+        parse_config(text)

@@ -390,3 +390,13 @@ def test_import_loads_no_scipy():
                             capture_output=True, text=True, env=_child_env())
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def test_main_validate_oracle_with_coinciding_grid_energies(tmp_path, capsys):
+    # m_N = 1e102 swamps omega_k, so the grid's continuum energies m_N + omega_k
+    # coincide in floats; a typed error (exit 1), where a ValueError once escaped
+    cfg = _write(tmp_path, "cfg.json", {"model": {"m_N": 1e102},
+                                        "input": {"mode": "bare", "m_V0": 0.0}})
+    assert main(["--config", cfg, "--validate-oracle"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: diagonal entries must be strictly increasing")

@@ -33,6 +33,8 @@ def test_omega_domain_errors():
         omega(1.0, -2.0)
     with pytest.raises(ValueError):
         omega(math.nan, 1.0)
+    with pytest.raises(ValueError, match="finite square"):  # mu^2 = inf, as ModelParams refuses
+        omega(1.0, 1e200)
 
 
 def test_omega_monotone_and_bounded():

@@ -19,6 +19,7 @@ from leemodel import (
     BareCoupling,
     FormFactor,
     ModelParams,
+    NoBoundState,
     QuadSpec,
     Regime,
     RenCoupling,
@@ -102,3 +103,40 @@ def test_sharp_bare_solve_stops_relative_to_delta(lam, log_delta, log_s):
     floor = 16.0 * sys.float_info.epsilon * (abs(m_v - bare.m_v0) + abs(c * i1)) / (1.0 + c * i2)
     bound = ROOT_TOL * min(delta, max(1.0, abs(m_v))) + 4.0 * math.ulp(m_v) + floor
     assert abs(report.m_v - m_v) <= bound
+
+
+def _bare_z(m_n, mu, family, lam, m_v0, g0):
+    """(Z, delta) of a bare point, or None when it has no bound state."""
+    params = ModelParams(m_n=m_n, mu=mu, form_factor=FormFactor(family, lam))
+    try:
+        report = full_report(params, BareCoupling(m_v0=m_v0, g0=g0), QuadSpec())
+    except NoBoundState:
+        return None
+    return report.z_standard, params.threshold - report.m_v
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(family=st.sampled_from(FORM_FACTOR_KINDS),
+       lam=st.floats(1.5, 40.0),
+       log_delta0=st.floats(-8.0, math.log10(2.0)),
+       side=st.sampled_from((-1.0, -1.0, -1.0, 1.0)),
+       log_g0=st.floats(-1.0, math.log10(3.2)))
+def test_bare_solve_is_covariant_under_scale_and_shift(family, lam, log_delta0, side, log_g0):
+    # physics depends on m - m_N, and on mu only through scale; a quarter of
+    # the points start above the threshold.  delta0 is a multiple of 2^-33,
+    # so m_V0 - m_N is exact for m_N up to 2^20
+    delta0 = math.ldexp(round(math.ldexp(10.0 ** log_delta0, 33)), -33)
+    g0 = 10.0 ** log_g0
+    base = _bare_z(M_N, MU, family, lam, M_N + MU + side * delta0, g0)
+    for s in (2.0 ** 10, 2.0 ** -10, 1e3, 1e-3):
+        scaled = _bare_z(M_N * s, MU * s, family, lam * s, (M_N + MU + side * delta0) * s, g0)
+        assert (scaled is None) == (base is None), s
+        if base is not None:
+            assert abs(scaled[0] - base[0]) <= 1e-12, s
+    for m_n in (1e3, 1e6):
+        shifted = _bare_z(m_n, MU, family, lam, m_n + MU + side * delta0, g0)
+        assert (shifted is None) == (base is None), m_n
+        if base is not None:
+            # each solve stops within about 4 ulp(m) of its root, and
+            # |d ln Z / d ln delta| <= 2 (1 - Z) <= 2
+            assert abs(shifted[0] - base[0]) <= 16.0 * math.ulp(m_n) / base[1], m_n

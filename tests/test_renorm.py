@@ -420,9 +420,17 @@ def test_critical_band_below_one_has_no_bare_side():
 
 @pytest.mark.parametrize("call", (full_report, bare_from_renormalized))
 def test_renormalized_coupling_with_infinite_square_raises(call):
-    # g^2 overflows to inf: no report with x = inf and z_standard = -inf
-    with pytest.raises(StabilityViolation, match="g = 1e[+]160"):
+    # g^2 overflows to inf: RenCoupling refuses g as BareCoupling refuses g0,
+    # so no call sees x = inf and z_standard = -inf
+    with pytest.raises(ValueError, match="renormalized coupling g .* finite square"):
         call(PARAMS, RenCoupling(m_v=1.5, g=1e160), SPEC)
+
+
+@pytest.mark.parametrize("call", (full_report, bare_from_renormalized))
+def test_renormalized_coupling_whose_x_overflows_raises(call):
+    # g^2 = 1e308 is finite, but I2 = 1.4e3 at delta = 1e-4 overflows x
+    with pytest.raises(StabilityViolation, match="g = 1e[+]154 .* x = inf"):
+        call(PARAMS, RenCoupling(m_v=2.0 - 1e-4, g=1e154), SPEC)
 
 
 @pytest.mark.parametrize("m_v0", (1.5, 2.5))  # below and above the threshold 2
