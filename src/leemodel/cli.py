@@ -276,9 +276,9 @@ def emit(table: list[dict], out_format: str, path: str) -> None:
                 writer.writerow([_cell(row[col]) for col in COLUMNS])
     elif out_format == "json":
         ordered = [{col: row[col] for col in COLUMNS} for row in table]
+        text = json.dumps(ordered, indent=2) + "\n"
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            json.dump(ordered, fh, indent=2)
-            fh.write("\n")
+            fh.write(text)
     else:
         raise ValueError(f"unknown output format {out_format!r}")
 
@@ -304,20 +304,23 @@ def _validate_oracle(config: RunConfig) -> int:
     return 0
 
 
+# built once: parse_args keeps nothing from one call to the next
+_PARSER = argparse.ArgumentParser(
+    prog="leemodel",
+    description="Renormalization of the one-V sector of the Lee model: "
+                "physical mass, wavefunction renormalization, ghost diagnostics.",
+)
+_PARSER.add_argument("--config", required=True, help="path to the JSON run config")
+_PARSER.add_argument("--out", help="override output.path from the config")
+_PARSER.add_argument("--format", choices=("csv", "json"),
+                     help="override output.format from the config")
+_PARSER.add_argument("--validate-oracle", action="store_true",
+                     help="run the discretized-Hamiltonian convergence table "
+                          "instead of writing an output file")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="leemodel",
-        description="Renormalization of the one-V sector of the Lee model: "
-                    "physical mass, wavefunction renormalization, ghost diagnostics.",
-    )
-    parser.add_argument("--config", required=True, help="path to the JSON run config")
-    parser.add_argument("--out", help="override output.path from the config")
-    parser.add_argument("--format", choices=("csv", "json"),
-                        help="override output.format from the config")
-    parser.add_argument("--validate-oracle", action="store_true",
-                        help="run the discretized-Hamiltonian convergence table "
-                             "instead of writing an output file")
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
 
     try:
         config = load_config(args.config)

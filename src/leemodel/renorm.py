@@ -22,10 +22,17 @@ Since I2 = -dI1/dm, the slope of the mass residual m - m_V0 - (g0^2/(2 pi)^3) I1
 is exactly 1/Z_V: the physical mass is found by Newton steps on one quadrature
 rule, refined only to pick it and to confirm the root, and Z_V comes from the
 confirming pass's I2.
+
+The module's one piece of state is the solve's opening pass, at m_V0 or at
+the threshold: it does not depend on g0, so the last OPENING_PASSES_KEPT of
+them are kept as tuples (:func:`_opening_pass`) and the points of a g0 sweep
+share one.  A miss recomputes it bit for bit, so nothing kept shows in a
+result.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -40,6 +47,9 @@ TWO_PI_CUBED = (2.0 * math.pi) ** 3
 NEWTON_CAP = 100
 ROOT_TOL = 1e-12    # see solve_physical_mass
 REGIME_TOL = 1e-12  # see classify_regime
+# Opening passes kept, one per (model, tolerances, start point, orders): a g0
+# sweep shares one, and a handful lets a few models used in turn keep theirs.
+OPENING_PASSES_KEPT = 8
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 _EPS = sys.float_info.epsilon
@@ -71,6 +81,15 @@ def mass_shift(params: ModelParams, g0: float, m_v: float, spec: QuadSpec) -> fl
     return g0 * g0 / TWO_PI_CUBED * mass_shift_integral(m_v, params, spec)
 
 
+@functools.lru_cache(maxsize=OPENING_PASSES_KEPT)
+def _opening_pass(m: float, params: ModelParams, spec: QuadSpec,
+                  orders: tuple[int, ...]) -> tuple[tuple[float, ...], tuple[float, int]]:
+    """:func:`_moment_pass` at a solve's start, m_V0 or the threshold, kept as
+    tuples so that no caller can change a kept value; errors are not kept."""
+    values, rule = _moment_pass(m, params, spec, orders)
+    return tuple(values), rule
+
+
 def _newton(params: ModelParams, bare: BareCoupling,
             spec: QuadSpec) -> tuple[float, float] | None:
     """Root m_V of F(m) = m - m_V0 - c I1(m), c = g0^2/(2 pi)^3, and s = c I2(m_V).
@@ -83,7 +102,8 @@ def _newton(params: ModelParams, bare: BareCoupling,
     the midpoint of m and the threshold, whichever lies further right, so that
     delta at least halves instead of creeping along the chord.
     Steps after a refined pass run on its rule; one that settles there is refined
-    again at the same m.  A step settles when it moves m by at most
+    again at the same m; the opening pass is kept (:func:`_opening_pass`).
+    A step settles when it moves m by at most
     ROOT_TOL * min(delta, max(1, |m|)), relative to delta = threshold - m so
     that delta, and Z and x through it, keep their accuracy near the
     threshold; or by at most 4 ulp(m) + 8 eps (|m - m_V0| + |c I1|) / (1 + s),
@@ -96,19 +116,20 @@ def _newton(params: ModelParams, bare: BareCoupling,
         return (bare.m_v0, 0.0) if bare.m_v0 < thr else None
     c = bare.g0 * bare.g0 / TWO_PI_CUBED
     f_thr = None
-    m = bare.m_v0
+    m, refine = bare.m_v0, _opening_pass
     if m >= thr:
-        f_thr = thr - bare.m_v0 - c * _moment_pass(thr, params, spec, (1,))[0][0]
+        f_thr = thr - bare.m_v0 - c * _opening_pass(thr, params, spec, (1,))[0][0]
         if not math.isfinite(f_thr):
             raise _overflow(params, bare, thr, f"F = {f_thr!r}")
         if f_thr <= 0.0:
             return None
-        m = thr - f_thr
+        m, refine = thr - f_thr, _moment_pass
     rule = None
     for _ in range(NEWTON_CAP):
         held = rule
         if held is None:
-            (i1, i2), rule = _moment_pass(m, params, spec, (1, 2))
+            (i1, i2), rule = refine(m, params, spec, (1, 2))
+            refine = _moment_pass
         else:
             i1, i2 = _moments_on(params, *held, thr - m, (1, 2))
         f = m - bare.m_v0 - c * i1

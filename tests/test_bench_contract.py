@@ -12,6 +12,7 @@ from leemodel import BareCoupling, full_report
 from leemodel.cli import parse_config
 from leemodel.oracle import build_arrowhead, build_grid
 from leemodel.quadrature import _moment_rule
+from leemodel.renorm import _opening_pass
 
 from helpers import ALL_MODELS, SHARP_K_CUT, SPEC, sharp_model
 
@@ -56,6 +57,7 @@ def test_traced_form_factor_spans_carry_their_node_count():
     try:
         for make in ALL_MODELS:
             _moment_rule.cache_clear()
+            _opening_pass.cache_clear()
             full_report(make(), BareCoupling(1.9, 1.0), SPEC)
         build_arrowhead(sharp_model(), BareCoupling(1.8, 1.0), build_grid(SHARP_K_CUT, 64))
     finally:

@@ -212,6 +212,47 @@ def test_emit_round_trips_floats_exactly(tmp_path):
                 assert float(cells[col]) == row[col]
 
 
+def test_emit_json_golden_bytes(tmp_path):
+    # the exact file text: indent 2, keys in COLUMNS order whatever order the
+    # row dicts hold them in, ASCII escapes, and one trailing newline
+    numeric = {"error": "", "regime": "Normal", "z_regularized": 0.75, "z_standard": 0.75,
+               "x": 0.25, "g_sq": 0.1 + 0.2, "g0_sq": 0.4, "delta_m": -0.05,
+               "m_V0": 1.8, "m_V": 1.75, "sweep_value": 0.5}
+    error = dict.fromkeys(reversed(COLUMNS))
+    error.update(sweep_value=1.0, regime="", error='NoConvergence: "I2" at δ = 1e-13')
+    path = tmp_path / "golden.json"
+    emit([numeric, error], "json", str(path))
+    assert path.read_bytes().decode("ascii") == (
+        '[\n'
+        '  {\n'
+        '    "sweep_value": 0.5,\n'
+        '    "m_V": 1.75,\n'
+        '    "m_V0": 1.8,\n'
+        '    "delta_m": -0.05,\n'
+        '    "g0_sq": 0.4,\n'
+        '    "g_sq": 0.30000000000000004,\n'
+        '    "x": 0.25,\n'
+        '    "z_standard": 0.75,\n'
+        '    "z_regularized": 0.75,\n'
+        '    "regime": "Normal",\n'
+        '    "error": ""\n'
+        '  },\n'
+        '  {\n'
+        '    "sweep_value": 1.0,\n'
+        '    "m_V": null,\n'
+        '    "m_V0": null,\n'
+        '    "delta_m": null,\n'
+        '    "g0_sq": null,\n'
+        '    "g_sq": null,\n'
+        '    "x": null,\n'
+        '    "z_standard": null,\n'
+        '    "z_regularized": null,\n'
+        '    "regime": "",\n'
+        '    "error": "NoConvergence: \\"I2\\" at \\u03b4 = 1e-13"\n'
+        '  }\n'
+        ']\n')
+
+
 # --- the executable -----------------------------------------------------------------
 
 def _write(tmp_path, name, doc) -> str:
@@ -253,6 +294,32 @@ def test_main_flag_overrides(tmp_path):
     assert out.exists()
     assert not (tmp_path / "ignored.csv").exists()
     json.loads(out.read_text())
+
+
+def test_repeated_main_calls_keep_no_overrides(tmp_path, capsys):
+    # calls in one process share the argument parser: the second call, with
+    # no flags, must write the config's own path and format
+    own = tmp_path / "own.csv"
+    cfg = _write(tmp_path, "cfg.json", {
+        "input": {"mode": "bare", "m_V0": 1.8, "g0": 1.0},
+        "output": {"path": str(own), "format": "csv"},
+    })
+    chosen = tmp_path / "chosen.json"
+    assert main(["--config", cfg, "--out", str(chosen), "--format", "json"]) == 0
+    first = chosen.read_text()
+    assert not own.exists()
+    assert main(["--config", cfg]) == 0
+    assert own.read_text().splitlines()[0] == ",".join(COLUMNS)
+    assert chosen.read_text() == first
+    assert json.loads(first)[0]["m_V"] == float(own.read_text().splitlines()[1].split(",")[1])
+    for bad in ([], ["--config", cfg, "--format", "xml"], ["--config", cfg, "--bogus"]):
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == 2
+    capsys.readouterr()
+    own.unlink()
+    assert main(["--config", cfg]) == 0
+    assert own.exists()
 
 
 def test_main_exit_codes(tmp_path, capsys):

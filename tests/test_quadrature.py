@@ -42,6 +42,7 @@ from leemodel.quadrature import (
     _sinh_panels,
     _threshold_scale,
 )
+from leemodel.renorm import _opening_pass
 
 from helpers import (
     ALL_MODELS,
@@ -257,6 +258,12 @@ def _uncached_moments(m, params, orders=(1, 2)):
     return tuple(_refine(estimate, SPEC, lambda: "reference")[0])
 
 
+def _forget_kept_rules():
+    """Start cold: no moment rule and no opening pass of a solve kept."""
+    _moment_rule.cache_clear()
+    _opening_pass.cache_clear()
+
+
 def test_kept_rules_never_change_a_bit():
     model_a, model_b = exponential_model(lam=40.0), dipole_model()
     masses = (1.5, 1.99, M_NEAR_THRESHOLD)
@@ -308,7 +315,7 @@ def test_bare_sweep_evaluates_the_form_factor_once_per_octave_and_panel_count(mo
 
     monkeypatch.setattr(FormFactor, "evaluate", counted)
     monkeypatch.setattr(leemodel.quadrature, "_sinh_panels", recorded)
-    _moment_rule.cache_clear()
+    _forget_kept_rules()
     cfg = parse_config(json.dumps({
         "model": {"form_factor": {"kind": "exponential", "lambda": 10.0}},
         "input": {"mode": "bare", "m_V0": 1.99},
@@ -329,7 +336,7 @@ def test_alternating_models_keep_their_rules(monkeypatch):
         return evaluate(self, k, mu)
 
     monkeypatch.setattr(FormFactor, "evaluate", counted)
-    _moment_rule.cache_clear()
+    _forget_kept_rules()
     model_a, model_b = exponential_model(), dipole_model()
     reports = [full_report(params, BareCoupling(1.9, 1.0), SPEC)
                for params in (model_a, model_b, model_a, model_b)]
@@ -340,15 +347,15 @@ def test_alternating_models_keep_their_rules(monkeypatch):
 
 def test_full_report_threads_match_serial():
     # 18 models of at least two rules each overflow the RULES_KEPT kept
-    # rules, so the threads evict each other's rules
+    # rules, and the kept opening passes, so the threads evict each other's
     points = [(make(lam), BareCoupling(1.9, g0))
               for lam in (2.0, 3.0, 4.0, 5.0, 7.0, 10.0, 15.0, 20.0, 30.0)
               for g0 in (0.5, 2.0) for make in (exponential_model, dipole_model)]
     assert len({params for params, _ in points}) > 16
-    _moment_rule.cache_clear()
+    _forget_kept_rules()
     serial = [full_report(params, bare, SPEC) for params, bare in points]
     assert _moment_rule.cache_info().misses > RULES_KEPT
-    _moment_rule.cache_clear()
+    _forget_kept_rules()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:

@@ -10,6 +10,7 @@ from leemodel import (
     DegenerateModel,
     FormFactor,
     GhostRegime,
+    LeeModelError,
     ModelParams,
     NoBoundState,
     NoConvergence,
@@ -32,6 +33,7 @@ from leemodel import (
     standard_z,
     z_from_bare,
 )
+from leemodel.renorm import _opening_pass
 
 from helpers import (
     ACC_BARE,
@@ -189,9 +191,11 @@ def test_bare_solve_is_confirmed_by_a_fresh_pass(make, lam, m_v0):
     assert report.z_standard == 1.0 / (1.0 + c * i2)
 
 
-def test_bare_sweep_refines_about_twice_per_point(monkeypatch):
-    # one refined pass picks the rule and one confirms the root; a pass at
-    # every Newton step made 5.6 per point on this sweep
+def test_bare_sweep_refines_once_per_point(monkeypatch):
+    # the opening pass at m_V0, which picks the rule, is shared by the sweep,
+    # and each point refines once more to confirm its root; a pass at every
+    # Newton step made 5.6 per point on this sweep, and an unshared opening
+    # pass about 2
     calls = []
     moment_pass = leemodel.renorm._moment_pass
 
@@ -200,11 +204,51 @@ def test_bare_sweep_refines_about_twice_per_point(monkeypatch):
         return moment_pass(*args)
 
     monkeypatch.setattr(leemodel.renorm, "_moment_pass", counted)
+    _opening_pass.cache_clear()
     params = exponential_model()
     g0s = np.linspace(0.0, 3.0, 24)[1:]
     for g0 in g0s:
         full_report(params, BareCoupling(m_v0=2.0 - 1e-3, g0=float(g0)), SPEC)
-    assert len(calls) <= 2.5 * len(g0s), len(calls)
+    assert len(calls) <= len(g0s) + 1, len(calls)
+    assert calls.count(2.0 - 1e-3) == 1, calls
+
+
+@pytest.mark.parametrize("make", ALL_MODELS)
+@pytest.mark.parametrize("m_v0", (1.9, 2.0 - 1e-6, 2.02))
+def test_kept_opening_pass_never_changes_a_result(make, m_v0):
+    # a sweep over g0, which reads the kept opening pass from its second point
+    # on, must return the very bits of points solved one by one with nothing
+    # kept; m_V0 = 2.02 starts above the threshold, where the kept pass is F's
+    params = make()
+    g0s = [float(g0) for g0 in np.linspace(0.0, 3.0, 12)]
+
+    def report_or_error(g0):
+        try:
+            return full_report(params, BareCoupling(m_v0=m_v0, g0=g0), SPEC)
+        except LeeModelError as exc:
+            return type(exc).__name__, str(exc)
+
+    _opening_pass.cache_clear()
+    swept = [report_or_error(g0) for g0 in g0s]
+    assert _opening_pass.cache_info().hits >= len(g0s) - 2
+    cold = []
+    for g0 in g0s:
+        _opening_pass.cache_clear()
+        cold.append(report_or_error(g0))
+    assert repr(swept) == repr(cold)  # bit for bit: repr tells -0.0 from 0.0
+    assert sum(isinstance(r, RenormReport) for r in swept) > len(g0s) // 2
+
+
+def test_kept_opening_pass_is_a_tuple():
+    # every later caller is handed the kept value itself, so none may change it
+    params = exponential_model()
+    _opening_pass.cache_clear()
+    for m, orders in ((1.9, (1, 2)), (params.threshold, (1,))):
+        kept = _opening_pass(m, params, SPEC, orders)
+        assert kept is _opening_pass(m, params, SPEC, orders)
+        values, rule = kept
+        assert type(kept) is type(values) is type(rule) is tuple
+        assert len(values) == len(orders)
 
 
 # --- wavefunction renormalization ---------------------------------------------
