@@ -35,7 +35,8 @@ continues.  Exit codes: 0 success, 1 a numerical failure raised as a typed
 LeeModelError (NoConvergence, say, or an overflowing mass residual), 2 bad
 configuration, 3 no bound state (bare mode), 4 output I/O failure.  A
 ghost-regime result is a result, not an error.  Config values are checked by
-the library's own rules, and an error names the field with their message.
+the library's own rules, and an error names the field with their message;
+sizes are bounded by MAX_SWEEP_STEPS sweep values and MAX_ORACLE_N oracle nodes.
 """
 
 from __future__ import annotations
@@ -61,6 +62,10 @@ COLUMNS = ("sweep_value", "m_V", "m_V0", "delta_m", "g0_sq", "g_sq", "x",
            "z_standard", "z_regularized", "regime", "error")
 
 _DEFAULT_ORACLE_N = 1024
+# the largest sweep and oracle grid a config may ask for; each value or node
+# costs memory, and a size far beyond these would exhaust it
+MAX_SWEEP_STEPS = 10 ** 6
+MAX_ORACLE_N = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -177,8 +182,8 @@ def parse_config(text: str) -> RunConfig:
         stop = _field(sw, "sweep", "stop", float)
         steps = _field(sw, "sweep", "steps", int, 0)  # absent reads as 0, rejected below
         _no_leftovers(sw, "sweep")
-        if steps < 2:
-            raise ConfigError("sweep.steps", "must be an integer >= 2")
+        if not 2 <= steps <= MAX_SWEEP_STEPS:
+            raise ConfigError("sweep.steps", f"must be an integer from 2 to {MAX_SWEEP_STEPS}")
         # the first and the last coupling the sweep builds
         _build("sweep.start", dataclasses.replace, coupling, **{parameter: start})
         if not start < stop:
@@ -198,8 +203,8 @@ def parse_config(text: str) -> RunConfig:
     n = _field(orc, "oracle", "n", int, _DEFAULT_ORACLE_N)
     scheme = _field(orc, "oracle", "scheme", str, GAUSS_LEGENDRE_K, GRID_SCHEMES)
     _no_leftovers(orc, "oracle")
-    if n < 1:
-        raise ConfigError("oracle.n", "must be a positive integer")
+    if not 1 <= n <= MAX_ORACLE_N:
+        raise ConfigError("oracle.n", f"must be an integer from 1 to {MAX_ORACLE_N}")
     oracle = OracleSpec(n=n, scheme=scheme)
 
     out = _section(doc, "output")
@@ -293,7 +298,7 @@ def _validate_oracle(config: RunConfig) -> int:
     report = full_report(config.params, config.coupling, config.quad)
     m_v, z = report.m_v, report.z_standard
     n = config.oracle.n
-    n_list = sorted({max(8, n // 64), max(16, n // 16), max(32, n // 4), n})
+    n_list = sorted({min(n, max(8, n // 64)), min(n, max(16, n // 16)), min(n, max(32, n // 4)), n})
     rows = convergence_study(config.params, config.coupling, n_list, k_max,
                              config.oracle.scheme)
     print(f"continuum: m_V = {m_v:.12g}   Z_V = {z:.12g}")

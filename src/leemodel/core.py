@@ -18,9 +18,9 @@ everything can be shared freely between threads and across parameter sweeps.
 That holds for the whole package: its only state, the quadrature's cached
 Gauss-Legendre nodes, its last 32 moment rules (one per model,
 threshold-scale octave and panel count) and the mass solve's last 8 opening
-passes (one per model, tolerances and start point), is memoized read-only
-arrays and tuples rebuilt bit for bit on a miss, so a thread never sees
-another's results.
+passes (one per model, tolerances and start point, with the arrays of the
+level each settled on), is memoized read-only arrays and tuples rebuilt bit
+for bit on a miss, so a thread never sees another's results.
 """
 
 from __future__ import annotations

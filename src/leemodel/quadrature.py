@@ -37,7 +37,7 @@ moment arrays, so that the norm condition stays an independent check.
 Every rule is refined by doubling the panel count until two successive
 estimates agree to tolerance.  The panel cap is 2**14; if the doubling
 sequence exhausts it, NoConvergence is raised.  A mass solve refines only to
-pick a rule and to confirm its root: its other steps run on one level.
+pick a level and to confirm its root: its other steps run on its arrays.
 """
 
 from __future__ import annotations
@@ -62,7 +62,8 @@ NODES_PER_PANEL = 24
 NORM_ORDER = 20
 PANEL_CAP = 2 ** 14
 # Moment rules kept across calls, one per (model, kappa, panels): a sweep
-# touches at most 14, and at the panel cap 32 rules hold about 40 MB.
+# touches at most 14.  A rule at the panel cap holds 6 MiB, so 32 hold 192 MiB,
+# and the mass solve's 8 kept opening passes can keep 48 MiB more alive.
 RULES_KEPT = 32
 
 
@@ -105,8 +106,8 @@ def _gauss_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _refine(estimate: Callable[[int], list[float]], spec: QuadSpec,
-            what: Callable[[], str]) -> tuple[list[float], int]:
+def _refine(estimate: Callable[[int], tuple[float, ...]], spec: QuadSpec,
+            what: Callable[[], str]) -> tuple[tuple[float, ...], int]:
     """(estimate(panels), panels), doubling from START_PANELS until each value settles."""
     panels = START_PANELS
     cur = estimate(panels)
@@ -175,9 +176,9 @@ def _moment_rule(params: ModelParams, kappa: float, panels: int) -> tuple[np.nda
     panels of the sinh rule at ``kappa``: q = k^2/(omega + mu) and
     rho = wk k^2 f^2 / (2 omega), both read-only.
 
-    The last RULES_KEPT (model, kappa, panels) rules are kept, so the steps
-    of a solve and the points of a sweep, which fall in a few kappa octaves,
-    evaluate the form factor once per octave and panel count.
+    The last RULES_KEPT (model, kappa, panels) rules are kept, so the refined
+    passes of a solve or a sweep, which fall in a few kappa octaves, evaluate
+    the form factor once per octave and panel count.
     """
     k, wk = _sinh_panels(upper_momentum(params), kappa, panels)
     k2, mu = k * k, params.mu
@@ -189,26 +190,26 @@ def _moment_rule(params: ModelParams, kappa: float, panels: int) -> tuple[np.nda
     return q, rho
 
 
-def _moments_on(params: ModelParams, kappa: float, panels: int, delta: float,
-                orders: tuple[int, ...]) -> list[float]:
-    """The moments of ``orders`` at delta on ``panels`` panels of the sinh rule at kappa."""
-    q, rho = _moment_rule(params, kappa, panels)
+def _moments_on(level: tuple[np.ndarray, np.ndarray], delta: float,
+                orders: tuple[int, ...]) -> tuple[float, ...]:
+    """The moments of ``orders`` at delta on one level (q, rho) of :func:`_moment_rule`."""
+    q, rho = level
     inv = np.add(delta, q)
     np.divide(-1.0, inv, out=inv)      # 1 / (m - m_N - omega)
-    return [FOUR_PI * float(rho.dot(inv if n == 1 else inv ** n)) for n in orders]
+    return tuple(FOUR_PI * float(rho.dot(inv if n == 1 else inv ** n)) for n in orders)
 
 
-def _moment_pass(m: float, params: ModelParams, spec: QuadSpec,
-                 orders: tuple[int, ...]) -> tuple[list[float], tuple[float, int]]:
-    """:func:`spectral_moments` and the rule they settled on, (kappa, panels)."""
+def _moment_pass(m: float, params: ModelParams, spec: QuadSpec, orders: tuple[int, ...]
+                 ) -> tuple[tuple[float, ...], tuple[np.ndarray, np.ndarray]]:
+    """:func:`spectral_moments` and the level (q, rho) they settled on."""
     delta = params.threshold - m
     if delta != 0.0 or max(orders) != 1:  # I1 alone is finite at delta = 0
         ensure_stable(params, m, label="m")
     kappa, ff = _threshold_scale(params, delta), params.form_factor
-    values, panels = _refine(lambda n: _moments_on(params, kappa, n, delta, orders), spec,
-                             lambda: f"moment(s) {orders} of the {ff.kind} form factor "
-                                     f"(Lambda = {ff.lam!r}) at m = {m!r}, delta = {delta!r}")
-    return values, (kappa, panels)
+    values, panels = _refine(lambda n: _moments_on(_moment_rule(params, kappa, n), delta, orders),
+                             spec, lambda: f"moment(s) {orders} of the {ff.kind} form factor "
+                                           f"(Lambda = {ff.lam!r}) at m = {m!r}, delta = {delta!r}")
+    return values, _moment_rule(params, kappa, panels)
 
 
 def spectral_moments(m: float, params: ModelParams, spec: QuadSpec,
@@ -222,7 +223,7 @@ def spectral_moments(m: float, params: ModelParams, spec: QuadSpec,
     formed once, so nothing cancels near the threshold.
     delta = 0 is allowed for I1 alone, which stays finite there.
     """
-    return tuple(_moment_pass(m, params, spec, orders)[0])
+    return _moment_pass(m, params, spec, orders)[0]
 
 
 def mass_shift_integral(m: float, params: ModelParams, spec: QuadSpec) -> float:
@@ -261,7 +262,7 @@ def norm_integral(params: ModelParams, g0: float, m_v: float, spec: QuadSpec) ->
     def estimate(panels):
         k, wk = _sinh_panels(hi, kappa, panels, NORM_ORDER)
         amp = dressing_amplitude(params, g0, m_v, k)
-        return [FOUR_PI * float(np.sum(wk * k * k * amp * amp))]
+        return (FOUR_PI * float(np.sum(wk * k * k * amp * amp)),)
 
     ff = params.form_factor
     return _refine(estimate, spec, lambda: (

@@ -20,14 +20,14 @@ reported side by side: ``z_standard`` (1 - x, possibly negative) and
 
 Since I2 = -dI1/dm, the slope of the mass residual m - m_V0 - (g0^2/(2 pi)^3) I1(m)
 is exactly 1/Z_V: the physical mass is found by Newton steps on one quadrature
-rule, refined only to pick it and to confirm the root, and Z_V comes from the
+level, refined only to pick it and to confirm the root, and Z_V comes from the
 confirming pass's I2.
 
 The module's one piece of state is the solve's opening pass, at m_V0 or at
 the threshold: it does not depend on g0, so the last OPENING_PASSES_KEPT of
-them are kept as tuples (:func:`_opening_pass`) and the points of a g0 sweep
-share one.  A miss recomputes it bit for bit, so nothing kept shows in a
-result.
+them, each its moments and the read-only (q, rho) arrays of its level, are
+kept (:func:`_opening_pass`) and the points of a g0 sweep share one.  A miss
+recomputes it bit for bit, so nothing kept shows in a result.
 """
 
 from __future__ import annotations
@@ -39,7 +39,8 @@ from dataclasses import dataclass
 
 from .core import BareCoupling, ModelParams, Regime, RenCoupling
 from .errors import DegenerateModel, GhostRegime, NoBoundState, NoConvergence, StabilityViolation
-from .quadrature import QuadSpec, _moment_pass, _moments_on, mass_shift_integral, z_factor_integral
+from .quadrature import (QuadSpec, _moment_pass, _moments_on, mass_shift_integral,
+                         spectral_moments, z_factor_integral)
 
 TWO_PI_CUBED = (2.0 * math.pi) ** 3
 
@@ -83,11 +84,9 @@ def mass_shift(params: ModelParams, g0: float, m_v: float, spec: QuadSpec) -> fl
 
 @functools.lru_cache(maxsize=OPENING_PASSES_KEPT)
 def _opening_pass(m: float, params: ModelParams, spec: QuadSpec,
-                  orders: tuple[int, ...]) -> tuple[tuple[float, ...], tuple[float, int]]:
-    """:func:`_moment_pass` at a solve's start, m_V0 or the threshold, kept as
-    tuples so that no caller can change a kept value; errors are not kept."""
-    values, rule = _moment_pass(m, params, spec, orders)
-    return tuple(values), rule
+                  orders: tuple[int, ...]) -> tuple[tuple[float, ...], tuple]:
+    """:func:`_moment_pass` at a solve's start, m_V0 or the threshold; errors are not kept."""
+    return _moment_pass(m, params, spec, orders)
 
 
 def _newton(params: ModelParams, bare: BareCoupling,
@@ -101,7 +100,7 @@ def _newton(params: ModelParams, bare: BareCoupling,
     would reach the threshold takes the chord to (threshold, F(threshold)) or
     the midpoint of m and the threshold, whichever lies further right, so that
     delta at least halves instead of creeping along the chord.
-    Steps after a refined pass run on its rule; one that settles there is refined
+    Steps after a refined pass run on its level; one that settles there is refined
     again at the same m; the opening pass is kept (:func:`_opening_pass`).
     A step settles when it moves m by at most
     ROOT_TOL * min(delta, max(1, |m|)), relative to delta = threshold - m so
@@ -124,14 +123,14 @@ def _newton(params: ModelParams, bare: BareCoupling,
         if f_thr <= 0.0:
             return None
         m, refine = thr - f_thr, _moment_pass
-    rule = None
+    level = None
     for _ in range(NEWTON_CAP):
-        held = rule
+        held = level
         if held is None:
-            (i1, i2), rule = refine(m, params, spec, (1, 2))
+            (i1, i2), level = refine(m, params, spec, (1, 2))
             refine = _moment_pass
         else:
-            i1, i2 = _moments_on(params, *held, thr - m, (1, 2))
+            i1, i2 = _moments_on(held, thr - m, (1, 2))
         f = m - bare.m_v0 - c * i1
         s = c * i2
         if not (math.isfinite(f) and math.isfinite(s)):
@@ -144,7 +143,7 @@ def _newton(params: ModelParams, bare: BareCoupling,
                 + 8.0 * _EPS * (abs(m - bare.m_v0) + abs(c * i1)) / (1.0 + s)):
             if held is None:
                 return m, s
-            rule = None
+            level = None
             continue
         nxt = m - step
         if nxt >= thr:  # only from left of the root, so f_thr is set
@@ -273,7 +272,7 @@ def critical_coupling(params: ModelParams, m_v: float, spec: QuadSpec) -> float:
 def _from_renormalized(params: ModelParams, ren: RenCoupling, spec: QuadSpec) -> RenormReport:
     """Report of a renormalized point from one moment pass at m_V; the
     bare-side fields exist iff the regime is Normal, where g0^2 = g^2 / (1 - x)."""
-    i1, i2 = _moment_pass(ren.m_v, params, spec, (1, 2))[0]
+    i1, i2 = spectral_moments(ren.m_v, params, spec)
     g_sq = ren.g * ren.g
     x = g_sq / TWO_PI_CUBED * i2
     if not math.isfinite(x):  # g^2 is finite, but a large I2 can still overflow x

@@ -9,6 +9,8 @@ import leemodel
 from leemodel import BareCoupling, ConfigError, QuadSpec, full_report
 from leemodel.cli import (
     COLUMNS,
+    MAX_ORACLE_N,
+    MAX_SWEEP_STEPS,
     OracleSpec,
     emit,
     load_config,
@@ -108,6 +110,18 @@ def test_parse_quad_and_oracle_errors():
     assert _field_of(_config(oracle={"scheme": "spectral"})) == "oracle.scheme"
     assert _field_of(_config(oracle={"n": 0})) == "oracle.n"
     assert _field_of(_config(output={"format": "xml"})) == "output.format"
+
+
+def test_parse_sizes_up_to_their_bounds():
+    # a sweep value or an oracle node costs memory, so each size has a bound
+    def sized(steps, n):
+        return _config(input={"mode": "bare", "m_V0": 1.8},
+                       sweep={"parameter": "g0", "stop": 1.0, "steps": steps}, oracle={"n": n})
+
+    cfg = parse_config(sized(MAX_SWEEP_STEPS, MAX_ORACLE_N))
+    assert (cfg.sweep.steps, cfg.oracle.n) == (MAX_SWEEP_STEPS, MAX_ORACLE_N)
+    assert _field_of(sized(MAX_SWEEP_STEPS + 1, MAX_ORACLE_N)) == "sweep.steps"
+    assert _field_of(sized(MAX_SWEEP_STEPS, MAX_ORACLE_N + 1)) == "oracle.n"
 
 
 # --- point and sweep runs --------------------------------------------------------
@@ -362,6 +376,8 @@ def test_main_exit_codes(tmp_path, capsys):
     ({"input": {"mode": "renormalized", "m_V": 1.5, "g": -1.0}}, "input.g"),
     ({"input": {"mode": "renormalized", "m_V": 1.5},
       "sweep": {"parameter": "g", "start": -1.0, "stop": 1.0, "steps": 3}}, "sweep.start"),
+    ({"sweep": {"parameter": "g0", "stop": 1.0, "steps": 10 ** 15}}, "sweep.steps"),
+    ({"oracle": {"n": 10 ** 15}}, "oracle.n"),
 ))
 def test_input_domain_errors_name_the_field(tmp_path, capsys, doc, field):
     doc = {"input": {"mode": "bare", "m_V0": 1.8}, **doc,
@@ -407,6 +423,16 @@ def test_main_validate_oracle(tmp_path, capsys):
         "input": {"mode": "renormalized", "m_V": 1.5, "g": 1.0},
     })
     assert main(["--config", ren, "--validate-oracle"]) == 2
+
+
+@pytest.mark.parametrize("n, rungs", ((8, [8]), (20, [8, 16, 20])))
+def test_main_validate_oracle_ladder_ends_at_n(tmp_path, capsys, n, rungs):
+    cfg = _write(tmp_path, "cfg.json", {
+        "input": {"mode": "bare", "m_V0": 1.8, "g0": 1.0}, "oracle": {"n": n},
+    })
+    assert main(["--config", cfg, "--validate-oracle"]) == 0
+    rows = capsys.readouterr().out.splitlines()[2:]
+    assert [int(row.split()[0]) for row in rows] == rungs
 
 
 def test_main_validate_oracle_empty_momentum_range(tmp_path, capsys):

@@ -115,12 +115,13 @@ def config_documents(draw):
         doc["sweep"] = _section(
             parameter=value(st.just(coupling_key), wrong=st.sampled_from(("g", "g0", "m"))),
             start=value(st.floats(0.0, 2.0)), stop=value(st.floats(2.0, 8.0)),
-            steps=value(st.integers(2, 4), wrong=st.integers(-1, 1)))
+            steps=value(st.integers(2, 4), wrong=st.sampled_from((-1, 0, 1, 10 ** 15))))
     if draw(st.booleans()):
         doc["quad"] = _section(abs_tol=value(st.floats(1e-12, 1e-8)),
                                rel_tol=value(st.floats(1e-12, 1e-8)))
     if draw(st.booleans()):
-        doc["oracle"] = _section(n=value(st.integers(8, 64), wrong=st.integers(-1, 0)),
+        doc["oracle"] = _section(n=value(st.integers(8, 64),
+                                         wrong=st.sampled_from((-1, 0, 10 ** 15))),
                                  scheme=value(st.sampled_from(("gauss", "uniform"))))
     missing = draw(st.integers(0, 15)) == 0
     doc["output"] = _section(path=os.path.join("{tmp}", "missing" if missing else "",

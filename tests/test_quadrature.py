@@ -326,6 +326,39 @@ def test_bare_sweep_evaluates_the_form_factor_once_per_octave_and_panel_count(mo
     assert sorted(sizes) == sorted(panels * NODES_PER_PANEL for _, panels in keys)
 
 
+def test_held_newton_steps_never_look_up_a_rule(monkeypatch):
+    # a refined pass hands back the level it settled on, and the held steps
+    # evaluate it, so only the refinement levels and each pass's settled level
+    # reach the kept rules
+    levels, passes, held = [], [], []
+    refine, moments_on = leemodel.quadrature._refine, leemodel.renorm._moments_on
+
+    def counted_refine(estimate, spec, what):
+        passes.append(None)
+
+        def counted(panels):
+            levels.append(panels)
+            return estimate(panels)
+
+        return refine(counted, spec, what)
+
+    def counted_held(*args):
+        held.append(None)
+        return moments_on(*args)
+
+    monkeypatch.setattr(leemodel.quadrature, "_refine", counted_refine)
+    monkeypatch.setattr(leemodel.renorm, "_moments_on", counted_held)
+    _forget_kept_rules()
+    rows = run_sweep(parse_config(json.dumps({
+        "model": {"form_factor": {"kind": "exponential", "lambda": 10.0}},
+        "input": {"mode": "bare", "m_V0": 1.999},
+        "sweep": {"parameter": "g0", "start": 0.0, "stop": 2.5, "steps": 24}})))
+    assert len(rows) == 24 and not any(row["error"] for row in rows)
+    info = _moment_rule.cache_info()
+    assert len(held) > len(passes) > 0
+    assert info.hits + info.misses <= len(levels) + len(passes)
+
+
 def test_alternating_models_keep_their_rules(monkeypatch):
     # the rules of two models fit side by side, so A, B, A, B builds each once
     calls = []
