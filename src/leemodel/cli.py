@@ -157,7 +157,8 @@ def parse_config(text: str) -> RunConfig:
     mu = _field(model, "model", "mu", float, 1.0)
     _no_leftovers(model, "model")
     _build("model.mu", _ensure_mu, mu)
-    # with mu in range, what ModelParams can still refuse is the momentum range, set by Lambda
+    _build("model.m_N", _ensure_mu, mu, m_n)
+    # with mu and m_N in range, what ModelParams can still refuse is Lambda / mu
     params = _build("model.form_factor.lambda", ModelParams, m_n, mu, form_factor)
 
     inp = _section(doc, "input")

@@ -12,21 +12,24 @@ amplitude all take k and mu, and form omega_k themselves.  The dressed V
 state below the N+theta threshold m_N + mu carries an N-theta cloud whose
 momentum-space amplitude is the vertex weight divided by (m_V - m_N - omega_k).
 
-All energies are in the same (arbitrary) unit; mu = 1 is the conventional
-scale.  All types here are immutable values and all functions are pure, so
-everything can be shared freely between threads and across parameter sweeps.
-That holds for the whole package: its only state, the quadrature's cached
-Gauss-Legendre nodes, its last 32 moment rules (one per model,
-threshold-scale octave and panel count) and the mass solve's last 8 opening
-passes (one per model, tolerances and start point, with the arrays of the
-level each settled on), is memoized read-only arrays and tuples rebuilt bit
-for bit on a miss, so a thread never sees another's results.
+All energies are in the same (arbitrary) unit; the solvers compute in units
+of mu (``ModelParams._in_units_of_mu``).  All types here are immutable values
+and all functions are pure, so everything can be shared freely between
+threads and across parameter sweeps.  That holds for the whole package: its
+only state, each model's copy in units of mu (built once, with the model),
+the quadrature's Gauss-Legendre nodes, its last 32 moment rules (one per
+model in units of mu, kappa octave and panel count) and the mass solve's
+last 8 opening passes (one per model, tolerances and start point, with the
+arrays of the level each settled on), is memoized values and read-only
+arrays rebuilt bit for bit on a miss, so a thread never sees another's results.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,9 +101,15 @@ class FormFactor:
         return _maybe_scalar(np.exp(-om / self.lam), k)
 
 
-def _ensure_mu(mu: float) -> None:
-    if not (math.isfinite(mu * mu) and mu > 0.0):
-        raise ValueError("theta mass mu must be positive with a finite square")
+def _ensure_mu(mu: float, m_n: float = 0.0) -> float:
+    """The scale s = 2^(1 - e), (., e) = frexp(mu), that puts mu s in [1, 2), once mu is
+    a normal float with a finite square and m_N is finite in units of mu (times s)."""
+    if not (math.isfinite(mu * mu) and mu >= sys.float_info.min):
+        raise ValueError("theta mass mu must be a positive normal float with a finite square")
+    s = math.ldexp(1.0, 1 - math.frexp(mu)[1])
+    if not math.isfinite(m_n * s):
+        raise ValueError("N mass must be finite in units of mu (|m_N| / mu below about 1e308)")
+    return s
 
 
 def _ensure_coupling(name: str, g: float) -> None:
@@ -116,10 +125,10 @@ class ModelParams:
     coupling live in :class:`BareCoupling` / :class:`RenCoupling` because they
     are the quantities the renormalization maps exchange.
 
-    The domain is checked here, once: a finite m_N, mu positive with a finite
-    square (below 1.3e154, which keeps m_N + mu finite; :func:`omega` applies
-    the same rule), and a momentum range on which every product of the
-    quadrature rules stays finite (:func:`leemodel.quadrature.ensure_finite_rules`).
+    The domain is checked here, once: mu a normal float with a finite square
+    (below 1.3e154, which keeps m_N + mu finite; :func:`omega` applies the
+    same rule), m_N finite in units of mu, and a Lambda / mu on whose momentum
+    range every quadrature product stays finite (:func:`leemodel.quadrature.ensure_finite_rules`).
     """
 
     m_n: float
@@ -127,9 +136,7 @@ class ModelParams:
     form_factor: FormFactor
 
     def __post_init__(self):
-        _ensure_mu(self.mu)
-        if not math.isfinite(self.m_n):
-            raise ValueError("N mass must be finite")
+        _ensure_mu(self.mu, self.m_n)
         if not isinstance(self.form_factor, FormFactor):
             raise ValueError("form_factor must be a FormFactor instance")
         from .quadrature import ensure_finite_rules  # quadrature imports this module
@@ -139,6 +146,15 @@ class ModelParams:
     def threshold(self) -> float:
         """Bottom of the N+theta continuum, m_N + mu."""
         return self.m_n + self.mu
+
+    @functools.cached_property
+    def _in_units_of_mu(self) -> tuple[ModelParams, float]:
+        """(unit, s): m_N, mu and Lambda times s (:func:`_ensure_mu`), exactly, so masses and
+        I1 scale by s and I2, x and Z not at all; unit is this model at s = 1."""
+        s, ff = _ensure_mu(self.mu), self.form_factor
+        if s == 1.0:
+            return self, s
+        return ModelParams(self.m_n * s, self.mu * s, FormFactor(ff.kind, ff.lam * s)), s
 
 
 @dataclass(frozen=True)

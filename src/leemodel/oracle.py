@@ -263,16 +263,19 @@ def convergence_study(params: ModelParams, bare: BareCoupling,
                       scheme: str = GAUSS_LEGENDRE_K) -> list[tuple[int, float, float]]:
     """Lowest eigenpair for a ladder of truncation sizes.
 
-    Returns (n, lowest eigenvalue, apex weight) per entry; as n grows these
-    converge to the continuum physical mass and Z_V, which certifies the
-    discretization against the quadrature pipeline (and vice versa).
-    """
+    Returns (n, lowest eigenvalue, apex weight) per entry; as n grows these converge to
+    the continuum physical mass and Z_V, which certifies the discretization against the
+    quadrature pipeline (and vice versa).  Each is solved in units of mu, so no weight
+    4 pi k^2 dk underflows."""
     if list(n_list) != sorted(set(n_list)):
         raise ValueError("n_list must be strictly increasing")
+    unit, s = params._in_units_of_mu
+    if not math.isfinite(bare.m_v0 * s):
+        raise DegenerateModel(f"m_V0 = {bare.m_v0!r} overflows in units of mu = {params.mu!r}")
+    unit_bare = BareCoupling(m_v0=bare.m_v0 * s, g0=bare.g0)
     rows = []
     for n in n_list:
-        grid = build_grid(k_max, int(n), scheme)
-        mat = build_arrowhead(params, bare, grid)
-        pair = lowest_eigenpair(mat)
-        rows.append((int(n), pair.energy, pair.apex_weight))
+        grid = build_grid(k_max * s, int(n), scheme)
+        pair = lowest_eigenpair(build_arrowhead(unit, unit_bare, grid))
+        rows.append((int(n), pair.energy / s, pair.apex_weight))
     return rows

@@ -18,17 +18,19 @@ them: it maps k = kappa*sinh(u) (the sinh transformation of Johnston &
 Elliott, IJNME 62 (2005) 564) and lays uniform Gauss-Legendre panels on u in
 [0, asinh(k_max/kappa)], and the panel count no longer grows as delta -> 0.
 kappa is floored at 1e-9*mu, so delta = 0 is allowed, and rounded down to a
-power of two.
+power of two.  Every rule runs in units of mu (``ModelParams._in_units_of_mu``),
+an exact power-of-two scale s, and a moment I_n maps back by s^(n - 2).
 
 I1 and I2 are moments of one spectral density, summed together by
 :func:`spectral_moments` on 24-node panels.  Only the energy denominator
 depends on m, so the rest of the integrand (nodes, weights, f^2) is one
-memoized function of (model, kappa, panel count), :func:`_moment_rule`, which
-keeps the last RULES_KEPT of them: the masses of one solve or sweep fall in a
-few kappa octaves and reuse them.  The kept arrays are read-only and exactly
-those a fresh pass builds.  A rule settles at 8 panels (192 nodes) or so, and
-on arrays that small a build or a level costs numpy calls, not arithmetic per
-node: each is written with as few array operations as its bits allow.
+memoized function of (model in units of mu, kappa, panel count),
+:func:`_moment_rule`, which keeps the last RULES_KEPT of them: the masses of
+one solve or sweep fall in a few kappa octaves and reuse them.  The kept
+arrays are read-only and exactly those a fresh pass builds.  A rule settles
+at 8 panels (192 nodes) or so, and on arrays that small a build or a level
+costs numpy calls, not arithmetic per node: each is written with as few
+array operations as its bits allow.
 
 The norm integral keeps its own integrand, the squared cloud amplitude, on
 20-node panels of the same map, built afresh and never read from the kept
@@ -71,6 +73,7 @@ RULES_KEPT = 32
 class QuadSpec:
     """Accuracy contract of the continuum integrals: each estimate is refined
     until successive values differ by at most max(abs_tol, rel_tol*|value|).
+    Values are compared in units of mu: abs_tol is in mu^(2 - n) for I_n, 1 for the norm.
 
     The momentum range belongs to the model (:func:`upper_momentum`) and the
     panel layout to this module, so neither is set here.
@@ -90,11 +93,12 @@ def default_spec(params: ModelParams) -> QuadSpec:
 
 
 def upper_momentum(params: ModelParams) -> float:
-    """Integration limit: the exact sharp cutoff sqrt(Lambda^2 - mu^2), else 40*Lambda."""
-    ff, mu = params.form_factor, params.mu
+    """Integration limit, formed in units of mu: the sharp sqrt(Lambda^2 - mu^2), else 40*Lambda."""
+    unit, s = params._in_units_of_mu
+    ff, mu = unit.form_factor, unit.mu
     if ff.kind == SHARP:
-        return math.sqrt(max(ff.lam * ff.lam - mu * mu, 0.0))
-    return 40.0 * ff.lam
+        return math.sqrt(max(ff.lam * ff.lam - mu * mu, 0.0)) / s
+    return 40.0 * ff.lam / s
 
 
 @functools.cache
@@ -144,30 +148,24 @@ def _sinh_panels(hi: float, kappa: float, panels: int,
 
 
 def ensure_finite_rules(params: ModelParams) -> None:
-    """Raise ValueError unless every product the model's sinh rules form is finite.
-
-    :class:`ModelParams` calls this when it is built, so the rules pay nothing
-    for it.  A rule of P >= START_PANELS panels at kappa has its nodes at u in
-    (0, U), U = asinh(hi/kappa), hi = upper_momentum(params), so k = kappa
-    sinh(u) <= hi, and as every Gauss weight w < 1, wk = kappa (U/2P) w
-    cosh(u) <= (U/2P) hypot(hi, kappa).  Hence hi^2 + mu^2 (which bounds k^2,
-    omega^2 and omega + mu; the dipole's Lambda^2 + k^2 is below 2 hi^2), hi/kappa and
-    wk k^2 <= U/(2 START_PANELS) hi^2 hypot(hi, kappa), the largest product
-    of :func:`_moment_rule` and of the norm rule, must be finite.  All of them
-    are largest at the floor of kappa, and the last bound implies the others:
-    an infinite hi/kappa makes it inf (or nan, when hi^2 underflows), a
-    finite one needs hi below about 1e103, where hi^2 + mu^2 stays finite as
-    mu^2 does, and an empty sharp range (hi = 0) makes it 0.
-    """
-    hi = upper_momentum(params)
-    kappa = _threshold_scale(params, 0.0)
-    if math.asinh(hi / kappa) / (2 * START_PANELS) * hi * hi * math.hypot(hi, kappa) < math.inf:
-        return
+    """Raise ValueError unless the model in units of mu, built here when :class:`ModelParams`
+    is, has a cutoff with a positive square and finite rules.  There mu is in [1, 2) and
+    kappa >= 2^-30; a rule of P >= START_PANELS panels has nodes k = kappa sinh(u) <= hi,
+    u < U = asinh(hi/kappa), and weights wk <= (U/2P) hypot(hi, kappa) (Gauss weights are
+    below 1), so U/(2 START_PANELS) hi^2 hypot(hi, kappa) bounds wk k^2, the largest
+    product of :func:`_moment_rule` and the norm rule, and must be finite."""
+    try:
+        unit = params._in_units_of_mu[0]
+        hi, kappa = upper_momentum(unit), _threshold_scale(unit, 0.0)
+        if math.asinh(hi / kappa) / (2 * START_PANELS) * hi * hi * math.hypot(hi, kappa) < math.inf:
+            return
+    except ValueError:  # from the unit model's cutoff or its own rule check
+        pass
     ff = params.form_factor
     raise ValueError(
-        f"the momentum range [0, {hi!r}] of the {ff.kind} form factor (Lambda = {ff.lam!r}, "
-        f"mu = {params.mu!r}) overflows its quadrature rule: k_max^2 + mu^2, "
-        f"k_max / (1e-9 mu) and wk k^2 must stay finite")
+        f"the {ff.kind} form factor at Lambda / mu = {ff.lam / params.mu!r} (Lambda = "
+        f"{ff.lam!r}, mu = {params.mu!r}) overflows its quadrature rule: in units of mu, "
+        f"Lambda^2 must stay positive and wk k^2 finite")
 
 
 @functools.lru_cache(maxsize=RULES_KEPT)
@@ -176,9 +174,9 @@ def _moment_rule(params: ModelParams, kappa: float, panels: int) -> tuple[np.nda
     panels of the sinh rule at ``kappa``: q = k^2/(omega + mu) and
     rho = wk k^2 f^2 / (2 omega), both read-only.
 
-    The last RULES_KEPT (model, kappa, panels) rules are kept, so the refined
-    passes of a solve or a sweep, which fall in a few kappa octaves, evaluate
-    the form factor once per octave and panel count.
+    The last RULES_KEPT (model in units of mu, kappa, panels) rules are kept,
+    so the refined passes of a solve or a sweep, which fall in a few kappa
+    octaves, evaluate the form factor once per octave and panel count.
     """
     k, wk = _sinh_panels(upper_momentum(params), kappa, panels)
     k2, mu = k * k, params.mu
@@ -201,15 +199,19 @@ def _moments_on(level: tuple[np.ndarray, np.ndarray], delta: float,
 
 def _moment_pass(m: float, params: ModelParams, spec: QuadSpec, orders: tuple[int, ...]
                  ) -> tuple[tuple[float, ...], tuple[np.ndarray, np.ndarray]]:
-    """:func:`spectral_moments` and the level (q, rho) they settled on."""
+    """:func:`spectral_moments` and the level (q, rho) they settled on, in units of mu."""
     delta = params.threshold - m
     if delta != 0.0 or max(orders) != 1:  # I1 alone is finite at delta = 0
         ensure_stable(params, m, label="m")
-    kappa, ff = _threshold_scale(params, delta), params.form_factor
-    values, panels = _refine(lambda n: _moments_on(_moment_rule(params, kappa, n), delta, orders),
+    (unit, s), ff = params._in_units_of_mu, params.form_factor
+    kappa = _threshold_scale(unit, delta * s)
+    values, panels = _refine(lambda n: _moments_on(_moment_rule(unit, kappa, n), delta * s, orders),
                              spec, lambda: f"moment(s) {orders} of the {ff.kind} form factor "
                                            f"(Lambda = {ff.lam!r}) at m = {m!r}, delta = {delta!r}")
-    return values, _moment_rule(params, kappa, panels)
+    if s != 1.0:  # s = 2^e, and I_n scales by s^(n - 2)
+        e = math.frexp(s)[1] - 1
+        values = tuple(math.ldexp(v, (n - 2) * e) for v, n in zip(values, orders))
+    return values, _moment_rule(unit, kappa, panels)
 
 
 def spectral_moments(m: float, params: ModelParams, spec: QuadSpec,
@@ -257,11 +259,12 @@ def norm_integral(params: ModelParams, g0: float, m_v: float, spec: QuadSpec) ->
     independent.
     """
     ensure_stable(params, m_v)
-    hi, kappa = upper_momentum(params), _threshold_scale(params, params.threshold - m_v)
+    unit, s = params._in_units_of_mu
+    hi, kappa = upper_momentum(unit), _threshold_scale(unit, (params.threshold - m_v) * s)
 
     def estimate(panels):
         k, wk = _sinh_panels(hi, kappa, panels, NORM_ORDER)
-        amp = dressing_amplitude(params, g0, m_v, k)
+        amp = dressing_amplitude(unit, g0, m_v * s, k)
         return (FOUR_PI * float(np.sum(wk * k * k * amp * amp)),)
 
     ff = params.form_factor

@@ -100,13 +100,13 @@ def _newton(params: ModelParams, bare: BareCoupling,
     would reach the threshold takes the chord to (threshold, F(threshold)) or
     the midpoint of m and the threshold, whichever lies further right, so that
     delta at least halves instead of creeping along the chord.
-    Steps after a refined pass run on its level; one that settles there is refined
-    again at the same m; the opening pass is kept (:func:`_opening_pass`).
-    A step settles when it moves m by at most
-    ROOT_TOL * min(delta, max(1, |m|)), relative to delta = threshold - m so
-    that delta, and Z and x through it, keep their accuracy near the
-    threshold; or by at most 4 ulp(m) + 8 eps (|m - m_V0| + |c I1|) / (1 + s),
-    the rounding floor of F itself.  Returns None when there is no bound state.
+    Steps after a refined pass run on its level, in units of mu (delta times u,
+    I1 over u); one that settles there is refined again at the same m; the
+    opening pass is kept (:func:`_opening_pass`).  A step settles when it moves
+    m by at most ROOT_TOL * min(delta, max(1/u, |m|)), relative to delta =
+    threshold - m so that delta, Z and x keep their accuracy near the threshold
+    (1/u is 1 in units of mu); or by at most 4 ulp(m) + 8 eps (|m - m_V0| +
+    |c I1|) / (1 + s), the rounding floor of F.  None means no bound state.
     An F or s that overflows raises StabilityViolation: no step is taken, or
     accepted, on an infinite residual.
     """
@@ -114,6 +114,7 @@ def _newton(params: ModelParams, bare: BareCoupling,
     if bare.g0 == 0.0:
         return (bare.m_v0, 0.0) if bare.m_v0 < thr else None
     c = bare.g0 * bare.g0 / TWO_PI_CUBED
+    unit_scale = params._in_units_of_mu[1]
     f_thr = None
     m, refine = bare.m_v0, _opening_pass
     if m >= thr:
@@ -130,7 +131,8 @@ def _newton(params: ModelParams, bare: BareCoupling,
             (i1, i2), level = refine(m, params, spec, (1, 2))
             refine = _moment_pass
         else:
-            i1, i2 = _moments_on(held, thr - m, (1, 2))
+            i1, i2 = _moments_on(held, (thr - m) * unit_scale, (1, 2))
+            i1 /= unit_scale
         f = m - bare.m_v0 - c * i1
         s = c * i2
         if not (math.isfinite(f) and math.isfinite(s)):
@@ -138,7 +140,7 @@ def _newton(params: ModelParams, bare: BareCoupling,
         step = f / (1.0 + s)
         # relative to delta, down to the rounding floor below which F cannot
         # resolve a step (formed only when the relative test fails)
-        if (abs(step) <= ROOT_TOL * min(thr - m, max(1.0, abs(m)))
+        if (abs(step) <= ROOT_TOL * min(thr - m, max(1.0 / unit_scale, abs(m)))
                 or abs(step) <= 4.0 * math.ulp(m)
                 + 8.0 * _EPS * (abs(m - bare.m_v0) + abs(c * i1)) / (1.0 + s)):
             if held is None:
@@ -172,7 +174,7 @@ def solve_physical_mass(params: ModelParams, bare: BareCoupling,
 
     F is strictly increasing, so the root is unique when it exists; Newton
     steps stop once a refined one moves m by at most
-    ROOT_TOL * min(delta, max(1, |m|)), delta = m_N + mu - m, or by no more
+    ROOT_TOL * min(delta, max(1, |m|)) in units of mu, delta = m_N + mu - m, or by no more
     than rounding in F allows (see :func:`_newton`); None means
     F(threshold) <= 0: the V state has dissolved into the continuum.
     """

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -378,6 +379,11 @@ def test_main_exit_codes(tmp_path, capsys):
       "sweep": {"parameter": "g", "start": -1.0, "stop": 1.0, "steps": 3}}, "sweep.start"),
     ({"sweep": {"parameter": "g0", "stop": 1.0, "steps": 10 ** 15}}, "sweep.steps"),
     ({"oracle": {"n": 10 ** 15}}, "oracle.n"),
+    # Lambda / mu = 1e-170, whose square underflows in units of mu
+    ({"model": {"mu": 1e100, "form_factor": {"kind": "dipole", "lambda": 1e-70}}},
+     "model.form_factor.lambda"),
+    ({"model": {"mu": 1e-318}}, "model.mu"),  # subnormal
+    ({"model": {"m_N": 1e300, "mu": 1e-10}}, "model.m_N"),  # m_N overflows in units of mu
 ))
 def test_input_domain_errors_name_the_field(tmp_path, capsys, doc, field):
     doc = {"input": {"mode": "bare", "m_V0": 1.8}, **doc,
@@ -433,6 +439,29 @@ def test_main_validate_oracle_ladder_ends_at_n(tmp_path, capsys, n, rungs):
     assert main(["--config", cfg, "--validate-oracle"]) == 0
     rows = capsys.readouterr().out.splitlines()[2:]
     assert [int(row.split()[0]) for row in rows] == rungs
+
+
+def test_main_validate_oracle_is_exact_under_a_power_of_two_scale(tmp_path, capsys):
+    # at mu = 2^-400 the oracle grid's weights 4 pi k^2 dk underflow in
+    # absolute units (a traceback once); in units of mu the table is the
+    # mu = 1 one with every mass times 2^-400 and every Z as it is
+    tables = []
+    for s in (1.0, 2.0 ** -400):
+        cfg = _write(tmp_path, "cfg.json", {
+            "model": {"m_N": s, "mu": s, "form_factor": {"kind": "dipole", "lambda": 10.0 * s}},
+            "input": {"mode": "bare", "m_V0": 1.8 * s, "g0": 1.0}, "oracle": {"n": 256},
+        })
+        assert main(["--config", cfg, "--validate-oracle"]) == 0
+        captured = capsys.readouterr()
+        assert not captured.err
+        lines = captured.out.splitlines()
+        tables.append([line.split() for line in lines[2:]])
+    assert len(tables[0]) == 4
+    for one, tiny in zip(*tables):
+        assert tiny[0] == one[0] and tiny[2] == one[2] and tiny[4] == one[4]
+        for col in (1, 3):  # m_V(n) and its error, printed to 12 and 4 digits
+            assert math.isclose(float(tiny[col]), math.ldexp(float(one[col]), -400),
+                                rel_tol=1e-11 if col == 1 else 1e-3), (one, tiny)
 
 
 def test_main_validate_oracle_empty_momentum_range(tmp_path, capsys):

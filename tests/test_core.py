@@ -167,6 +167,18 @@ def test_infinite_threshold_is_rejected_at_construction():
     assert math.isfinite(huge.threshold)
 
 
+def test_mu_and_m_n_are_checked_in_units_of_mu():
+    # a subnormal mu once passed: its kappa floor 1e-9 mu underflowed to 0,
+    # and every solve ran to the panel cap; m_N must stay finite times the
+    # power of two that puts mu in [1, 2)
+    for mu in (1e-318, 5e-324, math.ldexp(1.0, -1023)):
+        with pytest.raises(ValueError, match="normal float"):
+            ModelParams(m_n=0.0, mu=mu, form_factor=FormFactor.dipole(10.0))
+    with pytest.raises(ValueError, match="N mass must be finite in units of mu"):
+        ModelParams(m_n=1e300, mu=1e-10, form_factor=FormFactor.dipole(1e-9))
+    assert ModelParams(m_n=1e300, mu=1.0, form_factor=FormFactor.dipole(10.0)).m_n == 1e300
+
+
 def test_coupling_with_infinite_square_is_rejected_at_construction():
     # g0 = 1e160 once drove the Newton solve to NaN
     with pytest.raises(ValueError, match="finite square"):

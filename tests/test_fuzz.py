@@ -1,7 +1,7 @@
 """Fuzz tests of the stated input domain: a result within tolerance or a typed error.
 
 The library is driven over the domain the package states it solves (mu from
-1e-6 to 1e6, Lambda/mu from 1.002 to 1e6, couplings from 1e-3 to 1e8 and
+1e-150 to 1e150, Lambda/mu from 1.002 to 1e6, couplings from 1e-3 to 1e8 and
 masses from 1e-14 mu to 1e3 mu on either side of the threshold), and the CLI
 over generated config documents, where every refusal must name a documented
 field and agree with the library type that owns the rule.
@@ -14,7 +14,7 @@ import math
 import os
 import tempfile
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from leemodel import (
@@ -46,7 +46,7 @@ DOCUMENTED = ({"document", "model.form_factor", "model.form_factor.kind",
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(log_mu=st.floats(-6.0, 6.0),
+@given(log_mu=st.floats(-150.0, 150.0),
        log_lam=st.floats(math.log10(1.002), 6.0),
        family=st.sampled_from(FORM_FACTOR_KINDS),
        m_n_in_mu=st.sampled_from((None, 0.0, 1.0, 1e3)),
@@ -131,24 +131,49 @@ def config_documents(draw):
     return doc
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(doc=config_documents(), validate_oracle=st.booleans())
-def test_cli_exits_with_a_documented_code_and_field(doc, validate_oracle):
+def _run(doc, validate_oracle):
+    """(exit code, stderr) of the CLI on ``doc``, its output path under "{tmp}"."""
     with tempfile.TemporaryDirectory() as tmp:
-        doc["output"]["path"] = doc["output"]["path"].replace("{tmp}", tmp)
+        doc = {**doc, "output": {**doc["output"],
+                                 "path": doc["output"]["path"].replace("{tmp}", tmp)}}
         path = os.path.join(tmp, "config.json")
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(["--config", path] + ["--validate-oracle"] * validate_oracle)
-    text = err.getvalue()
+    return code, err.getvalue()
+
+
+# documents valid but for one size far past its bound, which the parser must
+# refuse before anything is allocated; the generator draws them too rarely
+HUGE_SIZES = (
+    ({"input": {"mode": "bare", "m_V0": 1.8, "g0": 1.0},
+      "sweep": {"parameter": "g0", "start": 0.0, "stop": 2.0, "steps": 10 ** 15},
+      "output": {"path": "{tmp}/table.out"}}, False, "sweep.steps"),
+    ({"input": {"mode": "bare", "m_V0": 1.8, "g0": 1.0}, "oracle": {"n": 10 ** 15},
+      "output": {"path": "{tmp}/table.out"}}, True, "oracle.n"),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(doc=config_documents(), validate_oracle=st.booleans())
+@example(doc=HUGE_SIZES[0][0], validate_oracle=HUGE_SIZES[0][1])
+@example(doc=HUGE_SIZES[1][0], validate_oracle=HUGE_SIZES[1][1])
+def test_cli_exits_with_a_documented_code_and_field(doc, validate_oracle):
+    code, text = _run(doc, validate_oracle)
     assert code in (0, 1, 2, 3, 4), (code, text)
     assert "Traceback" not in text
     if code == 2:
         assert text.startswith("config error: ")
         field = text[len("config error: "):].split(":", 1)[0]
         assert field in DOCUMENTED, text
+
+
+def test_cli_refuses_a_huge_size_by_its_field():
+    for doc, validate_oracle, field in HUGE_SIZES:
+        code, text = _run(doc, validate_oracle)
+        assert code == 2 and text.startswith(f"config error: {field}: "), (code, text)
 
 
 @st.composite

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from leemodel import (
+    FORM_FACTOR_KINDS,
     ArrowheadMatrix,
     BareCoupling,
+    FormFactor,
+    ModelParams,
     PoleHit,
     all_eigenvalues,
     build_arrowhead,
@@ -16,6 +19,7 @@ from leemodel import (
     omega,
     secular_value,
     solve_physical_mass,
+    upper_momentum,
     vertex_weight,
     z_from_bare,
 )
@@ -297,6 +301,20 @@ def test_convergence_study_free_theory_exact():
     for _, lam, weight in rows:
         assert abs(lam - 1.3) < 1e-10
         assert weight == 1.0
+
+
+@pytest.mark.parametrize("family", FORM_FACTOR_KINDS)
+@pytest.mark.parametrize("scheme", ("gauss", "uniform"))
+def test_convergence_study_is_exact_under_a_power_of_two_scale(family, scheme):
+    # the ladder runs in units of mu: at mu = 2^-400 the weights 4 pi k^2 dk
+    # underflow in absolute units, and each eigenvalue must instead come back
+    # as the mu = 1 one times 2^-400, with the same apex weight
+    ladders = []
+    for s in (1.0, 2.0 ** -400):
+        params = ModelParams(m_n=s, mu=s, form_factor=FormFactor(family, 10.0 * s))
+        ladders.append(convergence_study(params, BareCoupling(1.8 * s, 1.0), [8, 64, 256],
+                                         upper_momentum(params), scheme))
+    assert ladders[1] == [(n, math.ldexp(lam, -400), w) for n, lam, w in ladders[0]]
 
 
 def test_convergence_study_validates_order():

@@ -106,13 +106,13 @@ def test_sharp_bare_solve_stops_relative_to_delta(lam, log_delta, log_s):
 
 
 def _bare_z(m_n, mu, family, lam, m_v0, g0):
-    """(Z, delta) of a bare point, or None when it has no bound state."""
+    """(Z, delta, m_V) of a bare point, or None when it has no bound state."""
     params = ModelParams(m_n=m_n, mu=mu, form_factor=FormFactor(family, lam))
     try:
         report = full_report(params, BareCoupling(m_v0=m_v0, g0=g0), QuadSpec())
     except NoBoundState:
         return None
-    return report.z_standard, params.threshold - report.m_v
+    return report.z_standard, params.threshold - report.m_v, report.m_v
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -129,15 +129,22 @@ def _bare_z(m_n, mu, family, lam, m_v0, g0):
          side=1.0, log_g0=-0.43611484439538806)
 def test_bare_solve_is_covariant_under_scale_and_shift(family, lam, log_delta0, side, log_g0):
     # physics depends on m - m_N, and on mu only through scale; a quarter of
-    # the points start above the threshold.  delta0 is a multiple of 2^-33,
-    # so m_V0 - m_N is exact for m_N up to 2^20.  Each solve stops within
-    # about 4 ulp(m) of its root, and |d ln Z / d ln delta| <= 2 (1 - Z) <= 2,
-    # so Z can move by 16 ulp(threshold) / delta: the reported m_V fixes delta
-    # no better than an ulp of the threshold, whatever the scale or the shift
+    # the points start above the threshold.  The solve runs in units of mu,
+    # so a power-of-two scale moves no bit: m_V scales exactly and Z stays.
+    # delta0 is a multiple of 2^-33, so m_V0 - m_N is exact for m_N up to
+    # 2^20.  Each solve stops within about 4 ulp(m) of its root, and
+    # |d ln Z / d ln delta| <= 2 (1 - Z) <= 2, so Z can move by
+    # 16 ulp(threshold) / delta: the reported m_V fixes delta no better than
+    # an ulp of the threshold, whatever the scale or the shift
     delta0 = math.ldexp(round(math.ldexp(10.0 ** log_delta0, 33)), -33)
     g0 = 10.0 ** log_g0
     base = _bare_z(M_N, MU, family, lam, M_N + MU + side * delta0, g0)
-    for s in (2.0 ** 10, 2.0 ** -10, 1e3, 1e-3):
+    for s in (2.0 ** 10, 2.0 ** -10):
+        scaled = _bare_z(M_N * s, MU * s, family, lam * s, (M_N + MU + side * delta0) * s, g0)
+        assert (scaled is None) == (base is None), s
+        if base is not None:
+            assert scaled[2] == s * base[2] and scaled[0] == base[0], s
+    for s in (1e3, 1e-3):
         scaled = _bare_z(M_N * s, MU * s, family, lam * s, (M_N + MU + side * delta0) * s, g0)
         assert (scaled is None) == (base is None), s
         if base is not None:

@@ -140,10 +140,17 @@ def test_rule_range_edge(kind, first_overflow):
 
 
 def test_rule_range_follows_lambda_over_mu():
-    # k_max / kappa must stay finite, and kappa is floored at 1e-9 mu
-    with pytest.raises(ValueError, match="overflows its quadrature rule"):
-        ModelParams(m_n=0.0, mu=1e-300, form_factor=FormFactor.dipole(1.0))
-    ModelParams(m_n=0.0, mu=1e-200, form_factor=FormFactor.dipole(1.0))
+    # the rules run in units of mu, so the range is a rule on Lambda / mu alone:
+    # 1e200 is refused at every scale as at mu = 1, and 1e3 gives finite moments
+    for mu in (1e-150, 1e-100, 1.0, 1e100):
+        with pytest.raises(ValueError, match="overflows its quadrature rule"):
+            ModelParams(m_n=0.0, mu=mu, form_factor=FormFactor.dipole(1e200 * mu))
+        params = ModelParams(m_n=0.0, mu=mu, form_factor=FormFactor.dipole(1e3 * mu))
+        values = spectral_moments(0.5 * mu, params, SPEC)
+        assert all(math.isfinite(v) and v != 0.0 for v in values), (mu, values)
+    for mu in (1e-300, 1e-200):
+        with pytest.raises(ValueError, match="overflows its quadrature rule"):
+            ModelParams(m_n=0.0, mu=mu, form_factor=FormFactor.dipole(1.0))
 
 
 def test_radial_f2_over_2w_golden_and_riemann():
@@ -229,13 +236,18 @@ def test_dipole_moments_for_lambda_far_below_mu(lam_over_mu, delta):
                                          1e-300, 1e-310, 1e-320))
 @pytest.mark.parametrize("mu", (1e-100, 1.0, 1e100))
 def test_tiny_lambda_is_refused_or_finite(kind, lam_over_mu, mu):
-    # a Lambda whose square underflows is refused when built; any other gives
-    # finite moments with no numpy warning (warnings are errors here)
+    # a Lambda whose square underflows, as given (FormFactor's rule) or in
+    # units of mu (scaled by the power of two that puts mu in [1, 2)), is
+    # refused when built; any other gives finite moments with no numpy
+    # warning (warnings are errors here)
+    lam = lam_over_mu * mu
+    underflows = lam * lam == 0.0 or math.ldexp(lam, 1 - math.frexp(mu)[1]) ** 2 == 0.0
     try:
-        params = ModelParams(m_n=0.0, mu=mu, form_factor=FormFactor(kind, lam_over_mu * mu))
+        params = ModelParams(m_n=0.0, mu=mu, form_factor=FormFactor(kind, lam))
     except ValueError:
-        assert (lam_over_mu * mu) ** 2 == 0.0
+        assert underflows
         return
+    assert not underflows
     assert all(math.isfinite(v) for v in spectral_moments(0.5 * mu, params, SPEC))
 
 

@@ -5,6 +5,7 @@ import pytest
 
 import leemodel.renorm
 from leemodel import (
+    FORM_FACTOR_KINDS,
     TWO_PI_CUBED,
     BareCoupling,
     DegenerateModel,
@@ -497,3 +498,25 @@ def test_norm_condition_invariant():
         z = z_from_bare(PARAMS, g0, m_v, SPEC)
         cloud = norm_integral(PARAMS, g0, m_v, SPEC)
         assert abs(z * (1.0 + cloud) - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("family", FORM_FACTOR_KINDS)
+def test_fixed_point_is_the_same_at_every_scale(family):
+    # m_N = mu, Lambda = 10 mu, m_V0 = 1.8 mu and g0 = 1 have no scale but mu,
+    # and every solver runs in units of mu: m_V / mu, Z, x, I1 / mu at the
+    # threshold and the cloud norm are the mu = 1 row, bit for bit at a power
+    # of two.  In absolute units w_k k^2 scales as mu^3 and underflowed, so
+    # mu <= 1e-108 returned m_V = m_V0 and Z = 1, and 1e-100 I1 4e-9 off
+    def row(mu):
+        params = ModelParams(m_n=mu, mu=mu, form_factor=FormFactor(family, 10.0 * mu))
+        report = full_report(params, BareCoupling(m_v0=1.8 * mu, g0=1.0), SPEC)
+        (i1,) = spectral_moments(params.threshold, params, SPEC, orders=(1,))
+        return (report.m_v / mu, report.z_standard, report.x, i1 / mu,
+                norm_integral(params, 1.0, report.m_v, SPEC))
+
+    base = row(1.0)
+    assert base[1] < 0.95  # a dressed point, not the free one
+    assert row(2.0 ** -400) == base
+    for mu in (1e-150, 1e-120, 1e-100, 1e150):
+        for got, want in zip(row(mu), base):
+            assert math.isclose(got, want, rel_tol=1e-12), (mu, got, want)
