@@ -16,12 +16,12 @@ All energies are in the same (arbitrary) unit; the solvers compute in units
 of mu (``ModelParams._in_units_of_mu``).  All types here are immutable values
 and all functions are pure, so everything can be shared freely between
 threads and across parameter sweeps.  That holds for the whole package: its
-only state, each model's copy in units of mu (built once, with the model),
-the quadrature's Gauss-Legendre nodes, its last 32 moment rules (one per
-model in units of mu, kappa octave and panel count) and the mass solve's
-last 8 opening passes (one per model, tolerances and start point, with the
-arrays of the level each settled on), is memoized values and read-only
-arrays rebuilt bit for bit on a miss, so a thread never sees another's results.
+only state, each model's copy in units of mu (built once, with the model) and
+the memos of :mod:`leemodel.quadrature` (Gauss-Legendre nodes, the last 32
+moment rules, one per model in units of mu, kappa octave and panel count, and
+the last 8 refined passes, one per mass, model, tolerances and orders, each
+with its level's arrays), is memoized values and read-only arrays rebuilt bit
+for bit on a miss, so a thread never sees another's results.
 """
 
 from __future__ import annotations

@@ -39,20 +39,23 @@ moment arrays, so that the norm condition stays an independent check.
 Every rule is refined by doubling the panel count until two successive
 estimates agree to tolerance.  The panel cap is 2**14; if the doubling
 sequence exhausts it, NoConvergence is raised.  A mass solve refines only to
-pick a level and to confirm its root: its other steps run on its arrays.
+pick a level and to confirm its root: its other steps run on its arrays.  The
+last PASSES_KEPT refined passes are kept (:func:`_moment_pass`), so a g0 sweep
+shares its opening pass and a g sweep its pass at m_V.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
 from .core import SHARP, ModelParams, dressing_amplitude, ensure_stable
-from .errors import NoConvergence
+from .errors import NoConvergence, StabilityViolation
 
 FOUR_PI = 4.0 * math.pi
 START_PANELS = 4
@@ -63,10 +66,11 @@ START_PANELS = 4
 NODES_PER_PANEL = 24
 NORM_ORDER = 20
 PANEL_CAP = 2 ** 14
-# Moment rules kept across calls, one per (model, kappa, panels): a sweep
-# touches at most 14.  A rule at the panel cap holds 6 MiB, so 32 hold 192 MiB,
-# and the mass solve's 8 kept opening passes can keep 48 MiB more alive.
+# Kept across calls: moment rules, one per (model, kappa, panels), a sweep touching
+# at most 14, and refined passes, one per (m, model, tolerances, orders).  A rule at
+# the panel cap holds 6 MiB, so the rules can hold 192 MiB and the passes 48 MiB more.
 RULES_KEPT = 32
+PASSES_KEPT = 8
 
 
 @dataclass(frozen=True)
@@ -197,6 +201,7 @@ def _moments_on(level: tuple[np.ndarray, np.ndarray], delta: float,
     return tuple(FOUR_PI * float(rho.dot(inv if n == 1 else inv ** n)) for n in orders)
 
 
+@functools.lru_cache(maxsize=PASSES_KEPT)
 def _moment_pass(m: float, params: ModelParams, spec: QuadSpec, orders: tuple[int, ...]
                  ) -> tuple[tuple[float, ...], tuple[np.ndarray, np.ndarray]]:
     """:func:`spectral_moments` and the level (q, rho) they settled on, in units of mu."""
@@ -210,12 +215,18 @@ def _moment_pass(m: float, params: ModelParams, spec: QuadSpec, orders: tuple[in
                                            f"(Lambda = {ff.lam!r}) at m = {m!r}, delta = {delta!r}")
     if s != 1.0:  # s = 2^e, and I_n scales by s^(n - 2)
         e = math.frexp(s)[1] - 1
-        values = tuple(math.ldexp(v, (n - 2) * e) for v, n in zip(values, orders))
+        try:
+            values = tuple(math.ldexp(v, (n - 2) * e) for v, n in zip(values, orders))
+        except OverflowError:  # in the caller's units; I0 ~ Lambda^2 can get there
+            raise StabilityViolation(
+                f"moment(s) {orders} of the {ff.kind} form factor (Lambda = {ff.lam!r}) at m = "
+                f"{m!r}, delta = {delta!r} overflow the float range: {values!r} in units of mu"
+            ) from None
     return values, _moment_rule(unit, kappa, panels)
 
 
 def spectral_moments(m: float, params: ModelParams, spec: QuadSpec,
-                     orders: tuple[int, ...] = (1, 2)) -> tuple[float, ...]:
+                     orders: Iterable[int] = (1, 2)) -> tuple[float, ...]:
     """Moments I_n(m) = Int d^3k f^2(omega) / (2*omega) / (m - m_N - omega)^n, one per order.
 
     All orders are summed from one f^2 evaluation per rule, the sinh rule
@@ -225,7 +236,7 @@ def spectral_moments(m: float, params: ModelParams, spec: QuadSpec,
     formed once, so nothing cancels near the threshold.
     delta = 0 is allowed for I1 alone, which stays finite there.
     """
-    return _moment_pass(m, params, spec, orders)[0]
+    return _moment_pass(float(m), params, spec, tuple(map(operator.index, orders)))[0]
 
 
 def mass_shift_integral(m: float, params: ModelParams, spec: QuadSpec) -> float:

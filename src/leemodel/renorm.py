@@ -23,16 +23,13 @@ is exactly 1/Z_V: the physical mass is found by Newton steps on one quadrature
 level, refined only to pick it and to confirm the root, and Z_V comes from the
 confirming pass's I2.
 
-The module's one piece of state is the solve's opening pass, at m_V0 or at
-the threshold: it does not depend on g0, so the last OPENING_PASSES_KEPT of
-them, each its moments and the read-only (q, rho) arrays of its level, are
-kept (:func:`_opening_pass`) and the points of a g0 sweep share one.  A miss
-recomputes it bit for bit, so nothing kept shows in a result.
+The module keeps no state: every refined pass is one call to
+:func:`leemodel.quadrature._moment_pass`, which keeps the last few, so a g0
+sweep shares its opening pass at m_V0, which g0 does not enter.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -48,9 +45,6 @@ TWO_PI_CUBED = (2.0 * math.pi) ** 3
 NEWTON_CAP = 100
 ROOT_TOL = 1e-12    # see solve_physical_mass
 REGIME_TOL = 1e-12  # see classify_regime
-# Opening passes kept, one per (model, tolerances, start point, orders): a g0
-# sweep shares one, and a handful lets a few models used in turn keep theirs.
-OPENING_PASSES_KEPT = 8
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 _EPS = sys.float_info.epsilon
@@ -82,13 +76,6 @@ def mass_shift(params: ModelParams, g0: float, m_v: float, spec: QuadSpec) -> fl
     return g0 * g0 / TWO_PI_CUBED * mass_shift_integral(m_v, params, spec)
 
 
-@functools.lru_cache(maxsize=OPENING_PASSES_KEPT)
-def _opening_pass(m: float, params: ModelParams, spec: QuadSpec,
-                  orders: tuple[int, ...]) -> tuple[tuple[float, ...], tuple]:
-    """:func:`_moment_pass` at a solve's start, m_V0 or the threshold; errors are not kept."""
-    return _moment_pass(m, params, spec, orders)
-
-
 def _newton(params: ModelParams, bare: BareCoupling,
             spec: QuadSpec) -> tuple[float, float] | None:
     """Root m_V of F(m) = m - m_V0 - c I1(m), c = g0^2/(2 pi)^3, and s = c I2(m_V).
@@ -101,8 +88,8 @@ def _newton(params: ModelParams, bare: BareCoupling,
     the midpoint of m and the threshold, whichever lies further right, so that
     delta at least halves instead of creeping along the chord.
     Steps after a refined pass run on its level, in units of mu (delta times u,
-    I1 over u); one that settles there is refined again at the same m; the
-    opening pass is kept (:func:`_opening_pass`).  A step settles when it moves
+    I1 over u); one that settles there is refined again at the same m.  Refined
+    passes are kept (:func:`_moment_pass`).  A step settles when it moves
     m by at most ROOT_TOL * min(delta, max(1/u, |m|)), relative to delta =
     threshold - m so that delta, Z and x keep their accuracy near the threshold
     (1/u is 1 in units of mu); or by at most 4 ulp(m) + 8 eps (|m - m_V0| +
@@ -116,20 +103,19 @@ def _newton(params: ModelParams, bare: BareCoupling,
     c = bare.g0 * bare.g0 / TWO_PI_CUBED
     unit_scale = params._in_units_of_mu[1]
     f_thr = None
-    m, refine = bare.m_v0, _opening_pass
+    m = bare.m_v0
     if m >= thr:
-        f_thr = thr - bare.m_v0 - c * _opening_pass(thr, params, spec, (1,))[0][0]
+        f_thr = thr - bare.m_v0 - c * _moment_pass(thr, params, spec, (1,))[0][0]
         if not math.isfinite(f_thr):
             raise _overflow(params, bare, thr, f"F = {f_thr!r}")
         if f_thr <= 0.0:
             return None
-        m, refine = thr - f_thr, _moment_pass
+        m = thr - f_thr
     level = None
     for _ in range(NEWTON_CAP):
         held = level
         if held is None:
-            (i1, i2), level = refine(m, params, spec, (1, 2))
-            refine = _moment_pass
+            (i1, i2), level = _moment_pass(m, params, spec, (1, 2))
         else:
             i1, i2 = _moments_on(held, (thr - m) * unit_scale, (1, 2))
             i1 /= unit_scale
@@ -229,8 +215,8 @@ def regularized_z(x: float) -> float:
 def geometric_partial_sum(x: float, n: int) -> float:
     """Partial sum 1 + x + ... + x^n; saturates to inf instead of overflowing.
 
-    Uses the closed form (x^(n+1) - 1)/(x - 1) away from x = 1 and direct
-    summation inside |x - 1| <= 1e-8 where the closed form loses precision.
+    Uses the closed form (x^(n+1) - 1)/(x - 1), written inside |x - 1| <= 1e-8,
+    where it loses precision, as expm1((n+1) log1p(x - 1))/(x - 1), x - 1 exact.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -239,7 +225,10 @@ def geometric_partial_sum(x: float, n: int) -> float:
     if x == 1.0:
         return float(n + 1)
     if abs(x - 1.0) <= 1e-8:
-        return math.fsum(x ** j for j in range(n + 1))
+        try:
+            return math.expm1((n + 1) * math.log1p(x - 1.0)) / (x - 1.0)
+        except OverflowError:  # x^(n+1), or n + 1 itself, is past the float range
+            return math.inf if x > 1.0 else 1.0 / (1.0 - x)
     if x > 1.0 and (n + 1) * math.log(x) > _LOG_FLOAT_MAX:
         return math.inf
     return (x ** (n + 1) - 1.0) / (x - 1.0)

@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 
+import leemodel.quadrature
 from leemodel import BareCoupling, FormFactor, ModelParams, QuadSpec
 
 MU = 1.0
@@ -77,6 +78,14 @@ ALL_MODELS = (sharp_model, exponential_model, dipole_model)
 SPEC = QuadSpec()  # tolerances only; the momentum range comes from the model
 
 ACC_BARE = BareCoupling(m_v0=ACC_M_V0, g0=ACC_G0)
+
+
+def forget_kept_state() -> None:
+    """Start cold: clear every memo the package keeps (Gauss nodes, moment
+    rules, refined passes), all of which live in :mod:`leemodel.quadrature`."""
+    for kept in vars(leemodel.quadrature).values():
+        if hasattr(kept, "cache_clear"):
+            kept.cache_clear()
 
 
 def sharp_moments_closed_form(lam: float, delta: float, mu: float = MU) -> tuple[float, float]:

@@ -11,10 +11,8 @@ import leemodel
 from leemodel import BareCoupling, full_report
 from leemodel.cli import parse_config
 from leemodel.oracle import build_arrowhead, build_grid
-from leemodel.quadrature import _moment_rule
-from leemodel.renorm import _opening_pass
 
-from helpers import ALL_MODELS, SHARP_K_CUT, SPEC, sharp_model
+from helpers import ALL_MODELS, SHARP_K_CUT, SPEC, forget_kept_state, sharp_model
 
 BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
 WORKLOADS = BENCH / "workloads.py"
@@ -56,8 +54,7 @@ def test_traced_form_factor_spans_carry_their_node_count():
     recorder.install()
     try:
         for make in ALL_MODELS:
-            _moment_rule.cache_clear()
-            _opening_pass.cache_clear()
+            forget_kept_state()
             full_report(make(), BareCoupling(1.9, 1.0), SPEC)
         build_arrowhead(sharp_model(), BareCoupling(1.8, 1.0), build_grid(SHARP_K_CUT, 64))
     finally:

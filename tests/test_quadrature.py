@@ -1,5 +1,7 @@
+import importlib
 import json
 import math
+import pkgutil
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -37,12 +39,12 @@ from leemodel.quadrature import (
     NORM_ORDER,
     RULES_KEPT,
     START_PANELS,
+    _moment_pass,
     _moment_rule,
     _refine,
     _sinh_panels,
     _threshold_scale,
 )
-from leemodel.renorm import _opening_pass
 
 from helpers import (
     ALL_MODELS,
@@ -59,6 +61,7 @@ from helpers import (
     dipole_model,
     dipole_moments_reference,
     exponential_model,
+    forget_kept_state,
     riemann_radial,
     sharp_model,
     sharp_moments_closed_form,
@@ -270,31 +273,28 @@ def _uncached_moments(m, params, orders=(1, 2)):
     return tuple(_refine(estimate, SPEC, lambda: "reference")[0])
 
 
-def _forget_kept_rules():
-    """Start cold: no moment rule and no opening pass of a solve kept."""
-    _moment_rule.cache_clear()
-    _opening_pass.cache_clear()
-
-
 def test_kept_rules_never_change_a_bit():
     model_a, model_b = exponential_model(lam=40.0), dipole_model()
     masses = (1.5, 1.99, M_NEAR_THRESHOLD)
     reference = [_uncached_moments(m, model_a) for m in masses]
     cold = []
     for m in masses:
-        _moment_rule.cache_clear()
+        forget_kept_state()
         cold.append(spectral_moments(m, model_a, SPEC))
-    _moment_rule.cache_clear()
+    forget_kept_state()
     # other masses fill the rules first: the first three share the kappa
     # octaves of the targets, so the warm passes below only read kept rules
+    # (the kept passes are dropped, so that the rules are read at all)
     for m in (1.49, 1.991, 2.0 - 1.2e-8, 0.5, 1.9, 2.0 - 1e-6):
         spectral_moments(m, model_a, SPEC)
+    _moment_pass.cache_clear()
     filled = _moment_rule.cache_info()
     warm = [spectral_moments(m, model_a, SPEC) for m in masses]
     warmed = _moment_rule.cache_info()
     assert warmed.misses == filled.misses and warmed.hits > filled.hits
     # model B is kept next to model A: it must neither read nor evict A's rules
     assert spectral_moments(1.5, model_b, SPEC) == _uncached_moments(1.5, model_b)
+    _moment_pass.cache_clear()
     before = _moment_rule.cache_info()
     refilled = [spectral_moments(m, model_a, SPEC) for m in masses]
     assert _moment_rule.cache_info().misses == before.misses
@@ -327,7 +327,7 @@ def test_bare_sweep_evaluates_the_form_factor_once_per_octave_and_panel_count(mo
 
     monkeypatch.setattr(FormFactor, "evaluate", counted)
     monkeypatch.setattr(leemodel.quadrature, "_sinh_panels", recorded)
-    _forget_kept_rules()
+    forget_kept_state()
     cfg = parse_config(json.dumps({
         "model": {"form_factor": {"kind": "exponential", "lambda": 10.0}},
         "input": {"mode": "bare", "m_V0": 1.99},
@@ -360,7 +360,7 @@ def test_held_newton_steps_never_look_up_a_rule(monkeypatch):
 
     monkeypatch.setattr(leemodel.quadrature, "_refine", counted_refine)
     monkeypatch.setattr(leemodel.renorm, "_moments_on", counted_held)
-    _forget_kept_rules()
+    forget_kept_state()
     rows = run_sweep(parse_config(json.dumps({
         "model": {"form_factor": {"kind": "exponential", "lambda": 10.0}},
         "input": {"mode": "bare", "m_V0": 1.999},
@@ -381,7 +381,7 @@ def test_alternating_models_keep_their_rules(monkeypatch):
         return evaluate(self, k, mu)
 
     monkeypatch.setattr(FormFactor, "evaluate", counted)
-    _forget_kept_rules()
+    forget_kept_state()
     model_a, model_b = exponential_model(), dipole_model()
     reports = [full_report(params, BareCoupling(1.9, 1.0), SPEC)
                for params in (model_a, model_b, model_a, model_b)]
@@ -392,15 +392,15 @@ def test_alternating_models_keep_their_rules(monkeypatch):
 
 def test_full_report_threads_match_serial():
     # 18 models of at least two rules each overflow the RULES_KEPT kept
-    # rules, and the kept opening passes, so the threads evict each other's
+    # rules, and the kept passes, so the threads evict each other's
     points = [(make(lam), BareCoupling(1.9, g0))
               for lam in (2.0, 3.0, 4.0, 5.0, 7.0, 10.0, 15.0, 20.0, 30.0)
               for g0 in (0.5, 2.0) for make in (exponential_model, dipole_model)]
     assert len({params for params, _ in points}) > 16
-    _forget_kept_rules()
+    forget_kept_state()
     serial = [full_report(params, bare, SPEC) for params, bare in points]
     assert _moment_rule.cache_info().misses > RULES_KEPT
-    _forget_kept_rules()
+    forget_kept_state()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -412,6 +412,48 @@ def test_full_report_threads_match_serial():
     assert threaded == serial
 
 
+def test_kept_state_lives_in_quadrature():
+    # the package keeps memoized values in one module only, so one call
+    # (helpers.forget_kept_state) starts every test cold
+    kept = set()
+    for info in pkgutil.iter_modules(leemodel.__path__):
+        if info.name == "__main__":  # importing it runs the CLI
+            continue
+        module = importlib.import_module(f"leemodel.{info.name}")
+        owners = [module] + [cls for cls in vars(module).values()
+                             if isinstance(cls, type) and cls.__module__ == module.__name__]
+        kept |= {(obj.__module__, obj.__qualname__) for owner in owners
+                 for obj in vars(owner).values() if hasattr(obj, "cache_clear")}
+    assert kept == {("leemodel.quadrature", name)
+                    for name in ("_gauss_nodes", "_moment_rule", "_moment_pass")}, kept
+
+
+@pytest.mark.parametrize("mu", (1.0, 3.0))
+def test_orders_may_be_any_integer_sequence(mu):
+    # the kept passes are keyed on a tuple of ints, whatever sequence is passed
+    params = ModelParams(m_n=1.0, mu=mu, form_factor=FormFactor.sharp(10.0 * mu))
+    m = params.threshold - 0.5 * mu
+    forget_kept_state()
+    expected = spectral_moments(m, params, SPEC, (0, 1, 2))
+    for orders in ([0, 1, 2], np.array([0, 1, 2]), (np.int64(0), 1, np.int32(2)), range(3)):
+        forget_kept_state()
+        assert spectral_moments(m, params, SPEC, orders) == expected, orders
+        assert spectral_moments(np.array(m), params, SPEC, orders) == expected, orders
+    assert spectral_moments(m, params, SPEC, [1]) == expected[1:2]
+
+
+def test_overflowing_moment_is_a_stability_violation():
+    # I0 ~ Lambda^2 ~ 1e320 is finite in units of mu but not in the caller's
+    params = ModelParams(0.0, 1e100, FormFactor.sharp(1e160))
+    with pytest.raises(StabilityViolation) as err:
+        spectral_moments(1e99, params, QuadSpec(), (0,))
+    message = str(err.value)
+    for part in ("moment(s) (0,)", "sharp", "Lambda = 1e+160", "m = 1e+99", "delta = 9e+99"):
+        assert part in message, (part, message)
+    i1, i2 = spectral_moments(1e99, params, QuadSpec(), (1, 2))
+    assert math.isfinite(i1) and math.isfinite(i2)
+
+
 def test_no_convergence_names_its_context(monkeypatch):
     # both sinh rules resolve delta = 1e-13 mu within 16 panels, so each is
     # held to 2 -> 4 panels here to make it run out
@@ -420,6 +462,7 @@ def test_no_convergence_names_its_context(monkeypatch):
     m = 2.0 - 1e-13
     monkeypatch.setattr(leemodel.quadrature, "START_PANELS", 2)
     monkeypatch.setattr(leemodel.quadrature, "PANEL_CAP", 4)
+    forget_kept_state()  # a kept pass at m would skip the refinement
     for what, mass, call in (
             ("moment(s) (2,)", "m", lambda: z_factor_integral(m, params, spec)),
             ("norm integral", "m_V", lambda: norm_integral(params, 1.0, m, spec))):
@@ -477,6 +520,7 @@ def test_refinement_monotonicity(monkeypatch):
     params = sharp_model()
     a = z_factor_integral(1.5, params, SPEC)
     monkeypatch.setattr(leemodel.quadrature, "START_PANELS", 8)
+    forget_kept_state()  # else b is a's kept pass
     b = z_factor_integral(1.5, params, SPEC)
     assert abs(a - b) <= max(SPEC.abs_tol, SPEC.rel_tol * abs(b))
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import leemodel.quadrature
 import leemodel.renorm
 from leemodel import (
     FORM_FACTOR_KINDS,
@@ -34,7 +35,7 @@ from leemodel import (
     standard_z,
     z_from_bare,
 )
-from leemodel.renorm import _opening_pass
+from leemodel.quadrature import _moment_pass
 
 from helpers import (
     ACC_BARE,
@@ -48,6 +49,7 @@ from helpers import (
     X_AT_G1,
     Z_BARE_G1,
     exponential_model,
+    forget_kept_state,
     sharp_model,
 )
 
@@ -185,6 +187,7 @@ def test_bare_solve_is_confirmed_by_a_fresh_pass(make, lam, m_v0):
     # Z must still be those of a fully refined pass at m_V
     params, bare = make(lam), BareCoupling(m_v0=m_v0, g0=3.0)
     report = full_report(params, bare, SPEC)
+    forget_kept_state()
     i1, i2 = spectral_moments(report.m_v, params, SPEC)
     c = bare.g0 * bare.g0 / TWO_PI_CUBED
     step = (report.m_v - bare.m_v0 - c * i1) / (1.0 + c * i2)
@@ -192,26 +195,42 @@ def test_bare_solve_is_confirmed_by_a_fresh_pass(make, lam, m_v0):
     assert report.z_standard == 1.0 / (1.0 + c * i2)
 
 
-def test_bare_sweep_refines_once_per_point(monkeypatch):
-    # the opening pass at m_V0, which picks the rule, is shared by the sweep,
-    # and each point refines once more to confirm its root; a pass at every
-    # Newton step made 5.6 per point on this sweep, and an unshared opening
-    # pass about 2
+def _count_refined_passes(monkeypatch) -> list[str]:
+    """The context of every refinement the package runs from here on, cold."""
     calls = []
-    moment_pass = leemodel.renorm._moment_pass
+    refine = leemodel.quadrature._refine
 
-    def counted(*args):
-        calls.append(args[0])
-        return moment_pass(*args)
+    def counted(estimate, spec, what):
+        calls.append(what())
+        return refine(estimate, spec, what)
 
-    monkeypatch.setattr(leemodel.renorm, "_moment_pass", counted)
-    _opening_pass.cache_clear()
+    monkeypatch.setattr(leemodel.quadrature, "_refine", counted)
+    forget_kept_state()
+    return calls
+
+
+def test_bare_sweep_refines_once_per_point(monkeypatch):
+    # the opening pass at m_V0, which picks the rule, is kept and shared by
+    # the sweep, and each point refines once more to confirm its root; a pass
+    # at every Newton step made 5.6 per point on this sweep, and an unshared
+    # opening pass about 2
+    calls = _count_refined_passes(monkeypatch)
     params = exponential_model()
     g0s = np.linspace(0.0, 3.0, 24)[1:]
     for g0 in g0s:
         full_report(params, BareCoupling(m_v0=2.0 - 1e-3, g0=float(g0)), SPEC)
     assert len(calls) <= len(g0s) + 1, len(calls)
-    assert calls.count(2.0 - 1e-3) == 1, calls
+    assert sum(f"m = {2.0 - 1e-3!r}," in what for what in calls) == 1, calls
+
+
+def test_g_sweep_refines_once(monkeypatch):
+    # every point of a renormalized g sweep takes its moments at the same m_V
+    calls = _count_refined_passes(monkeypatch)
+    params = exponential_model()
+    reports = [full_report(params, RenCoupling(m_v=1.9, g=float(g)), SPEC)
+               for g in np.linspace(0.0, 8.0, 24)]
+    assert {r.regime for r in reports} == {Regime.NORMAL, Regime.GHOST}
+    assert len(calls) == 1, calls
 
 
 @pytest.mark.parametrize("make", ALL_MODELS)
@@ -220,6 +239,7 @@ def test_kept_opening_pass_never_changes_a_result(make, m_v0):
     # a sweep over g0, which reads the kept opening pass from its second point
     # on, must return the very bits of points solved one by one with nothing
     # kept; m_V0 = 2.02 starts above the threshold, where the kept pass is F's
+    # (a g sweep: test_kept_pass_never_changes_a_g_sweep)
     params = make()
     g0s = [float(g0) for g0 in np.linspace(0.0, 3.0, 12)]
 
@@ -229,24 +249,43 @@ def test_kept_opening_pass_never_changes_a_result(make, m_v0):
         except LeeModelError as exc:
             return type(exc).__name__, str(exc)
 
-    _opening_pass.cache_clear()
+    forget_kept_state()
     swept = [report_or_error(g0) for g0 in g0s]
-    assert _opening_pass.cache_info().hits >= len(g0s) - 2
+    assert _moment_pass.cache_info().hits >= len(g0s) - 2
     cold = []
     for g0 in g0s:
-        _opening_pass.cache_clear()
+        forget_kept_state()
         cold.append(report_or_error(g0))
     assert repr(swept) == repr(cold)  # bit for bit: repr tells -0.0 from 0.0
     assert sum(isinstance(r, RenormReport) for r in swept) > len(g0s) // 2
 
 
+@pytest.mark.parametrize("make", ALL_MODELS)
+@pytest.mark.parametrize("m_v", (1.9, 2.0 - 1e-6))
+def test_kept_pass_never_changes_a_g_sweep(make, m_v):
+    # the points of a g sweep, which read the pass at m_V kept by the first,
+    # must return the very bits of points taken one by one with nothing kept,
+    # on both sides of x = 1
+    params = make()
+    gs = [float(g) for g in np.linspace(0.0, 1.6 * critical_coupling(params, m_v, SPEC), 12)]
+    forget_kept_state()
+    swept = [full_report(params, RenCoupling(m_v=m_v, g=g), SPEC) for g in gs]
+    assert _moment_pass.cache_info().hits == len(gs) - 1
+    cold = []
+    for g in gs:
+        forget_kept_state()
+        cold.append(full_report(params, RenCoupling(m_v=m_v, g=g), SPEC))
+    assert repr(swept) == repr(cold)
+    assert {r.regime for r in swept} == {Regime.NORMAL, Regime.GHOST}
+
+
 def test_kept_opening_pass_is_a_tuple():
     # every later caller is handed the kept value itself, so none may change it
     params = exponential_model()
-    _opening_pass.cache_clear()
+    forget_kept_state()
     for m, orders in ((1.9, (1, 2)), (params.threshold, (1,))):
-        kept = _opening_pass(m, params, SPEC, orders)
-        assert kept is _opening_pass(m, params, SPEC, orders)
+        kept = _moment_pass(m, params, SPEC, orders)
+        assert kept is _moment_pass(m, params, SPEC, orders)
         values, rule = kept
         assert type(kept) is type(values) is type(rule) is tuple
         assert len(values) == len(orders)
@@ -325,6 +364,20 @@ def test_geometric_partial_sum():
         geometric_partial_sum(2.0, -1)
     with pytest.raises(ValueError):
         geometric_partial_sum(-0.5, 3)
+
+
+@pytest.mark.parametrize("x", (1.0 + 1e-9, 1.0 - 1e-9))
+def test_geometric_partial_sum_near_one_at_large_n(x):
+    # inside |x - 1| <= 1e-8 the sum has a closed form too, so its cost does
+    # not grow with n (summing 10**7 terms took about a second)
+    h = x - 1.0  # exact
+    direct = math.fsum(x ** j for j in range(1001))
+    assert math.isclose(geometric_partial_sum(x, 1000), direct, rel_tol=1e-15)
+    # at n = 10**7, (n + 1) h = +-0.01, where the far closed form loses only two digits
+    far = (x ** (10**7 + 1) - 1.0) / h
+    assert math.isclose(geometric_partial_sum(x, 10**7), far, rel_tol=1e-12)
+    # at n = 10**12, (n + 1) h = +-1000: past the float range above 1, 1/(1 - x) below
+    assert geometric_partial_sum(x, 10**12) == (math.inf if x > 1.0 else -1.0 / h)
 
 
 def test_divergence_certificate():
