@@ -12,16 +12,16 @@ amplitude all take k and mu, and form omega_k themselves.  The dressed V
 state below the N+theta threshold m_N + mu carries an N-theta cloud whose
 momentum-space amplitude is the vertex weight divided by (m_V - m_N - omega_k).
 
-All energies are in the same (arbitrary) unit; the solvers compute in units
-of mu (``ModelParams._in_units_of_mu``).  All types here are immutable values
-and all functions are pure, so everything can be shared freely between
-threads and across parameter sweeps.  That holds for the whole package: its
-only state, each model's copy in units of mu (built once, with the model) and
-the memos of :mod:`leemodel.quadrature` (Gauss-Legendre nodes, the last 32
-moment rules, one per model in units of mu, kappa octave and panel count, and
-the last 8 refined passes, one per mass, model, tolerances and orders, each
-with its level's arrays), is memoized values and read-only arrays rebuilt bit
-for bit on a miss, so a thread never sees another's results.
+All energies are in the same (arbitrary) unit; the solvers, and every square the
+kinematics form, are in units of mu (``ModelParams._in_units_of_mu``).  All types
+here are immutable values and all functions are pure, so everything can be
+shared freely between threads and across parameter sweeps.  That holds for the
+whole package: its only state, each model's copy in units of mu (built once,
+with the model) and the memos of :mod:`leemodel.quadrature` (Gauss-Legendre
+nodes, the last 32 moment rules, one per model in units of mu, kappa octave and
+panel count, and the last 8 refined passes, one per mass, model, tolerances and
+orders, each with its level's arrays), is memoized values and read-only arrays
+rebuilt bit for bit on a miss, so a thread never sees another's results.
 """
 
 from __future__ import annotations
@@ -62,8 +62,8 @@ class FormFactor:
     * ``exponential``:  f = exp(-omega / Lambda)
     * ``dipole``:       f = Lambda^2 / (Lambda^2 + k^2)
 
-    Lambda must be finite with a positive square, so that the dipole's
-    Lambda^2 does not underflow to 0.
+    Lambda must be positive and finite; its rule is on Lambda / mu (:class:`ModelParams`),
+    and f is formed in units of mu, on k s, Lambda s and mu s (s of :func:`_ensure_mu`).
     """
 
     kind: str
@@ -72,9 +72,8 @@ class FormFactor:
     def __post_init__(self):
         if self.kind not in FORM_FACTOR_KINDS:
             raise ValueError(f"unknown form factor kind {self.kind!r}")
-        if not (math.isfinite(self.lam) and self.lam > 0.0 and self.lam * self.lam > 0.0):
-            raise ValueError("form factor cutoff Lambda must be positive and finite, "
-                             "with a positive square")
+        if not (math.isfinite(self.lam) and self.lam > 0.0):
+            raise ValueError("form factor cutoff Lambda must be positive and finite")
 
     @classmethod
     def sharp(cls, lam: float) -> "FormFactor":
@@ -89,16 +88,16 @@ class FormFactor:
         return cls(DIPOLE, lam)
 
     def evaluate(self, k, mu: float):
-        """f at momentum ``k`` (scalar or array) for theta mass ``mu``; omega is
-        formed exactly as :func:`omega` forms it."""
-        k_arr = np.asarray(k, dtype=float)
+        """f at momentum ``k`` (scalar or array) for theta mass ``mu``, in units of mu;
+        omega s is formed exactly as :func:`omega` forms it."""
+        s = _ensure_mu(mu)
+        ks, lam = np.asarray(k, dtype=float) * s, self.lam * s
         if self.kind == DIPOLE:
-            lam_sq = self.lam * self.lam
-            return _maybe_scalar(lam_sq / (lam_sq + k_arr * k_arr), k)
-        om = np.sqrt(k_arr * k_arr + mu * mu)
+            return _maybe_scalar(lam * lam / (lam * lam + ks * ks), k)
+        om = np.sqrt(ks * ks + (mu * s) * (mu * s))
         if self.kind == SHARP:
-            return _maybe_scalar(np.where(om <= self.lam, 1.0, 0.0), k)
-        return _maybe_scalar(np.exp(-om / self.lam), k)
+            return _maybe_scalar(np.where(om <= lam, 1.0, 0.0), k)
+        return _maybe_scalar(np.exp(-om / lam), k)
 
 
 def _ensure_mu(mu: float, m_n: float = 0.0) -> float:
@@ -125,10 +124,10 @@ class ModelParams:
     coupling live in :class:`BareCoupling` / :class:`RenCoupling` because they
     are the quantities the renormalization maps exchange.
 
-    The domain is checked here, once: mu a normal float with a finite square
-    (below 1.3e154, which keeps m_N + mu finite; :func:`omega` applies the
-    same rule), m_N finite in units of mu, and a Lambda / mu on whose momentum
-    range every quadrature product stays finite (:func:`leemodel.quadrature.ensure_finite_rules`).
+    The domain is checked here, once: mu a normal float with a finite square (below
+    1.3e154, which keeps m_N + mu finite; :func:`omega` applies the same rule), m_N
+    finite in units of mu, and the one rule on Lambda, a Lambda / mu with a positive
+    square and finite quadrature products (:func:`leemodel.quadrature.ensure_finite_rules`).
     """
 
     m_n: float
@@ -207,12 +206,12 @@ def ensure_stable(params: ModelParams, m: float, label: str = "m_V") -> None:
 
 
 def omega(k, mu: float):
-    """Theta energy sqrt(k^2 + mu^2) for momentum magnitude k (scalar or array)."""
-    _ensure_mu(mu)
-    k_arr = np.asarray(k, dtype=float)
-    if np.any(k_arr < 0.0) or not np.all(np.isfinite(k_arr)):
-        raise ValueError("momentum magnitude k must be nonnegative and finite")
-    return _maybe_scalar(np.sqrt(k_arr * k_arr + mu * mu), k)
+    """Theta energy sqrt((k s)^2 + (mu s)^2) / s of momentum k (scalar or array), s as for mu."""
+    s = _ensure_mu(mu)
+    ks = np.asarray(k, dtype=float) * s
+    if not np.all((ks >= 0.0) & (ks < 2.0 ** 512)):  # (k s)^2 finite, NaN refused
+        raise ValueError("momentum k must be nonnegative, with a finite square in units of mu")
+    return _maybe_scalar(np.sqrt(ks * ks + (mu * s) * (mu * s)) / s, k)
 
 
 def vertex_weight(g0: float, ff: FormFactor, k, mu: float):
@@ -226,11 +225,12 @@ def dressing_amplitude(params: ModelParams, g0: float, m_v: float, k):
 
     Equals vertex_weight(k) / (m_V - m_N - omega_k); strictly negative
     wherever g0 > 0 and the form factor is nonzero, and square-integrable in
-    d^3k for every supported form factor family.  The denominator is written
-    as -(delta + k^2/(omega_k + mu)) with delta = m_N + mu - m_V, so nothing
-    cancels near the threshold.
+    d^3k for every supported form factor family.  The denominator is written as
+    -(delta + k^2/(omega_k + mu)), delta = m_N + mu - m_V, so nothing cancels near
+    the threshold; k^2/(omega_k + mu) is formed in units of mu.
     """
     ensure_stable(params, m_v)
-    weight = vertex_weight(g0, params.form_factor, k, params.mu)
-    out = -weight / (params.threshold - m_v + np.square(k) / (omega(k, params.mu) + params.mu))
+    unit, s = params._in_units_of_mu
+    ks, weight = np.multiply(k, s), vertex_weight(g0, params.form_factor, k, params.mu)
+    out = -weight / (params.threshold - m_v + np.square(ks) / (omega(ks, unit.mu) + unit.mu) / s)
     return _maybe_scalar(out, k)

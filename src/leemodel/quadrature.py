@@ -152,18 +152,18 @@ def _sinh_panels(hi: float, kappa: float, panels: int,
 
 
 def ensure_finite_rules(params: ModelParams) -> None:
-    """Raise ValueError unless the model in units of mu, built here when :class:`ModelParams`
-    is, has a cutoff with a positive square and finite rules.  There mu is in [1, 2) and
-    kappa >= 2^-30; a rule of P >= START_PANELS panels has nodes k = kappa sinh(u) <= hi,
-    u < U = asinh(hi/kappa), and weights wk <= (U/2P) hypot(hi, kappa) (Gauss weights are
-    below 1), so U/(2 START_PANELS) hi^2 hypot(hi, kappa) bounds wk k^2, the largest
-    product of :func:`_moment_rule` and the norm rule, and must be finite."""
+    """The one rule on Lambda / mu: ValueError unless the model in units of mu (mu in [1, 2),
+    kappa >= 2^-30) has a cutoff with a positive square and finite rules.  A rule of P >=
+    START_PANELS panels has nodes k = kappa sinh(u) <= hi, u < U = asinh(hi/kappa), and weights
+    wk <= (U/2P) hypot(hi, kappa) (Gauss weights are below 1), so U/(2 START_PANELS) hi^2
+    hypot(hi, kappa) bounds wk k^2, the largest product of any rule, and must be finite."""
     try:
         unit = params._in_units_of_mu[0]
-        hi, kappa = upper_momentum(unit), _threshold_scale(unit, 0.0)
-        if math.asinh(hi / kappa) / (2 * START_PANELS) * hi * hi * math.hypot(hi, kappa) < math.inf:
+        lam, hi, kappa = unit.form_factor.lam, upper_momentum(unit), _threshold_scale(unit, 0.0)
+        if lam * lam > 0.0 and (math.asinh(hi / kappa) / (2 * START_PANELS) * hi * hi
+                                * math.hypot(hi, kappa) < math.inf):
             return
-    except ValueError:  # from the unit model's cutoff or its own rule check
+    except ValueError:  # a unit cutoff not positive and finite, or the unit model's own check
         pass
     ff = params.form_factor
     raise ValueError(

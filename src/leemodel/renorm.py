@@ -19,9 +19,9 @@ reported side by side: ``z_standard`` (1 - x, possibly negative) and
 ``z_regularized`` (max(1 - x, 0)).
 
 Since I2 = -dI1/dm, the slope of the mass residual m - m_V0 - (g0^2/(2 pi)^3) I1(m)
-is exactly 1/Z_V: the physical mass is found by Newton steps on one quadrature
-level, refined only to pick it and to confirm the root, and Z_V comes from the
-confirming pass's I2.
+is exactly 1/Z_V: the physical mass is found by steps to the root of a one-pole
+model of I1 fitted to I1 and I2, on one quadrature level, refined only to pick it
+and to confirm the root, and Z_V comes from the confirming pass's I2.
 
 The module keeps no state: every refined pass is one call to
 :func:`leemodel.quadrature._moment_pass`, which keeps the last few, so a g0
@@ -41,12 +41,11 @@ from .quadrature import (QuadSpec, _moment_pass, _moments_on, mass_shift_integra
 
 TWO_PI_CUBED = (2.0 * math.pi) ** 3
 
-# Newton steps before the physical-mass solve gives up
+# steps before the physical-mass solve gives up
 NEWTON_CAP = 100
 ROOT_TOL = 1e-12    # see solve_physical_mass
 REGIME_TOL = 1e-12  # see classify_regime
 
-_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 _EPS = sys.float_info.epsilon
 
 
@@ -80,13 +79,17 @@ def _newton(params: ModelParams, bare: BareCoupling,
             spec: QuadSpec) -> tuple[float, float] | None:
     """Root m_V of F(m) = m - m_V0 - c I1(m), c = g0^2/(2 pi)^3, and s = c I2(m_V).
 
-    F' = 1 + c I2 >= 1 and F is convex, so Newton steps from right of the root
-    fall monotonically onto it; below the threshold they start at m_V0, where
-    F >= 0.  At or above it a bound state exists iff F(threshold) > 0; the
-    start threshold - F(threshold) lies left of the root, and a step that
-    would reach the threshold takes the chord to (threshold, F(threshold)) or
-    the midpoint of m and the threshold, whichever lies further right, so that
-    delta at least halves instead of creeping along the chord.
+    On a level |I1| = sum rho / (delta + q), so 1/|I1| is concave in delta; a step goes to
+    the root of the model that puts c |I1| in one pole fitted to I1 and I2 at m (Bunch,
+    Nielsen & Sorensen, Numer. Math. 31 (1978) 31), which never overestimates it.  So
+    steps from right of the root fall monotonically onto it, however many octaves of delta
+    away; below the threshold they start at m_V0, where F >= 0.  At or above it a bound
+    state exists iff F(threshold) > 0; the start threshold - F(threshold) lies left of the
+    root, and a step that would reach the threshold goes instead to the furthest right of
+    the chord to (threshold, F(threshold)), the midpoint of m and the threshold, and the
+    root of the bound c |I1| <= c |I1(m)| delta / delta', so delta at least halves.  A
+    held level that lands on the threshold is refined at m first; a root that rounds onto
+    the threshold raises StabilityViolation.
     Steps after a refined pass run on its level, in units of mu (delta times u,
     I1 over u); one that settles there is refined again at the same m.  Refined
     passes are kept (:func:`_moment_pass`).  A step settles when it moves
@@ -115,6 +118,11 @@ def _newton(params: ModelParams, bare: BareCoupling,
     for _ in range(NEWTON_CAP):
         held = level
         if held is None:
+            if not m < thr:  # only from above, where f_thr is set
+                raise StabilityViolation(
+                    f"the mass root of the {params.form_factor.kind} form factor for m_V0 = "
+                    f"{bare.m_v0!r}, g0 = {bare.g0!r} lies within rounding of the threshold "
+                    f"{thr!r} (F(threshold) = {f_thr!r}): no float below it resolves the root")
             (i1, i2), level = _moment_pass(m, params, spec, (1, 2))
         else:
             i1, i2 = _moments_on(held, (thr - m) * unit_scale, (1, 2))
@@ -123,7 +131,10 @@ def _newton(params: ModelParams, bare: BareCoupling,
         s = c * i2
         if not (math.isfinite(f) and math.isfinite(s)):
             raise _overflow(params, bare, m, f"F = {f!r}, c I2 = {s!r}")
-        step = f / (1.0 + s)
+        # the root of r h^2 + (1 - d r) h - f, d = m - m_V0, for the pole fitted at m:
+        # d r = (d / delta) (delta I2 / |I1|), the second factor in (0, 1), and r a = s
+        e = 0.5 + 0.5 * (m - bare.m_v0) / (thr - m) * ((thr - m) * i2 / -i1 if i1 < 0.0 else 0.0)
+        step = f / (1.0 - e + math.hypot(e, math.sqrt(s)))
         # relative to delta, down to the rounding floor below which F cannot
         # resolve a step (formed only when the relative test fails)
         if (abs(step) <= ROOT_TOL * min(thr - m, max(1.0 / unit_scale, abs(m)))
@@ -134,8 +145,13 @@ def _newton(params: ModelParams, bare: BareCoupling,
             level = None
             continue
         nxt = m - step
-        if nxt >= thr:  # only from left of the root, so f_thr is set
-            nxt = max(m - f * (thr - m) / (f_thr - f), thr - 0.5 * (thr - m))
+        if nxt >= thr:  # only from left of the root, so f_thr is set; the bound's root is
+            # delta' = t delta, t = 2 v / (hypot(u, 2 sqrt(v)) - u), u = (thr - m_V0) / delta <= 0
+            u, v = (thr - bare.m_v0) / (thr - m), -c * i1 / (thr - m)
+            bound = thr - 2.0 * v / (math.hypot(u, 2.0 * math.sqrt(v)) - u) * (thr - m) if v else m
+            nxt = max(m - f * (thr - m) / (f_thr - f), thr - 0.5 * (thr - m), bound)
+            if nxt >= thr:  # refine at m if the level was held, else refuse the threshold
+                nxt, level = (m if held is not None else nxt), None
         m = nxt
     ff = params.form_factor
     raise NoConvergence(
@@ -158,7 +174,7 @@ def solve_physical_mass(params: ModelParams, bare: BareCoupling,
                         spec: QuadSpec) -> float | None:
     """Physical V mass: the root of F(m) = m - m_V0 - mass_shift(m) below threshold.
 
-    F is strictly increasing, so the root is unique when it exists; Newton
+    F is strictly increasing, so the root is unique when it exists; one-pole
     steps stop once a refined one moves m by at most
     ROOT_TOL * min(delta, max(1, |m|)) in units of mu, delta = m_N + mu - m, or by no more
     than rounding in F allows (see :func:`_newton`); None means
@@ -222,16 +238,14 @@ def geometric_partial_sum(x: float, n: int) -> float:
         raise ValueError("n must be nonnegative")
     if x < 0.0:
         raise ValueError("ratio x must be nonnegative")
-    if x == 1.0:
-        return float(n + 1)
-    if abs(x - 1.0) <= 1e-8:
-        try:
+    try:
+        if x == 1.0:
+            return float(n + 1)
+        if abs(x - 1.0) <= 1e-8:
             return math.expm1((n + 1) * math.log1p(x - 1.0)) / (x - 1.0)
-        except OverflowError:  # x^(n+1), or n + 1 itself, is past the float range
-            return math.inf if x > 1.0 else 1.0 / (1.0 - x)
-    if x > 1.0 and (n + 1) * math.log(x) > _LOG_FLOAT_MAX:
-        return math.inf
-    return (x ** (n + 1) - 1.0) / (x - 1.0)
+        return (x ** (n + 1) - 1.0) / (x - 1.0)
+    except OverflowError:  # x^(n+1), or n + 1 itself, is past the float range
+        return math.inf if x >= 1.0 else 1.0 / (1.0 - x)
 
 
 def classify_regime(x: float) -> Regime:

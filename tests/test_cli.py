@@ -173,6 +173,11 @@ def test_run_sweep_bare_records_errors_and_continues():
 
 # --- emission ---------------------------------------------------------------------
 
+def test_emit_refuses_an_unknown_format(tmp_path):
+    with pytest.raises(ValueError, match="unknown output format 'xml'"):
+        emit([], "xml", str(tmp_path / "x.xml"))
+
+
 def test_emit_empty_table_header_only(tmp_path):
     path = tmp_path / "empty.csv"
     emit([], "csv", str(path))
@@ -384,6 +389,8 @@ def test_main_exit_codes(tmp_path, capsys):
      "model.form_factor.lambda"),
     ({"model": {"mu": 1e-318}}, "model.mu"),  # subnormal
     ({"model": {"m_N": 1e300, "mu": 1e-10}}, "model.m_N"),  # m_N overflows in units of mu
+    ({"model": 3}, "model"),  # a section that is not an object
+    ({"model": {"form_factor": []}}, "model.form_factor"),
 ))
 def test_input_domain_errors_name_the_field(tmp_path, capsys, doc, field):
     doc = {"input": {"mode": "bare", "m_V0": 1.8}, **doc,

@@ -35,6 +35,9 @@ def test_omega_domain_errors():
         omega(math.nan, 1.0)
     with pytest.raises(ValueError, match="finite square"):  # mu^2 = inf, as ModelParams refuses
         omega(1.0, 1e200)
+    for mu in (1.0, 1e-200):  # (k / mu)^2 overflows, as mu^2 may not
+        with pytest.raises(ValueError, match="finite square in units of mu"):
+            omega(1e155 * mu, mu)
 
 
 def test_omega_monotone_and_bounded():
@@ -85,9 +88,43 @@ def test_form_factor_validation():
         FormFactor.exponential(-1.0)
     with pytest.raises(ValueError):
         FormFactor.dipole(math.inf)
-    with pytest.raises(ValueError):  # Lambda^2 underflows to 0
-        FormFactor.dipole(1e-170)
-    assert FormFactor.dipole(1e-160).lam == 1e-160
+    # Lambda's one rule is on Lambda / mu: a form factor takes any positive, finite
+    # Lambda, and a model refuses one whose square underflows in units of mu
+    assert FormFactor.dipole(1e-170).lam == 1e-170
+    with pytest.raises(ValueError, match="Lambda\\^2 must stay positive"):
+        ModelParams(m_n=1.0, mu=1.0, form_factor=FormFactor.dipole(1e-170))
+    assert ModelParams(m_n=0.0, mu=1e-160, form_factor=FormFactor.dipole(1e-170)).mu == 1e-160
+
+
+# momenta in units of mu around Lambda = 1e6 mu: both sides of the sharp
+# cutoff, with omega / Lambda at most 2 so that exp(-omega / Lambda) stays
+# within an ulp or two of the rounded inputs
+K_OVER_MU = np.array([0.0, 0.3, 1.0, 3.0, 5e5, 2e6])
+
+
+@pytest.mark.parametrize("kind", ("sharp", "exponential", "dipole"))
+@pytest.mark.parametrize("mu, g0", ((1e150, 1.0), (1e-200, 1.0), (2.0 ** -900, 2.0 ** -700)))
+def test_kinematics_are_formed_in_units_of_mu(kind, mu, g0):
+    # f, omega, the vertex and the cloud amplitude square k, Lambda and mu only
+    # in units of mu, so at any scale they are the mu = 1 values, scaled: bit for
+    # bit at a power of two, else within the ulps of the rounded inputs.  In
+    # absolute units k^2 and Lambda^2 overflowed at 1e150 (f = 0, 0 and NaN at
+    # k = Lambda / 2) and underflowed at 1e-200 (omega(1e-200, 1e-200) was 0)
+    exact = math.frexp(mu)[0] == 0.5
+    k, ff, ff1 = K_OVER_MU * mu, FormFactor(kind, 1e6 * mu), FormFactor(kind, 1e6)
+    params, params1 = ModelParams(0.0, mu, ff), ModelParams(0.0, 1.0, ff1)
+    # amplitude ~ g0 mu^(-3/2), compared times mu (g0 keeps 2^-900 in range)
+    pairs = ((ff.evaluate(k, mu), ff1.evaluate(K_OVER_MU, 1.0)),
+             (omega(k, mu), omega(K_OVER_MU, 1.0) * mu),
+             (vertex_weight(g0, ff, k, mu) * math.sqrt(mu), vertex_weight(g0, ff1, K_OVER_MU, 1.0)),
+             (dressing_amplitude(params, g0, 0.5 * mu, k) * mu,
+              dressing_amplitude(params1, g0, 0.5, K_OVER_MU) / math.sqrt(mu)))
+    for got, want in pairs:
+        assert np.all(np.isfinite(got)) and np.any(got != 0.0)
+        if exact:
+            assert np.array_equal(got, want)
+        else:
+            assert np.all(np.abs(got - want) <= 4.0 * np.spacing(np.abs(want))), (got, want)
 
 
 def test_vertex_weight():
@@ -153,6 +190,11 @@ def test_params_validation():
         BareCoupling(m_v0=1.5, g0=-0.1)
     with pytest.raises(ValueError):
         RenCoupling(m_v=1.5, g=-2.0)
+    for mass in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="bare V mass must be finite"):
+            BareCoupling(m_v0=mass, g0=1.0)
+        with pytest.raises(ValueError, match="physical V mass must be finite"):
+            RenCoupling(m_v=-mass, g=1.0)
     assert sharp_model().threshold == 2.0
 
 

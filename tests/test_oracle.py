@@ -3,13 +3,17 @@ import math
 import numpy as np
 import pytest
 
+import leemodel.oracle
 from leemodel import (
     FORM_FACTOR_KINDS,
     ArrowheadMatrix,
     BareCoupling,
+    DegenerateModel,
     FormFactor,
     ModelParams,
+    NoConvergence,
     PoleHit,
+    RadialGrid,
     all_eigenvalues,
     build_arrowhead,
     build_grid,
@@ -23,6 +27,8 @@ from leemodel import (
     vertex_weight,
     z_from_bare,
 )
+
+from leemodel.oracle import _root_between
 
 from helpers import ACC_BARE, SHARP_K_CUT, SPEC, random_arrowhead, sharp_model
 
@@ -63,6 +69,12 @@ def test_build_grid_validation():
         build_grid(0.0, 4, "uniform")
     with pytest.raises(ValueError):
         build_grid(2.0, 4, "chebyshev")
+    for k, w, match in (([1.0, 2.0], [1.0], "equal length"),
+                        ([2.0, 1.0], [1.0, 1.0], "strictly increasing"),
+                        ([0.0, 1.0], [1.0, 1.0], "positive and strictly increasing"),
+                        ([1.0, 2.0], [1.0, 0.0], "weights must be positive")):
+        with pytest.raises(ValueError, match=match):
+            RadialGrid(k=np.array(k), w=np.array(w))
 
 
 def test_grid_is_immutable():
@@ -320,6 +332,23 @@ def test_convergence_study_is_exact_under_a_power_of_two_scale(family, scheme):
 def test_convergence_study_validates_order():
     with pytest.raises(ValueError):
         convergence_study(PARAMS, ACC_BARE, [64, 16], SHARP_K_CUT)
+    # mu = 1e-300 is scaled by about 2^997, which takes m_V0 = 1e300 past the float range
+    params = ModelParams(m_n=0.0, mu=1e-300, form_factor=FormFactor.sharp(1e-299))
+    with pytest.raises(DegenerateModel, match="overflows in units of mu"):
+        convergence_study(params, BareCoupling(m_v0=1e300, g0=1.0), [16], 1e-299)
+
+
+def test_secular_bisection_ends_at_float_resolution():
+    # a bracket of adjacent floats has no midpoint strictly inside it
+    lo = 1.0 - math.sqrt(2.0)
+    hi = math.nextafter(lo, math.inf)
+    assert _root_between(TWO_BY_TWO, lo, hi) in (lo, hi)
+
+
+def test_secular_bisection_cap_raises(monkeypatch):
+    monkeypatch.setattr(leemodel.oracle, "BISECTION_CAP", 3)
+    with pytest.raises(NoConvergence, match="iteration cap"):
+        _root_between(TWO_BY_TWO, -10.0, 2.0)
 
 
 def test_sharp_modes_above_cutoff_decouple():

@@ -239,12 +239,12 @@ def test_dipole_moments_for_lambda_far_below_mu(lam_over_mu, delta):
                                          1e-300, 1e-310, 1e-320))
 @pytest.mark.parametrize("mu", (1e-100, 1.0, 1e100))
 def test_tiny_lambda_is_refused_or_finite(kind, lam_over_mu, mu):
-    # a Lambda whose square underflows, as given (FormFactor's rule) or in
-    # units of mu (scaled by the power of two that puts mu in [1, 2)), is
-    # refused when built; any other gives finite moments with no numpy
-    # warning (warnings are errors here)
+    # a Lambda whose square underflows in units of mu (scaled by the power of
+    # two that puts mu in [1, 2)) is refused when built, whatever its absolute
+    # square; any other gives finite moments with no numpy warning (warnings
+    # are errors here)
     lam = lam_over_mu * mu
-    underflows = lam * lam == 0.0 or math.ldexp(lam, 1 - math.frexp(mu)[1]) ** 2 == 0.0
+    underflows = math.ldexp(lam, 1 - math.frexp(mu)[1]) ** 2 == 0.0
     try:
         params = ModelParams(m_n=0.0, mu=mu, form_factor=FormFactor(kind, lam))
     except ValueError:

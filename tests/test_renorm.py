@@ -169,6 +169,38 @@ def test_solve_strong_coupling_from_above_threshold(m_n, mu, kind, lam, m_v0, g0
     assert abs(step) <= leemodel.renorm.ROOT_TOL * max(1.0, abs(report.m_v))
 
 
+@pytest.mark.parametrize("make", ALL_MODELS)
+@pytest.mark.parametrize("m_v0", (1.8, 2.2))
+@pytest.mark.parametrize("g0", (1e8, 1e20, 1e50, 1e100, 1e150, 1.3e154))
+def test_strong_coupling_solves_in_a_few_steps(monkeypatch, make, m_v0, g0):
+    # the root lies about g0 below the threshold, many octaves of delta from
+    # either start; tangent steps about doubled delta each, so g0 = 1e20 took
+    # about 70 and g0 >= 1e30 hit NEWTON_CAP, where the one-pole step lands
+    # within a few single-level evaluations
+    levels = []
+    moments_on = leemodel.renorm._moments_on
+    monkeypatch.setattr(leemodel.renorm, "_moments_on",
+                        lambda *args: levels.append(args[1]) or moments_on(*args))
+    params, bare = make(10.0), BareCoupling(m_v0=m_v0, g0=g0)
+    report = full_report(params, bare, SPEC)
+    assert len(levels) <= 8, levels
+    assert report.m_v < params.threshold and 0.0 < report.z_standard < 1.0
+    (i1,) = spectral_moments(report.m_v, params, SPEC, orders=(1,))
+    c = g0 * g0 / TWO_PI_CUBED
+    assert abs(report.m_v - m_v0 - c * i1) <= 1e-12 * abs(c * i1)
+
+
+def test_root_within_rounding_of_the_threshold_names_its_context():
+    # F(threshold) = 1e-12 > 0, but the root lies within the last ulp below
+    # the threshold, where no float resolves it
+    with pytest.raises(StabilityViolation) as err:
+        full_report(PARAMS, BareCoupling(m_v0=2.3278524825099502, g0=1.0), SPEC)
+    message = str(err.value)
+    for part in ("sharp", "m_V0 = 2.3278524825099502", "g0 = 1.0", "F(threshold) = 1.00014",
+                 "within rounding of the threshold 2.0"):
+        assert part in message, (part, message)
+
+
 def test_solve_iteration_cap_names_its_context(monkeypatch):
     monkeypatch.setattr(leemodel.renorm, "NEWTON_CAP", 1)
     with pytest.raises(NoConvergence) as err:
@@ -380,6 +412,18 @@ def test_geometric_partial_sum_near_one_at_large_n(x):
     assert geometric_partial_sum(x, 10**12) == (math.inf if x > 1.0 else -1.0 / h)
 
 
+def test_geometric_partial_sum_past_the_float_range_of_n():
+    # n + 1 past the float range saturates as x^(n+1) does, with no OverflowError,
+    # and so does x^(n+1) = 2^1024, whose log, 1024 log 2, rounds to that of the
+    # largest float
+    n = 10**400
+    assert [geometric_partial_sum(x, n) for x in (0.0, 0.5, 1.0, 2.0)] == [1.0, 2.0, math.inf,
+                                                                            math.inf]
+    assert geometric_partial_sum(1.0 - 2.0 ** -30, n) == 2.0 ** 30
+    assert geometric_partial_sum(2.0, 1023) == math.inf
+    assert geometric_partial_sum(2.0, 1022) == 2.0 ** 1023  # 2^1023 - 1, rounded
+
+
 def test_divergence_certificate():
     for x in (1.1, 2.0, 10.0):
         for bound in (1e3, 1e9):
@@ -573,3 +617,22 @@ def test_fixed_point_is_the_same_at_every_scale(family):
     for mu in (1e-150, 1e-120, 1e-100, 1e150):
         for got, want in zip(row(mu), base):
             assert math.isclose(got, want, rel_tol=1e-12), (mu, got, want)
+
+
+@pytest.mark.parametrize("family", FORM_FACTOR_KINDS)
+def test_fixed_point_below_the_old_absolute_lambda_rule(family):
+    # Lambda = 1e-269 has a square that underflows in absolute units, which
+    # once refused the form factor; in units of mu it is 10, so the model
+    # builds and its bare report is the mu = 1 row.  delta_m = m_V - m_V0
+    # cancels, so its error is relative to m_V
+    def report(mu):
+        params = ModelParams(m_n=mu, mu=mu, form_factor=FormFactor(family, 10.0 * mu))
+        return full_report(params, BareCoupling(m_v0=1.8 * mu, g0=1.0), SPEC)
+
+    mu = 1e-270
+    got, want = report(mu), report(1.0)
+    assert got.regime is want.regime is Regime.NORMAL
+    for a, b in ((got.m_v, want.m_v * mu), (got.m_v0, want.m_v0 * mu), (got.g_sq, want.g_sq),
+                 (got.x, want.x), (got.z_standard, want.z_standard)):
+        assert math.isclose(a, b, rel_tol=1e-15), (a, b)
+    assert abs(got.delta_m - want.delta_m * mu) <= 1e-15 * abs(got.m_v)
