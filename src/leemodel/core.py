@@ -19,9 +19,9 @@ shared freely between threads and across parameter sweeps.  That holds for the
 whole package: its only state, each model's copy in units of mu (built once,
 with the model) and the memos of :mod:`leemodel.quadrature` (Gauss-Legendre
 nodes, the last 32 moment rules, one per model in units of mu, kappa octave and
-panel count, and the last 8 refined passes, one per mass, model, tolerances and
-orders, each with its level's arrays), is memoized values and read-only arrays
-rebuilt bit for bit on a miss, so a thread never sees another's results.
+panel count, and the last 8 refined passes, one per mass and model in units of
+mu, tolerances and orders, each with its level's arrays), is memoized values and
+read-only arrays rebuilt bit for bit on a miss, so a thread never sees another's results.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import StabilityViolation
+from .errors import DegenerateModel, StabilityViolation
 
 TWO_PI_32 = (2.0 * math.pi) ** 1.5
 
@@ -154,6 +154,14 @@ class ModelParams:
         if s == 1.0:
             return self, s
         return ModelParams(self.m_n * s, self.mu * s, FormFactor(ff.kind, ff.lam * s)), s
+
+    def _bare_in_units_of_mu(self, bare: BareCoupling) -> tuple[ModelParams, BareCoupling, float]:
+        """(unit, bare, s), bare with m_V0 times s (g0 has no unit): the one rule of every bare
+        solve on the unit model, which raises DegenerateModel if m_V0 s overflows."""
+        unit, s = self._in_units_of_mu
+        if not math.isfinite(bare.m_v0 * s):
+            raise DegenerateModel(f"m_V0 = {bare.m_v0!r} overflows in units of mu = {self.mu!r}")
+        return unit, BareCoupling(m_v0=bare.m_v0 * s, g0=bare.g0), s
 
 
 @dataclass(frozen=True)

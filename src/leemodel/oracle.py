@@ -269,10 +269,7 @@ def convergence_study(params: ModelParams, bare: BareCoupling,
     4 pi k^2 dk underflows."""
     if list(n_list) != sorted(set(n_list)):
         raise ValueError("n_list must be strictly increasing")
-    unit, s = params._in_units_of_mu
-    if not math.isfinite(bare.m_v0 * s):
-        raise DegenerateModel(f"m_V0 = {bare.m_v0!r} overflows in units of mu = {params.mu!r}")
-    unit_bare = BareCoupling(m_v0=bare.m_v0 * s, g0=bare.g0)
+    unit, unit_bare, s = params._bare_in_units_of_mu(bare)
     rows = []
     for n in n_list:
         grid = build_grid(k_max * s, int(n), scheme)

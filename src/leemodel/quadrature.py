@@ -18,8 +18,8 @@ them: it maps k = kappa*sinh(u) (the sinh transformation of Johnston &
 Elliott, IJNME 62 (2005) 564) and lays uniform Gauss-Legendre panels on u in
 [0, asinh(k_max/kappa)], and the panel count no longer grows as delta -> 0.
 kappa is floored at 1e-9*mu, so delta = 0 is allowed, and rounded down to a
-power of two.  Every rule runs in units of mu (``ModelParams._in_units_of_mu``),
-an exact power-of-two scale s, and a moment I_n maps back by s^(n - 2).
+power of two.  Every rule and pass runs in units of mu (``ModelParams._in_units_of_mu``),
+an exact power-of-two scale s; :func:`spectral_moments` alone maps I_n back, by s^(n - 2).
 
 I1 and I2 are moments of one spectral density, summed together by
 :func:`spectral_moments` on 24-node panels.  Only the energy denominator
@@ -40,8 +40,8 @@ Every rule is refined by doubling the panel count until two successive
 estimates agree to tolerance.  The panel cap is 2**14; if the doubling
 sequence exhausts it, NoConvergence is raised.  A mass solve refines only to
 pick a level and to confirm its root: its other steps run on its arrays.  The
-last PASSES_KEPT refined passes are kept (:func:`_moment_pass`), so a g0 sweep
-shares its opening pass and a g sweep its pass at m_V.
+last PASSES_KEPT refined passes, of models in units of mu, are kept
+(:func:`_moment_pass`), so a g0 sweep shares its opening pass and a g sweep its pass at m_V.
 """
 
 from __future__ import annotations
@@ -202,26 +202,15 @@ def _moments_on(level: tuple[np.ndarray, np.ndarray], delta: float,
 
 
 @functools.lru_cache(maxsize=PASSES_KEPT)
-def _moment_pass(m: float, params: ModelParams, spec: QuadSpec, orders: tuple[int, ...]
+def _moment_pass(m: float, unit: ModelParams, spec: QuadSpec, orders: tuple[int, ...]
                  ) -> tuple[tuple[float, ...], tuple[np.ndarray, np.ndarray]]:
-    """:func:`spectral_moments` and the level (q, rho) they settled on, in units of mu."""
-    delta = params.threshold - m
-    if delta != 0.0 or max(orders) != 1:  # I1 alone is finite at delta = 0
-        ensure_stable(params, m, label="m")
-    (unit, s), ff = params._in_units_of_mu, params.form_factor
-    kappa = _threshold_scale(unit, delta * s)
-    values, panels = _refine(lambda n: _moments_on(_moment_rule(unit, kappa, n), delta * s, orders),
+    """:func:`spectral_moments` of ``unit``, a model in units of mu, and their level (q, rho)."""
+    delta, ff = unit.threshold - m, unit.form_factor
+    kappa = _threshold_scale(unit, delta)
+    values, panels = _refine(lambda n: _moments_on(_moment_rule(unit, kappa, n), delta, orders),
                              spec, lambda: f"moment(s) {orders} of the {ff.kind} form factor "
-                                           f"(Lambda = {ff.lam!r}) at m = {m!r}, delta = {delta!r}")
-    if s != 1.0:  # s = 2^e, and I_n scales by s^(n - 2)
-        e = math.frexp(s)[1] - 1
-        try:
-            values = tuple(math.ldexp(v, (n - 2) * e) for v, n in zip(values, orders))
-        except OverflowError:  # in the caller's units; I0 ~ Lambda^2 can get there
-            raise StabilityViolation(
-                f"moment(s) {orders} of the {ff.kind} form factor (Lambda = {ff.lam!r}) at m = "
-                f"{m!r}, delta = {delta!r} overflow the float range: {values!r} in units of mu"
-            ) from None
+                                           f"(Lambda = {ff.lam / unit.mu!r}) at m = {m / unit.mu!r}, "
+                                           f"delta = {delta / unit.mu!r}, all in units of mu")
     return values, _moment_rule(unit, kappa, panels)
 
 
@@ -229,14 +218,25 @@ def spectral_moments(m: float, params: ModelParams, spec: QuadSpec,
                      orders: Iterable[int] = (1, 2)) -> tuple[float, ...]:
     """Moments I_n(m) = Int d^3k f^2(omega) / (2*omega) / (m - m_N - omega)^n, one per order.
 
-    All orders are summed from one f^2 evaluation per rule, the sinh rule
-    anchored at kappa ~ sqrt(2 mu delta) and kept per (model, kappa, panels)
-    (:func:`_moment_rule`), and refined until each settles.
-    The denominator is -(delta + k^2/(omega + mu)) with delta = m_N + mu - m
-    formed once, so nothing cancels near the threshold.
-    delta = 0 is allowed for I1 alone, which stays finite there.
+    All orders are summed from one f^2 evaluation per rule, the sinh rule anchored at
+    kappa ~ sqrt(2 mu delta) and kept per (model, kappa, panels) (:func:`_moment_rule`), and
+    refined until each settles, on the model in units of mu; I_n maps back by s^(n - 2).
+    The denominator is -(delta + k^2/(omega + mu)) with delta = m_N + mu - m formed once, so
+    nothing cancels near the threshold; delta = 0 is allowed for I1 alone, finite there.
     """
-    return _moment_pass(float(m), params, spec, tuple(map(operator.index, orders)))[0]
+    m, orders = float(m), tuple(map(operator.index, orders))
+    if not (m < params.threshold or m == params.threshold and max(orders) == 1):
+        ensure_stable(params, m, label="m")  # only I1 alone may be taken at delta = 0
+    (unit, s), ff = params._in_units_of_mu, params.form_factor
+    if s == 1.0:
+        return _moment_pass(m, unit, spec, orders)[0]
+    values, e = _moment_pass(m * s, unit, spec, orders)[0], math.frexp(s)[1] - 1  # s = 2^e
+    try:
+        return tuple(math.ldexp(v, (n - 2) * e) for v, n in zip(values, orders))
+    except OverflowError:  # in the caller's units; I0 ~ Lambda^2 can get there
+        raise StabilityViolation(f"moment(s) {orders} of the {ff.kind} form factor (Lambda = "
+                                 f"{ff.lam!r}) at m = {m!r}, delta = {params.threshold - m!r} "
+                                 f"overflow the float range: {values!r} in units of mu") from None
 
 
 def mass_shift_integral(m: float, params: ModelParams, spec: QuadSpec) -> float:

@@ -23,9 +23,9 @@ is exactly 1/Z_V: the physical mass is found by steps to the root of a one-pole
 model of I1 fitted to I1 and I2, on one quadrature level, refined only to pick it
 and to confirm the root, and Z_V comes from the confirming pass's I2.
 
-The module keeps no state: every refined pass is one call to
-:func:`leemodel.quadrature._moment_pass`, which keeps the last few, so a g0
-sweep shares its opening pass at m_V0, which g0 does not enter.
+The solve runs on the model in units of mu and keeps no state: each refined pass is
+one call to :func:`leemodel.quadrature._moment_pass`, which keeps the last few, so
+a g0 sweep with g0^2/(2 pi)^3 <= 1 shares its opening pass at m_V0.
 """
 
 from __future__ import annotations
@@ -90,27 +90,29 @@ def _newton(params: ModelParams, bare: BareCoupling,
     root of the bound c |I1| <= c |I1(m)| delta / delta', so delta at least halves.  A
     held level that lands on the threshold is refined at m first; a root that rounds onto
     the threshold raises StabilityViolation.
-    Steps after a refined pass run on its level, in units of mu (delta times u,
-    I1 over u); one that settles there is refined again at the same m.  Refined
-    passes are kept (:func:`_moment_pass`).  A step settles when it moves
-    m by at most ROOT_TOL * min(delta, max(1/u, |m|)), relative to delta =
-    threshold - m so that delta, Z and x keep their accuracy near the threshold
-    (1/u is 1 in units of mu); or by at most 4 ulp(m) + 8 eps (|m - m_V0| +
-    |c I1|) / (1 + s), the rounding floor of F.  None means no bound state.
-    An F or s that overflows raises StabilityViolation: no step is taken, or
-    accepted, on an infinite residual.
+    The solve runs on the model in units of mu (ModelParams._bare_in_units_of_mu) and maps
+    its root back once; its passes (kept, :func:`_moment_pass`) refine I1 and I2 to abs_tol
+    / max(1, c), since F and s take c times their error.  Steps after a refined pass run on
+    its level; one that settles there is refined again at the same m.  A step settles when
+    it moves m by at most ROOT_TOL * min(delta, max(1, |m|)), relative to delta so that
+    delta, Z and x keep their accuracy near the threshold, or by at most 4 ulp(m) + 8 eps
+    (|m - m_V0| + |c I1|) / (1 + s), the rounding floor of F; where c > 1, F can be 1/Z
+    times that step, so the root is the settled step taken.  None means no bound state.
+    An F or s that overflows, or a root past the caller's float range, raises StabilityViolation.
     """
-    thr = params.threshold
     if bare.g0 == 0.0:
-        return (bare.m_v0, 0.0) if bare.m_v0 < thr else None
+        return (bare.m_v0, 0.0) if bare.m_v0 < params.threshold else None
+    unit, unit_bare, scale = params._bare_in_units_of_mu(bare)
+    thr, m_v0, ff = unit.threshold, unit_bare.m_v0, params.form_factor
     c = bare.g0 * bare.g0 / TWO_PI_CUBED
-    unit_scale = params._in_units_of_mu[1]
+    if c > 1.0:
+        spec = QuadSpec(max(spec.abs_tol / c, math.ulp(0.0)), spec.rel_tol)
     f_thr = None
-    m = bare.m_v0
+    m = m_v0
     if m >= thr:
-        f_thr = thr - bare.m_v0 - c * _moment_pass(thr, params, spec, (1,))[0][0]
+        f_thr = thr - m_v0 - c * _moment_pass(thr, unit, spec, (1,))[0][0]
         if not math.isfinite(f_thr):
-            raise _overflow(params, bare, thr, f"F = {f_thr!r}")
+            raise _overflow(params, bare, params.threshold, f"F = {f_thr!r}")
         if f_thr <= 0.0:
             return None
         m = thr - f_thr
@@ -120,44 +122,46 @@ def _newton(params: ModelParams, bare: BareCoupling,
         if held is None:
             if not m < thr:  # only from above, where f_thr is set
                 raise StabilityViolation(
-                    f"the mass root of the {params.form_factor.kind} form factor for m_V0 = "
-                    f"{bare.m_v0!r}, g0 = {bare.g0!r} lies within rounding of the threshold "
-                    f"{thr!r} (F(threshold) = {f_thr!r}): no float below it resolves the root")
-            (i1, i2), level = _moment_pass(m, params, spec, (1, 2))
+                    f"the mass root of the {ff.kind} form factor for m_V0 = {bare.m_v0!r}, g0 = "
+                    f"{bare.g0!r} lies within rounding of the threshold {params.threshold!r} "
+                    f"(F(threshold) = {f_thr / scale!r}): no float below it resolves the root")
+            (i1, i2), level = _moment_pass(m, unit, spec, (1, 2))
         else:
-            i1, i2 = _moments_on(held, (thr - m) * unit_scale, (1, 2))
-            i1 /= unit_scale
-        f = m - bare.m_v0 - c * i1
+            i1, i2 = _moments_on(held, thr - m, (1, 2))
+        f = m - m_v0 - c * i1
         s = c * i2
         if not (math.isfinite(f) and math.isfinite(s)):
-            raise _overflow(params, bare, m, f"F = {f!r}, c I2 = {s!r}")
+            raise _overflow(params, bare, m / scale, f"F = {f / scale!r}, c I2 = {s!r}")
         # the root of r h^2 + (1 - d r) h - f, d = m - m_V0, for the pole fitted at m:
         # d r = (d / delta) (delta I2 / |I1|), the second factor in (0, 1), and r a = s
-        e = 0.5 + 0.5 * (m - bare.m_v0) / (thr - m) * ((thr - m) * i2 / -i1 if i1 < 0.0 else 0.0)
+        e = 0.5 + 0.5 * (m - m_v0) / (thr - m) * ((thr - m) * i2 / -i1 if i1 < 0.0 else 0.0)
         step = f / (1.0 - e + math.hypot(e, math.sqrt(s)))
         # relative to delta, down to the rounding floor below which F cannot
         # resolve a step (formed only when the relative test fails)
-        if (abs(step) <= ROOT_TOL * min(thr - m, max(1.0 / unit_scale, abs(m)))
+        if (abs(step) <= ROOT_TOL * min(thr - m, max(1.0, abs(m)))
                 or abs(step) <= 4.0 * math.ulp(m)
-                + 8.0 * _EPS * (abs(m - bare.m_v0) + abs(c * i1)) / (1.0 + s)):
+                + 8.0 * _EPS * (abs(m - m_v0) + abs(c * i1)) / (1.0 + s)):
             if held is None:
-                return m, s
+                m -= step if c > 1.0 and m - step < thr else 0.0
+                if math.isinf(m / scale):
+                    raise _overflow(params, bare, m / scale, f"root m = {m!r} in units of mu")
+                return m / scale, s
             level = None
             continue
         nxt = m - step
         if nxt >= thr:  # only from left of the root, so f_thr is set; the bound's root is
             # delta' = t delta, t = 2 v / (hypot(u, 2 sqrt(v)) - u), u = (thr - m_V0) / delta <= 0
-            u, v = (thr - bare.m_v0) / (thr - m), -c * i1 / (thr - m)
+            u, v = (thr - m_v0) / (thr - m), -c * i1 / (thr - m)
             bound = thr - 2.0 * v / (math.hypot(u, 2.0 * math.sqrt(v)) - u) * (thr - m) if v else m
             nxt = max(m - f * (thr - m) / (f_thr - f), thr - 0.5 * (thr - m), bound)
             if nxt >= thr:  # refine at m if the level was held, else refuse the threshold
                 nxt, level = (m if held is not None else nxt), None
         m = nxt
-    ff = params.form_factor
     raise NoConvergence(
         f"Newton solve on moments (1, 2) of the {ff.kind} form factor (Lambda = "
         f"{ff.lam!r}, m_V0 = {bare.m_v0!r}, g0 = {bare.g0!r}) stopped after {NEWTON_CAP} "
-        f"steps at m = {m!r}, delta = {thr - m!r} (last step changed m by {step:.3e})")
+        f"steps at m = {m / scale!r}, delta = {(thr - m) / scale!r} (last step changed m by "
+        f"{step / scale:.3e})")
 
 
 def _overflow(params: ModelParams, bare: BareCoupling, m: float,
@@ -166,18 +170,17 @@ def _overflow(params: ModelParams, bare: BareCoupling, m: float,
     return StabilityViolation(
         f"g0 = {bare.g0!r} (m_V0 = {bare.m_v0!r}) overflows the mass residual "
         f"F(m) = m - m_V0 - (g0^2/(2 pi)^3) I1(m) of the {ff.kind} form factor "
-        f"(Lambda = {ff.lam!r}) at m = {m!r}: {values}; F and "
-        f"(g0^2/(2 pi)^3) I2 must stay finite")
+        f"(Lambda = {ff.lam!r}) at m = {m!r}: {values}; F, (g0^2/(2 pi)^3) I2 and "
+        f"the root must stay finite")
 
 
 def solve_physical_mass(params: ModelParams, bare: BareCoupling,
                         spec: QuadSpec) -> float | None:
     """Physical V mass: the root of F(m) = m - m_V0 - mass_shift(m) below threshold.
 
-    F is strictly increasing, so the root is unique when it exists; one-pole
-    steps stop once a refined one moves m by at most
-    ROOT_TOL * min(delta, max(1, |m|)) in units of mu, delta = m_N + mu - m, or by no more
-    than rounding in F allows (see :func:`_newton`); None means
+    F is strictly increasing, so the root is unique when it exists; one-pole steps stop once a
+    refined one moves m by at most ROOT_TOL * min(delta, max(1, |m|)) in units of mu, delta =
+    m_N + mu - m, or by no more than rounding in F allows (see :func:`_newton`); None means
     F(threshold) <= 0: the V state has dissolved into the continuum.
     """
     solved = _newton(params, bare, spec)

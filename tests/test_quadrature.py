@@ -475,6 +475,23 @@ def test_no_convergence_names_its_context(monkeypatch):
         assert "inf" not in message.split("changed the estimate by")[1], message
 
 
+def test_no_convergence_of_a_pass_names_its_values_in_units_of_mu(monkeypatch):
+    # a pass runs on the model in units of mu, so at mu = 2^-600 it names
+    # Lambda, m and delta over mu, the same values as at mu = 1
+    m = 2.0 - 1e-13
+    monkeypatch.setattr(leemodel.quadrature, "START_PANELS", 2)
+    monkeypatch.setattr(leemodel.quadrature, "PANEL_CAP", 4)
+    forget_kept_state()
+    for mu in (1.0, 2.0 ** -600):
+        params = ModelParams(m_n=mu, mu=mu, form_factor=FormFactor.exponential(40.0 * mu))
+        with pytest.raises(NoConvergence) as err:
+            z_factor_integral(m * mu, params, QuadSpec())
+        message = str(err.value)
+        for part in ("moment(s) (2,)", "exponential", "(Lambda = 40.0)", f"at m = {m!r},",
+                     f"delta = {2.0 - m!r}, all in units of mu", "4 panels"):
+            assert part in message, (mu, part, message)
+
+
 def test_integrals_vanish_with_the_form_factor():
     # sharp cutoff below mu leaves no momentum range at all
     params = sharp_model(lam=0.5)

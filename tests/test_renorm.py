@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from leemodel import (
     ModelParams,
     NoBoundState,
     NoConvergence,
+    QuadSpec,
     Regime,
     RenCoupling,
     RenormReport,
@@ -149,6 +151,16 @@ def test_solve_bare_mass_just_below_threshold_at_large_cutoff():
     assert math.isclose(report.z_standard, z_from_bare(params, 1.0, m_v, SPEC), rel_tol=1e-12)
 
 
+# relative only: the moments to 1e-13 of their value, whatever c multiplies them by
+FINE = QuadSpec(abs_tol=1e-300, rel_tol=1e-13)
+
+
+def _solve_spec(g0: float) -> QuadSpec:
+    """The spec a bare solve at g0 refines its passes to: F and Z take c = g0^2/(2 pi)^3
+    times I1 and I2, so abs_tol is divided by max(1, c)."""
+    return QuadSpec(SPEC.abs_tol / max(1.0, g0 * g0 / TWO_PI_CUBED), SPEC.rel_tol)
+
+
 @pytest.mark.parametrize("m_n, mu, kind, lam, m_v0, g0", (
     (1.0, 0.10715163212068368, "exponential", 0.1851229980542, 28.735000474474038,
      282031.17324425746),
@@ -159,14 +171,19 @@ def test_solve_bare_mass_just_below_threshold_at_large_cutoff():
 ), ids=("exponential", "sharp", "dipole"))
 def test_solve_strong_coupling_from_above_threshold(m_n, mu, kind, lam, m_v0, g0):
     # the start lies far left of the root and every Newton step overshoots the
-    # threshold; the chord alone moved delta only linearly and hit NEWTON_CAP
+    # threshold; the chord alone moved delta only linearly and hit NEWTON_CAP.
+    # The stop rule holds at the spec the solve used, and the residual on a
+    # relative-only spec is within 1e-9 of c I1 (at SPEC's abs_tol, which c
+    # multiplies, the exponential case was 7.3e-11 off; it is now 1.0e-15)
     params, bare = ModelParams(m_n, mu, FormFactor(kind, lam)), BareCoupling(m_v0, g0)
     report = full_report(params, bare, SPEC)
     assert report.m_v < params.threshold and 0.0 < report.z_standard < 1.0
-    i1, i2 = spectral_moments(report.m_v, params, SPEC)
+    i1, i2 = spectral_moments(report.m_v, params, _solve_spec(g0))
     c = g0 * g0 / TWO_PI_CUBED
     step = (report.m_v - m_v0 - c * i1) / (1.0 + c * i2)
     assert abs(step) <= leemodel.renorm.ROOT_TOL * max(1.0, abs(report.m_v))
+    (i1,) = spectral_moments(report.m_v, params, FINE, orders=(1,))
+    assert abs(report.m_v - m_v0 - c * i1) <= 1e-9 * abs(c * i1)
 
 
 @pytest.mark.parametrize("make", ALL_MODELS)
@@ -176,29 +193,62 @@ def test_strong_coupling_solves_in_a_few_steps(monkeypatch, make, m_v0, g0):
     # the root lies about g0 below the threshold, many octaves of delta from
     # either start; tangent steps about doubled delta each, so g0 = 1e20 took
     # about 70 and g0 >= 1e30 hit NEWTON_CAP, where the one-pole step lands
-    # within a few single-level evaluations
+    # within a few single-level evaluations.  The solve runs in units of mu, so
+    # at mu = 2^-1000 and 2^400 the report is the mu = 1 one with its masses
+    # scaled, bit for bit; in absolute units the first raised NoConvergence
+    # from g0 = 1e40 and the second overflowed the residual from g0 = 1e100.
+    # The residual is checked at the spec the solve used, and on a relative-only
+    # spec within 1e-9 (at SPEC's abs_tol, which c multiplies, it was 3.4e-6)
     levels = []
     moments_on = leemodel.renorm._moments_on
     monkeypatch.setattr(leemodel.renorm, "_moments_on",
                         lambda *args: levels.append(args[1]) or moments_on(*args))
-    params, bare = make(10.0), BareCoupling(m_v0=m_v0, g0=g0)
-    report = full_report(params, bare, SPEC)
+    params = make(10.0)
+    report = full_report(params, BareCoupling(m_v0=m_v0, g0=g0), SPEC)
     assert len(levels) <= 8, levels
     assert report.m_v < params.threshold and 0.0 < report.z_standard < 1.0
-    (i1,) = spectral_moments(report.m_v, params, SPEC, orders=(1,))
     c = g0 * g0 / TWO_PI_CUBED
+    (i1,) = spectral_moments(report.m_v, params, _solve_spec(g0), orders=(1,))
     assert abs(report.m_v - m_v0 - c * i1) <= 1e-12 * abs(c * i1)
+    (i1,) = spectral_moments(report.m_v, params, FINE, orders=(1,))
+    assert abs(report.m_v - m_v0 - c * i1) <= 1e-9 * abs(c * i1)
+    for mu in (2.0 ** -1000, 2.0 ** 400):
+        levels.clear()
+        scaled = ModelParams(m_n=mu, mu=mu, form_factor=FormFactor(params.form_factor.kind, 10.0 * mu))
+        assert repr(full_report(scaled, BareCoupling(m_v0=m_v0 * mu, g0=g0), SPEC)) == repr(
+            dataclasses.replace(report, m_v=report.m_v * mu, m_v0=report.m_v0 * mu,
+                                delta_m=report.delta_m * mu)), mu
+        assert len(levels) <= 8, (mu, levels)
+
+
+@pytest.mark.parametrize("m_v0", (1.8, 2.2))
+def test_strong_coupling_keeps_a_positive_abs_tol(m_v0):
+    # the solve refines to abs_tol / c, which underflows to 0 at abs_tol = 1e-20
+    # and g0 = 1e154, a spec QuadSpec refuses; it keeps the least positive float,
+    # so its passes settle on rel_tol, and the root is a relative-only spec's
+    params, g0 = exponential_model(), 1e154
+    report = full_report(params, BareCoupling(m_v0=m_v0, g0=g0), QuadSpec(1e-20, 1e-10))
+    c = g0 * g0 / TWO_PI_CUBED
+    (i1,) = spectral_moments(report.m_v, params, FINE, orders=(1,))
+    assert abs(report.m_v - m_v0 - c * i1) <= 1e-9 * abs(c * i1)
 
 
 def test_root_within_rounding_of_the_threshold_names_its_context():
     # F(threshold) = 1e-12 > 0, but the root lies within the last ulp below
-    # the threshold, where no float resolves it
-    with pytest.raises(StabilityViolation) as err:
-        full_report(PARAMS, BareCoupling(m_v0=2.3278524825099502, g0=1.0), SPEC)
-    message = str(err.value)
-    for part in ("sharp", "m_V0 = 2.3278524825099502", "g0 = 1.0", "F(threshold) = 1.00014",
-                 "within rounding of the threshold 2.0"):
-        assert part in message, (part, message)
+    # the threshold, where no float resolves it; at mu = 2^-600, every value
+    # scaled, the message still names the caller's values
+    m_v0, g0 = 2.3278524825099502, 1.0
+    (i1,) = spectral_moments(PARAMS.threshold, PARAMS, SPEC, orders=(1,))
+    f_thr = PARAMS.threshold - m_v0 - g0 * g0 / TWO_PI_CUBED * i1
+    assert repr(f_thr).startswith("1.00014")
+    for mu in (1.0, 2.0 ** -600):
+        params = ModelParams(m_n=mu, mu=mu, form_factor=FormFactor.sharp(10.0 * mu))
+        with pytest.raises(StabilityViolation) as err:
+            full_report(params, BareCoupling(m_v0=m_v0 * mu, g0=g0), SPEC)
+        message = str(err.value)
+        for part in ("sharp", f"m_V0 = {m_v0 * mu!r}", "g0 = 1.0",
+                     f"F(threshold) = {f_thr * mu!r}", f"within rounding of the threshold {2.0 * mu!r}"):
+            assert part in message, (part, message)
 
 
 def test_solve_iteration_cap_names_its_context(monkeypatch):
@@ -583,6 +633,23 @@ def test_bare_coupling_whose_mass_residual_overflows_raises(call, m_v0):
     # rounding-floor stop, and m_V = m_V0 came back as the root
     with pytest.raises(StabilityViolation, match="g0 = 1e[+]154"):
         call(exponential_model(1e3), BareCoupling(m_v0=m_v0, g0=1e154), SPEC)
+
+
+@pytest.mark.parametrize("call", (full_report, solve_physical_mass))
+def test_bare_solve_refuses_what_leaves_the_float_range(call):
+    # the solve runs on the model in units of mu: m_V0 = 1e300 at mu = 1e-300
+    # has no float there (the rule convergence_study shares), and at mu = 1.2e154
+    # the root, about 1e155 mu below the threshold, has none in the caller's
+    # units; it would come back as -inf
+    tiny = ModelParams(m_n=0.0, mu=1e-300, form_factor=FormFactor.sharp(1e-299))
+    with pytest.raises(DegenerateModel, match="m_V0 = 1e[+]300 overflows in units of mu"):
+        call(tiny, BareCoupling(m_v0=1e300, g0=1.0), SPEC)
+    # the free theory takes no step: m_V = m_V0 however far it lies below the threshold
+    result = call(tiny, BareCoupling(m_v0=-1e300, g0=0.0), SPEC)
+    assert getattr(result, "m_v", result) == -1e300
+    huge = ModelParams(m_n=1.2e154, mu=1.2e154, form_factor=FormFactor.sharp(1.2e160))
+    with pytest.raises(StabilityViolation, match="g0 = 1e[+]150 .* at m = -inf: root m = "):
+        call(huge, BareCoupling(m_v0=1.2e154, g0=1e150), SPEC)
 
 
 def test_full_report_rejects_other_types():
