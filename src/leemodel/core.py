@@ -16,10 +16,10 @@ All energies are in the same (arbitrary) unit; the solvers, and every square the
 kinematics form, are in units of mu (``ModelParams._in_units_of_mu``).  All types
 here are immutable values and all functions are pure, so everything can be
 shared freely between threads and across parameter sweeps.  That holds for the
-whole package: its only state, each model's copy in units of mu (built once,
-with the model) and the memos of :mod:`leemodel.quadrature` (Gauss-Legendre
+whole package: its only state, each model's threshold and copy in units of mu
+(each built once per model) and the memos of :mod:`leemodel.quadrature` (Gauss-Legendre
 nodes, the last 32 moment rules, one per model in units of mu, kappa octave and
-panel count, and the last 8 refined passes, one per mass and model in units of
+panel count, and the last 8 refined passes, one per delta and model in units of
 mu, tolerances and orders, each with its level's arrays), is memoized values and
 read-only arrays rebuilt bit for bit on a miss, so a thread never sees another's results.
 """
@@ -141,7 +141,7 @@ class ModelParams:
         from .quadrature import ensure_finite_rules  # quadrature imports this module
         ensure_finite_rules(self)
 
-    @property
+    @functools.cached_property
     def threshold(self) -> float:
         """Bottom of the N+theta continuum, m_N + mu."""
         return self.m_n + self.mu

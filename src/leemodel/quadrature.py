@@ -40,7 +40,7 @@ Every rule is refined by doubling the panel count until two successive
 estimates agree to tolerance.  The panel cap is 2**14; if the doubling
 sequence exhausts it, NoConvergence is raised.  A mass solve refines only to
 pick a level and to confirm its root: its other steps run on its arrays.  The
-last PASSES_KEPT refined passes, of models in units of mu, are kept
+last PASSES_KEPT refined passes, keyed by delta on models in units of mu, are kept
 (:func:`_moment_pass`), so a g0 sweep shares its opening pass and a g sweep its pass at m_V.
 """
 
@@ -67,7 +67,7 @@ NODES_PER_PANEL = 24
 NORM_ORDER = 20
 PANEL_CAP = 2 ** 14
 # Kept across calls: moment rules, one per (model, kappa, panels), a sweep touching
-# at most 14, and refined passes, one per (m, model, tolerances, orders).  A rule at
+# at most 14, and refined passes, one per (delta, model, tolerances, orders).  A rule at
 # the panel cap holds 6 MiB, so the rules can hold 192 MiB and the passes 48 MiB more.
 RULES_KEPT = 32
 PASSES_KEPT = 8
@@ -202,14 +202,14 @@ def _moments_on(level: tuple[np.ndarray, np.ndarray], delta: float,
 
 
 @functools.lru_cache(maxsize=PASSES_KEPT)
-def _moment_pass(m: float, unit: ModelParams, spec: QuadSpec, orders: tuple[int, ...]
+def _moment_pass(delta: float, unit: ModelParams, spec: QuadSpec, orders: tuple[int, ...]
                  ) -> tuple[tuple[float, ...], tuple[np.ndarray, np.ndarray]]:
-    """:func:`spectral_moments` of ``unit``, a model in units of mu, and their level (q, rho)."""
-    delta, ff = unit.threshold - m, unit.form_factor
-    kappa = _threshold_scale(unit, delta)
+    """:func:`spectral_moments` at delta on ``unit``, a model in units of mu, and their level."""
+    kappa, ff = _threshold_scale(unit, delta), unit.form_factor
     values, panels = _refine(lambda n: _moments_on(_moment_rule(unit, kappa, n), delta, orders),
                              spec, lambda: f"moment(s) {orders} of the {ff.kind} form factor "
-                                           f"(Lambda = {ff.lam / unit.mu!r}) at m = {m / unit.mu!r}, "
+                                           f"(Lambda = {ff.lam / unit.mu!r}) at m = "
+                                           f"{(unit.threshold - delta) / unit.mu!r}, "
                                            f"delta = {delta / unit.mu!r}, all in units of mu")
     return values, _moment_rule(unit, kappa, panels)
 
@@ -228,9 +228,10 @@ def spectral_moments(m: float, params: ModelParams, spec: QuadSpec,
     if not (m < params.threshold or m == params.threshold and max(orders) == 1):
         ensure_stable(params, m, label="m")  # only I1 alone may be taken at delta = 0
     (unit, s), ff = params._in_units_of_mu, params.form_factor
+    values = _moment_pass(unit.threshold - m * s, unit, spec, orders)[0]
     if s == 1.0:
-        return _moment_pass(m, unit, spec, orders)[0]
-    values, e = _moment_pass(m * s, unit, spec, orders)[0], math.frexp(s)[1] - 1  # s = 2^e
+        return values
+    e = math.frexp(s)[1] - 1  # s = 2^e
     try:
         return tuple(math.ldexp(v, (n - 2) * e) for v, n in zip(values, orders))
     except OverflowError:  # in the caller's units; I0 ~ Lambda^2 can get there

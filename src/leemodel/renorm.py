@@ -19,9 +19,9 @@ reported side by side: ``z_standard`` (1 - x, possibly negative) and
 ``z_regularized`` (max(1 - x, 0)).
 
 Since I2 = -dI1/dm, the slope of the mass residual m - m_V0 - (g0^2/(2 pi)^3) I1(m)
-is exactly 1/Z_V: the physical mass is found by steps to the root of a one-pole
-model of I1 fitted to I1 and I2, on one quadrature level, refined only to pick it
-and to confirm the root, and Z_V comes from the confirming pass's I2.
+is exactly 1/Z_V: the physical mass is found by steps in delta = m_N + mu - m to the root
+of a one-pole model of I1 fitted to I1 and I2, on one quadrature level, refined only to pick
+it and to confirm the root, and Z_V comes from the confirming pass's I2 at the reported m_V.
 
 The solve runs on the model in units of mu and keeps no state: each refined pass is
 one call to :func:`leemodel.quadrature._moment_pass`, which keeps the last few, so
@@ -77,70 +77,71 @@ def mass_shift(params: ModelParams, g0: float, m_v: float, spec: QuadSpec) -> fl
 
 def _newton(params: ModelParams, bare: BareCoupling,
             spec: QuadSpec) -> tuple[float, float] | None:
-    """Root m_V of F(m) = m - m_V0 - c I1(m), c = g0^2/(2 pi)^3, and s = c I2(m_V).
+    """Root m_V of F = delta0 - delta - c I1, c = g0^2/(2 pi)^3, and s = c I2(m_V), held in
+    delta = m_N + mu - m, delta0 = m_N + mu - m_V0, on the model in units of mu.
 
     On a level |I1| = sum rho / (delta + q), so 1/|I1| is concave in delta; a step goes to
-    the root of the model that puts c |I1| in one pole fitted to I1 and I2 at m (Bunch,
-    Nielsen & Sorensen, Numer. Math. 31 (1978) 31), which never overestimates it.  So
-    steps from right of the root fall monotonically onto it, however many octaves of delta
-    away; below the threshold they start at m_V0, where F >= 0.  At or above it a bound
-    state exists iff F(threshold) > 0; the start threshold - F(threshold) lies left of the
-    root, and a step that would reach the threshold goes instead to the furthest right of
-    the chord to (threshold, F(threshold)), the midpoint of m and the threshold, and the
-    root of the bound c |I1| <= c |I1(m)| delta / delta', so delta at least halves.  A
-    held level that lands on the threshold is refined at m first; a root that rounds onto
-    the threshold raises StabilityViolation.
-    The solve runs on the model in units of mu (ModelParams._bare_in_units_of_mu) and maps
-    its root back once; its passes (kept, :func:`_moment_pass`) refine I1 and I2 to abs_tol
-    / max(1, c), since F and s take c times their error.  Steps after a refined pass run on
-    its level; one that settles there is refined again at the same m.  A step settles when
-    it moves m by at most ROOT_TOL * min(delta, max(1, |m|)), relative to delta so that
-    delta, Z and x keep their accuracy near the threshold, or by at most 4 ulp(m) + 8 eps
-    (|m - m_V0| + |c I1|) / (1 + s), the rounding floor of F; where c > 1, F can be 1/Z
-    times that step, so the root is the settled step taken.  None means no bound state.
-    An F or s that overflows, or a root past the caller's float range, raises StabilityViolation.
+    the root of the model that puts c |I1| in one pole fitted to I1 and I2 at delta (Bunch,
+    Nielsen & Sorensen, Numer. Math. 31 (1978) 31), which never overestimates it.  So steps
+    from below the root's delta rise monotonically onto it, however many octaves away; below
+    the threshold they start at delta0, where F >= 0.  At or above it a bound state exists
+    iff F(threshold) > 0; the start delta = F(threshold) lies past the root, and a step to
+    delta <= 0 takes instead the least of the chord to (0, F(threshold)), the midpoint and
+    the root of the bound c |I1| <= c |I1(delta)| delta / delta', all factors of delta, so
+    delta at least halves.  A refined pass runs at the delta of the mass a stop there
+    reports (m = thr - delta, then delta = thr - m); a root that rounds onto the threshold
+    is that delta at 0, and raises StabilityViolation.  The solve maps its root back once
+    (ModelParams._bare_in_units_of_mu); its passes (kept, :func:`_moment_pass`) refine I1 and
+    I2 to abs_tol / max(1, c), since F and s take c times their error.  Steps after a refined
+    pass run on its level; one that settles there is refined again at the same delta.  A
+    step settles when it moves delta by at most ROOT_TOL * min(delta, max(1, |m|)), relative
+    to delta so that delta, Z and x keep their accuracy near the threshold, or by at most 4
+    ulp(m) + 8 eps (|delta0 - delta| + |c I1|) / (1 + s), the rounding floor of F; where c >
+    1, F can be 1/Z times that step, so the root is the settled step taken.  None means no
+    bound state.  An F or s that overflows, or a root past the caller's float range, raises
+    StabilityViolation.
     """
     if bare.g0 == 0.0:
         return (bare.m_v0, 0.0) if bare.m_v0 < params.threshold else None
     unit, unit_bare, scale = params._bare_in_units_of_mu(bare)
-    thr, m_v0, ff = unit.threshold, unit_bare.m_v0, params.form_factor
+    thr, ff = unit.threshold, params.form_factor
+    delta = d0 = thr - unit_bare.m_v0
     c = bare.g0 * bare.g0 / TWO_PI_CUBED
     if c > 1.0:
         spec = QuadSpec(max(spec.abs_tol / c, math.ulp(0.0)), spec.rel_tol)
     f_thr = None
-    m = m_v0
-    if m >= thr:
-        f_thr = thr - m_v0 - c * _moment_pass(thr, unit, spec, (1,))[0][0]
+    if d0 <= 0.0:
+        f_thr = d0 - c * _moment_pass(0.0, unit, spec, (1,))[0][0]
         if not math.isfinite(f_thr):
             raise _overflow(params, bare, params.threshold, f"F = {f_thr!r}")
         if f_thr <= 0.0:
             return None
-        m = thr - f_thr
+        delta = f_thr
     level = None
     for _ in range(NEWTON_CAP):
         held = level
         if held is None:
-            if not m < thr:  # only from above, where f_thr is set
+            delta = thr - (thr - delta)  # the delta of the mass a stop here reports
+            if delta == 0.0:  # only from above, where f_thr is set
                 raise StabilityViolation(
                     f"the mass root of the {ff.kind} form factor for m_V0 = {bare.m_v0!r}, g0 = "
                     f"{bare.g0!r} lies within rounding of the threshold {params.threshold!r} "
                     f"(F(threshold) = {f_thr / scale!r}): no float below it resolves the root")
-            (i1, i2), level = _moment_pass(m, unit, spec, (1, 2))
+            (i1, i2), level = _moment_pass(delta, unit, spec, (1, 2))
         else:
-            i1, i2 = _moments_on(held, thr - m, (1, 2))
-        f = m - m_v0 - c * i1
-        s = c * i2
+            i1, i2 = _moments_on(held, delta, (1, 2))
+        f, s, m = d0 - delta - c * i1, c * i2, thr - delta
         if not (math.isfinite(f) and math.isfinite(s)):
             raise _overflow(params, bare, m / scale, f"F = {f / scale!r}, c I2 = {s!r}")
-        # the root of r h^2 + (1 - d r) h - f, d = m - m_V0, for the pole fitted at m:
-        # d r = (d / delta) (delta I2 / |I1|), the second factor in (0, 1), and r a = s
-        e = 0.5 + 0.5 * (m - m_v0) / (thr - m) * ((thr - m) * i2 / -i1 if i1 < 0.0 else 0.0)
+        # the root of r h^2 + (1 - d r) h - f, d = delta0 - delta, for the pole fitted at
+        # delta: d r = (d / delta) (delta I2 / |I1|), the second factor in (0, 1), and r a = s
+        e = 0.5 + 0.5 * (d0 - delta) / delta * (delta * i2 / -i1 if i1 < 0.0 else 0.0)
         step = f / (1.0 - e + math.hypot(e, math.sqrt(s)))
         # relative to delta, down to the rounding floor below which F cannot
         # resolve a step (formed only when the relative test fails)
-        if (abs(step) <= ROOT_TOL * min(thr - m, max(1.0, abs(m)))
+        if (abs(step) <= ROOT_TOL * min(delta, max(1.0, abs(m)))
                 or abs(step) <= 4.0 * math.ulp(m)
-                + 8.0 * _EPS * (abs(m - m_v0) + abs(c * i1)) / (1.0 + s)):
+                + 8.0 * _EPS * (abs(d0 - delta) + abs(c * i1)) / (1.0 + s)):
             if held is None:
                 m -= step if c > 1.0 and m - step < thr else 0.0
                 if math.isinf(m / scale):
@@ -148,20 +149,18 @@ def _newton(params: ModelParams, bare: BareCoupling,
                 return m / scale, s
             level = None
             continue
-        nxt = m - step
-        if nxt >= thr:  # only from left of the root, so f_thr is set; the bound's root is
-            # delta' = t delta, t = 2 v / (hypot(u, 2 sqrt(v)) - u), u = (thr - m_V0) / delta <= 0
-            u, v = (thr - m_v0) / (thr - m), -c * i1 / (thr - m)
-            bound = thr - 2.0 * v / (math.hypot(u, 2.0 * math.sqrt(v)) - u) * (thr - m) if v else m
-            nxt = max(m - f * (thr - m) / (f_thr - f), thr - 0.5 * (thr - m), bound)
-            if nxt >= thr:  # refine at m if the level was held, else refuse the threshold
-                nxt, level = (m if held is not None else nxt), None
-        m = nxt
+        if delta + step <= 0.0:  # only from past the root, so f_thr is set; the bound's root
+            # is t delta, t = 2 v / (hypot(u, 2 sqrt(v)) - u), u = delta0 / delta <= 0
+            u, v = d0 / delta, -c * i1 / delta
+            delta *= min(1.0 + f / (f_thr - f), 0.5,
+                         2.0 * v / (math.hypot(u, 2.0 * math.sqrt(v)) - u) if v else 1.0)
+        else:
+            delta += step
     raise NoConvergence(
         f"Newton solve on moments (1, 2) of the {ff.kind} form factor (Lambda = "
         f"{ff.lam!r}, m_V0 = {bare.m_v0!r}, g0 = {bare.g0!r}) stopped after {NEWTON_CAP} "
-        f"steps at m = {m / scale!r}, delta = {(thr - m) / scale!r} (last step changed m by "
-        f"{step / scale:.3e})")
+        f"steps at m = {(thr - delta) / scale!r}, delta = {delta / scale!r} (last step "
+        f"changed m by {step / scale:.3e})")
 
 
 def _overflow(params: ModelParams, bare: BareCoupling, m: float,
@@ -178,10 +177,10 @@ def solve_physical_mass(params: ModelParams, bare: BareCoupling,
                         spec: QuadSpec) -> float | None:
     """Physical V mass: the root of F(m) = m - m_V0 - mass_shift(m) below threshold.
 
-    F is strictly increasing, so the root is unique when it exists; one-pole steps stop once a
-    refined one moves m by at most ROOT_TOL * min(delta, max(1, |m|)) in units of mu, delta =
-    m_N + mu - m, or by no more than rounding in F allows (see :func:`_newton`); None means
-    F(threshold) <= 0: the V state has dissolved into the continuum.
+    F is strictly increasing, so the root is unique when it exists; one-pole steps in delta =
+    m_N + mu - m stop once a refined one moves delta by at most ROOT_TOL * min(delta, max(1,
+    |m|)) in units of mu, or by no more than rounding in F allows (see :func:`_newton`); None
+    means F(threshold) <= 0: the V state has dissolved into the continuum.
     """
     solved = _newton(params, bare, spec)
     return None if solved is None else solved[0]

@@ -1,11 +1,13 @@
 """Fuzz tests of the stated input domain: a result within tolerance or a typed error.
 
 The library is driven over the domain the package states it solves (mu from
-1e-307 to 1e153, the range ModelParams accepts, Lambda/mu from 1.002 to 1e6,
-couplings from 1e-3 to 1e150 and masses from 1e-14 mu to 1e3 mu on either side
-of the threshold), where a bare solve never raises NoConvergence, and the CLI
-over generated config documents, where every refusal must name a documented
-field and agree with the library type that owns the rule.
+1e-307 to 1e153, the range ModelParams accepts, m_N equal to 1 or to 0, 1, 1e3,
+-1e10 or 1e100 times mu, Lambda/mu from 1.002 to 1e6, couplings from 1e-3 to
+1e150 and masses from 1e-14 mu to 1e3 mu on either side of the threshold), where
+a bare solve never raises NoConvergence, returns the Z of a fresh pass at its
+m_V and refuses a root as within rounding of the threshold only where it is, and
+the CLI over generated config documents, where every refusal must name a
+documented field and agree with the library type that owns the rule.
 """
 
 import contextlib
@@ -13,6 +15,7 @@ import io
 import json
 import math
 import os
+import sys
 import tempfile
 
 from hypothesis import example, given, settings
@@ -20,6 +23,7 @@ from hypothesis import strategies as st
 
 from leemodel import (
     FORM_FACTOR_KINDS,
+    TWO_PI_CUBED,
     BareCoupling,
     ConfigError,
     FormFactor,
@@ -28,8 +32,10 @@ from leemodel import (
     NoConvergence,
     QuadSpec,
     RenCoupling,
+    StabilityViolation,
     ensure_stable,
     full_report,
+    spectral_moments,
 )
 from leemodel.cli import main, parse_config
 
@@ -51,26 +57,49 @@ DOCUMENTED = ({"document", "model.form_factor", "model.form_factor.kind",
 @given(log_mu=st.floats(-307.0, 153.0),
        log_lam=st.floats(math.log10(1.002), 6.0),
        family=st.sampled_from(FORM_FACTOR_KINDS),
-       m_n_in_mu=st.sampled_from((None, 0.0, 1.0, 1e3)),
+       m_n_in_mu=st.sampled_from((None, 0.0, 1.0, 1e3, -1e10, 1e100)),
        log_g=st.floats(-3.0, 150.0),
        side=st.sampled_from((-1.0, 1.0)),
        log_offset=st.floats(-14.0, 3.0))
 # in absolute units I1 underflowed here and the solve crept to NEWTON_CAP
 @example(log_mu=-301.0, log_lam=1.0, family="sharp", m_n_in_mu=1.0, log_g=40.0, side=-1.0,
          log_offset=math.log10(0.2))
+# holding m, the overshoot guard rounded onto the threshold: a root ~1e114 mu below it
+# was refused, with F = 7.8e228 mu at the last float below the threshold
+@example(log_mu=0.0, log_lam=math.log10(300.0), family="sharp", m_n_in_mu=-1e10, log_g=114.0,
+         side=1.0, log_offset=0.0)
+# holding m, Z came from a pass an ulp away from the reported m_V and was 4e-7 off
+@example(log_mu=math.log10(1.0928622963386069e-94),
+         log_lam=math.log10(6.826763076439442e-94 / 1.0928622963386069e-94), family="sharp",
+         m_n_in_mu=None, log_g=math.log10(1.7956413411174453e84), side=-1.0, log_offset=0.0)
 def test_library_gives_a_result_or_a_typed_error(log_mu, log_lam, family, m_n_in_mu,
                                                    log_g, side, log_offset):
-    # m_N is 0, mu or 1e3 mu, or 1 (None); the mass is threshold +- mu 10^U(-14, 3)
+    # m_N is 0, mu, 1e3 mu, -1e10 mu or 1e100 mu, or 1 (None); the mass is
+    # threshold +- mu 10^U(-14, 3)
     mu = 10.0 ** log_mu
     params = ModelParams(m_n=1.0 if m_n_in_mu is None else m_n_in_mu * mu, mu=mu,
                          form_factor=FormFactor(family, mu * 10.0 ** log_lam))
     mass = params.threshold + side * mu * 10.0 ** log_offset
     g = 10.0 ** log_g
+    # the spec a bare solve refines its passes to (abs_tol divided by c, kept positive)
+    c = g * g / TWO_PI_CUBED
+    spec = QuadSpec(max(QuadSpec().abs_tol / max(1.0, c), 5e-324), QuadSpec().rel_tol)
     for coupling in (BareCoupling(m_v0=mass, g0=g), RenCoupling(m_v=mass, g=g)):
         try:
             report = full_report(params, coupling, QuadSpec())
         except NoConvergence:
             assert isinstance(coupling, RenCoupling), coupling
+            continue
+        except StabilityViolation as exc:
+            if isinstance(coupling, BareCoupling) and "within rounding" in str(exc):
+                # the root lies above the last float below the threshold: F there, in units
+                # of mu, is not positive beyond its rounding
+                unit, s = params._in_units_of_mu
+                m = math.nextafter(unit.threshold, -math.inf)
+                (i1,) = spectral_moments(m, unit, spec, orders=(1,))
+                f = m - mass * s - c * i1
+                assert f <= 8.0 * sys.float_info.epsilon * (abs(m - mass * s) + abs(c * i1)), (
+                    f, exc)
             continue
         except LeeModelError:
             continue
@@ -80,6 +109,8 @@ def test_library_gives_a_result_or_a_typed_error(log_mu, log_lam, family, m_n_in
         assert report.m_v < params.threshold, report
         if isinstance(coupling, BareCoupling):
             assert 0.0 < report.z_standard <= 1.0, report
+            (i2,) = spectral_moments(report.m_v, params, spec, orders=(2,))
+            assert abs(report.z_standard - 1.0 / (1.0 + c * i2)) <= 1e-9, report
 
 
 EDGES = (0.0, -0.0, -1.0, 1e-320, 1e-170, 1e-6, 2.0, 1e6, 1e102, 1.3e154, 1e160, 1e300,

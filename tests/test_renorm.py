@@ -251,6 +251,42 @@ def test_root_within_rounding_of_the_threshold_names_its_context():
             assert part in message, (part, message)
 
 
+@pytest.mark.parametrize("g0", (1e20, 1e60, 1e114))
+def test_far_root_matches_its_closed_form(g0):
+    # at m_N = -1e10 mu and m_V0 = threshold + mu the root lies about g0 below the
+    # threshold, where delta^2 + delta = c I1 delta -> c I0, so delta = sqrt(c I0) (1 +
+    # O(Lambda / delta)) with I0 = pi (K Lambda - mu^2 asinh(K / mu)), K = sqrt(Lambda^2 -
+    # mu^2), and Z = x = 1/2; holding m, the overshoot guard rounded onto the threshold
+    # and g0 = 1e114 was refused as a root within rounding of it
+    lam = 300.0
+    params = ModelParams(m_n=-1e10, mu=1.0, form_factor=FormFactor.sharp(lam))
+    k = math.sqrt(lam * lam - 1.0)
+    c = g0 * g0 / TWO_PI_CUBED
+    delta = math.sqrt(c * math.pi * (k * lam - math.asinh(k)))
+    report = full_report(params, BareCoupling(m_v0=params.threshold + 1.0, g0=g0), SPEC)
+    assert math.isclose(params.threshold - report.m_v, delta, rel_tol=1e-14, abs_tol=0.0)
+    assert abs(report.z_standard - 0.5) <= 1e-15 and abs(report.x - 0.5) <= 1e-15
+
+
+def test_far_dipole_root_is_a_result():
+    # the dipole at the same far threshold and g0 = 4.2e143 was refused the same way
+    params = ModelParams(m_n=-1e10, mu=1.0, form_factor=FormFactor.dipole(8.0))
+    m_v0, g0 = params.threshold + 1.0, 4.2e143
+    report = full_report(params, BareCoupling(m_v0=m_v0, g0=g0), SPEC)
+    c = g0 * g0 / TWO_PI_CUBED
+    (i1,) = spectral_moments(report.m_v, params, FINE, orders=(1,))
+    assert abs(report.m_v - m_v0 - c * i1) <= 1e-12 * abs(c * i1)
+
+
+def test_settled_step_keeps_the_root_below_the_threshold():
+    # where c > 1 the root is the settled step taken; here delta + step > 0 but
+    # the mass m - step rounds onto the threshold, so the step is not taken
+    mu = 1.3760925572983534e-24
+    params = ModelParams(m_n=1.0, mu=mu, form_factor=FormFactor.sharp(2.293225019729352e-21))
+    report = full_report(params, BareCoupling(m_v0=1.0, g0=1438.2444684421982), SPEC)
+    assert report.m_v < params.threshold
+
+
 def test_solve_iteration_cap_names_its_context(monkeypatch):
     monkeypatch.setattr(leemodel.renorm, "NEWTON_CAP", 1)
     with pytest.raises(NoConvergence) as err:
@@ -366,8 +402,8 @@ def test_kept_opening_pass_is_a_tuple():
     params = exponential_model()
     forget_kept_state()
     for m, orders in ((1.9, (1, 2)), (params.threshold, (1,))):
-        kept = _moment_pass(m, params, SPEC, orders)
-        assert kept is _moment_pass(m, params, SPEC, orders)
+        kept = _moment_pass(params.threshold - m, params, SPEC, orders)
+        assert kept is _moment_pass(params.threshold - m, params, SPEC, orders)
         values, rule = kept
         assert type(kept) is type(values) is type(rule) is tuple
         assert len(values) == len(orders)
