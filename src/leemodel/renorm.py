@@ -97,9 +97,9 @@ def _newton(params: ModelParams, bare: BareCoupling,
     step settles when it moves delta by at most ROOT_TOL * min(delta, max(1, |m|)), relative
     to delta so that delta, Z and x keep their accuracy near the threshold, or by at most 4
     ulp(m) + 8 eps (|delta0 - delta| + |c I1|) / (1 + s), the rounding floor of F; where c >
-    1, F can be 1/Z times that step, so the root is the settled step taken.  None means no
-    bound state.  An F or s that overflows, or a root past the caller's float range, raises
-    StabilityViolation.
+    1, F can be 1/Z times that step, so the root is the settled step taken, and s is taken
+    from a pass at it.  None means no bound state.  An F or s that overflows, or a root past
+    the caller's float range, raises StabilityViolation.
     """
     if bare.g0 == 0.0:
         return (bare.m_v0, 0.0) if bare.m_v0 < params.threshold else None
@@ -143,7 +143,9 @@ def _newton(params: ModelParams, bare: BareCoupling,
                 or abs(step) <= 4.0 * math.ulp(m)
                 + 8.0 * _EPS * (abs(d0 - delta) + abs(c * i1)) / (1.0 + s)):
             if held is None:
-                m -= step if c > 1.0 and m - step < thr else 0.0
+                if c > 1.0 and m - step < thr:  # s from a pass at the mass reported
+                    m -= step
+                    s = c * _moment_pass(thr - m, unit, spec, (1, 2))[0][1]
                 if math.isinf(m / scale):
                     raise _overflow(params, bare, m / scale, f"root m = {m!r} in units of mu")
                 return m / scale, s

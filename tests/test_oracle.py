@@ -28,9 +28,9 @@ from leemodel import (
     z_from_bare,
 )
 
-from leemodel.oracle import _root_between
+from leemodel.oracle import GRID_SCHEMES, _root_between
 
-from helpers import ACC_BARE, SHARP_K_CUT, SPEC, random_arrowhead, sharp_model
+from helpers import ACC_BARE, ALL_MODELS, SHARP_K_CUT, SPEC, random_arrowhead, sharp_model
 
 PARAMS = sharp_model()
 
@@ -77,10 +77,28 @@ def test_build_grid_validation():
             RadialGrid(k=np.array(k), w=np.array(w))
 
 
+def _assert_read_only(array):
+    with pytest.raises(ValueError, match="read-only"):
+        array[0] = 99.0
+    with pytest.raises(ValueError, match="read-only"):
+        array *= 2.0
+
+
 def test_grid_is_immutable():
     grid = build_grid(2.0, 4, "uniform")
-    with pytest.raises(ValueError):
-        grid.k[0] = 99.0
+    _assert_read_only(grid.k)
+    _assert_read_only(grid.w)
+
+
+def test_arrowhead_arrays_are_read_only():
+    # coupling_sq is squared once per matrix and kept, which is sound only
+    # while neither it nor the arrays it derives from can be written
+    mat = build_arrowhead(PARAMS, BareCoupling(m_v0=1.8, g0=1.0),
+                          build_grid(SHARP_K_CUT, 16, "gauss"))
+    assert mat.coupling_sq is mat.coupling_sq
+    assert np.array_equal(mat.coupling_sq, mat.coupling ** 2)
+    for array in (mat.diag, mat.coupling, mat.coupling_sq):
+        _assert_read_only(array)
 
 
 # --- arrowhead construction -----------------------------------------------------
@@ -167,6 +185,29 @@ def test_secular_bracket_signs():
     d1 = float(mat.diag[0])
     assert secular_value(mat, mat.apex - 50.0) > 0.0
     assert secular_value(mat, d1 - 1e-9) < 0.0
+
+
+def _secular_as_summed(mat, lam):
+    # the secular function as written before the matrix held c^2
+    return mat.apex - lam + float(np.sum(mat.coupling ** 2 / (lam - mat.diag)))
+
+
+@pytest.mark.parametrize("make", ALL_MODELS)
+@pytest.mark.parametrize("scheme", GRID_SCHEMES)
+@pytest.mark.parametrize("n", (8, 57, 912, 4096))
+def test_held_squared_couplings_keep_the_bits(make, scheme, n):
+    # s(lam) at every bracket's midpoint and the lowest apex weight are bit for bit
+    # those of squaring the couplings on each evaluation
+    params = make()
+    mat = build_arrowhead(params, BareCoupling(m_v0=1.8, g0=1.5),
+                          build_grid(upper_momentum(params), n, scheme))
+    lo, hi = leemodel.oracle._spectral_bounds(mat)
+    edges = np.array([lo, *mat.diag, hi])
+    for lam in map(float, 0.5 * (edges[:-1] + edges[1:])):
+        assert secular_value(mat, lam) == _secular_as_summed(mat, lam), lam
+    pair = lowest_eigenpair(mat)
+    lam = pair.energy
+    assert pair.apex_weight == 1.0 / (1.0 + float(np.sum(mat.coupling ** 2 / (lam - mat.diag) ** 2)))
 
 
 def test_secular_strictly_decreasing_between_poles():

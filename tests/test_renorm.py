@@ -287,6 +287,24 @@ def test_settled_step_keeps_the_root_below_the_threshold():
     assert report.m_v < params.threshold
 
 
+@pytest.mark.parametrize("mu, form_factor, m_v0, g0", (
+    (1.044119002012209e-14, FormFactor.sharp(7.936036094193958e-13),
+     1.0000000000000107, 1404.1874257771178),
+    (3.5915056231147165e-27, FormFactor.exponential(4.175825406018368e-24),
+     1.0, 3200420316585.662),
+))
+def test_settled_step_takes_z_at_the_reported_mass(mu, form_factor, m_v0, g0):
+    # where c > 1 the root is the settled step taken, here one that moves m at the
+    # rounding floor; Z must be that of a pass at this m_V, not at the m before the step
+    params = ModelParams(m_n=1.0, mu=mu, form_factor=form_factor)
+    report = full_report(params, BareCoupling(m_v0=m_v0, g0=g0), SPEC)
+    forget_kept_state()
+    c = g0 * g0 / TWO_PI_CUBED
+    solve_spec = QuadSpec(max(SPEC.abs_tol / c, math.ulp(0.0)), SPEC.rel_tol)
+    (i2,) = spectral_moments(report.m_v, params, solve_spec, (2,))
+    assert abs(report.z_standard * (1.0 + c * i2) - 1.0) <= 1e-12
+
+
 def test_solve_iteration_cap_names_its_context(monkeypatch):
     monkeypatch.setattr(leemodel.renorm, "NEWTON_CAP", 1)
     with pytest.raises(NoConvergence) as err:
