@@ -18,10 +18,11 @@ here are immutable values and all functions are pure, so everything can be
 shared freely between threads and across parameter sweeps.  That holds for the
 whole package: its only state, each model's threshold and copy in units of mu
 (each built once per model) and the memos of :mod:`leemodel.quadrature` (Gauss-Legendre
-nodes, the last 32 moment rules, one per model in units of mu, kappa octave and
-panel count, and the last 8 refined passes, one per delta and model in units of
-mu, tolerances and orders, each with its level's arrays), is memoized values and
-read-only arrays rebuilt bit for bit on a miss, so a thread never sees another's results.
+nodes, the last 32 moment rule entries, each the opening 4- and 8-panel pair or one later
+level of a model in units of mu and a kappa octave, and the last 8 refined passes, one per
+delta and model in units of mu, tolerances and orders, each with its level's arrays), is
+memoized values and read-only arrays rebuilt bit for bit on a miss, so a thread never
+sees another's results.
 """
 
 from __future__ import annotations
@@ -44,11 +45,9 @@ DIPOLE = "dipole"
 FORM_FACTOR_KINDS = (SHARP, EXPONENTIAL, DIPOLE)
 
 
-def _maybe_scalar(out: np.ndarray, like) -> "float | np.ndarray":
-    """Return a plain float when the input was scalar."""
-    if np.ndim(like) == 0:
-        return float(out)
-    return out
+def _maybe_scalar(out: np.ndarray) -> "float | np.ndarray":
+    """A plain float when ``out``, shaped as the input, is 0-d: the input was scalar."""
+    return out if out.ndim else float(out)
 
 
 @dataclass(frozen=True)
@@ -91,13 +90,15 @@ class FormFactor:
         """f at momentum ``k`` (scalar or array) for theta mass ``mu``, in units of mu;
         omega s is formed exactly as :func:`omega` forms it."""
         s = _ensure_mu(mu)
-        ks, lam = np.asarray(k, dtype=float) * s, self.lam * s
+        ks, lam = np.asarray(k, dtype=float), self.lam * s
+        if s != 1.0:  # the unit model, as every rule build passes it, skips k * 1
+            ks = ks * s
         if self.kind == DIPOLE:
-            return _maybe_scalar(lam * lam / (lam * lam + ks * ks), k)
+            return _maybe_scalar(lam * lam / (lam * lam + ks * ks))
         om = np.sqrt(ks * ks + (mu * s) * (mu * s))
         if self.kind == SHARP:
-            return _maybe_scalar(np.where(om <= lam, 1.0, 0.0), k)
-        return _maybe_scalar(np.exp(-om / lam), k)
+            return _maybe_scalar(np.where(om <= lam, 1.0, 0.0))
+        return _maybe_scalar(np.exp(-om / lam))
 
 
 def _ensure_mu(mu: float, m_n: float = 0.0) -> float:
@@ -219,13 +220,13 @@ def omega(k, mu: float):
     ks = np.asarray(k, dtype=float) * s
     if not np.all((ks >= 0.0) & (ks < 2.0 ** 512)):  # (k s)^2 finite, NaN refused
         raise ValueError("momentum k must be nonnegative, with a finite square in units of mu")
-    return _maybe_scalar(np.sqrt(ks * ks + (mu * s) * (mu * s)) / s, k)
+    return _maybe_scalar(np.sqrt(ks * ks + (mu * s) * (mu * s)) / s)
 
 
 def vertex_weight(g0: float, ff: FormFactor, k, mu: float):
     """Interaction vertex g0 (2 pi)^(-3/2) f(k) (2 omega_k)^(-1/2) at momentum ``k``."""
     out = g0 / TWO_PI_32 * ff.evaluate(k, mu) / np.sqrt(2.0 * omega(k, mu))
-    return _maybe_scalar(out, k)
+    return _maybe_scalar(out)
 
 
 def dressing_amplitude(params: ModelParams, g0: float, m_v: float, k):
@@ -241,4 +242,4 @@ def dressing_amplitude(params: ModelParams, g0: float, m_v: float, k):
     unit, s = params._in_units_of_mu
     ks, weight = np.multiply(k, s), vertex_weight(g0, params.form_factor, k, params.mu)
     out = -weight / (params.threshold - m_v + np.square(ks) / (omega(ks, unit.mu) + unit.mu) / s)
-    return _maybe_scalar(out, k)
+    return _maybe_scalar(out)

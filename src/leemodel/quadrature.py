@@ -24,12 +24,14 @@ an exact power-of-two scale s; :func:`spectral_moments` alone maps I_n back, by 
 I1 and I2 are moments of one spectral density, summed together by
 :func:`spectral_moments` on 24-node panels.  Only the energy denominator
 depends on m, so the rest of the integrand (nodes, weights, f^2) is one
-memoized function of (model in units of mu, kappa, panel count),
-:func:`_moment_rule`, which keeps the last RULES_KEPT of them: the masses of
-one solve or sweep fall in a few kappa octaves and reuse them.  The kept
-arrays are read-only and exactly those a fresh pass builds.  A rule settles
-at 8 panels (192 nodes) or so, and on arrays that small a build or a level
-costs numpy calls, not arithmetic per node: each is written with as few
+function of (model in units of mu, kappa, panel count), :func:`_moment_rule`,
+read from the last RULES_KEPT entries of :func:`_moment_rules`: the masses of
+one solve or sweep fall in a few kappa octaves and reuse them.  Every pass
+refines from 4 panels to 8 and settles there or so, so an entry is a kappa's
+opening pair, the 4- and 8-panel levels built as one grid of 288 nodes on one
+form-factor evaluation, or one later level.  The kept arrays are read-only and
+exactly those each level built alone gives.  On arrays that small a build or a
+level costs numpy calls, not arithmetic per node: each is written with as few
 array operations as its bits allow.
 
 The norm integral keeps its own integrand, the squared cloud amplitude, on
@@ -66,11 +68,16 @@ START_PANELS = 4
 NODES_PER_PANEL = 24
 NORM_ORDER = 20
 PANEL_CAP = 2 ** 14
-# Kept across calls: moment rules, one per (model, kappa, panels), a sweep touching
-# at most 14, and refined passes, one per (delta, model, tolerances, orders).  A rule at
-# the panel cap holds 6 MiB, so the rules can hold 192 MiB and the passes 48 MiB more.
+# Kept across calls: moment rule entries, one per (model, kappa) opening pair or later
+# (model, kappa, panels) level, a 24-point sweep building at most 7, and refined passes,
+# one per (delta, model, tolerances, orders).  An entry holds at most 6 MiB, a level at the
+# panel cap (a pair holds 4.5 KiB), so the rules can hold 192 MiB and the passes 48 MiB more.
 RULES_KEPT = 32
 PASSES_KEPT = 8
+# the rows of the opening pair's grid: each panel's midpoint in half widths, its level's panels
+_PAIR_ODD = np.r_[1:2 * START_PANELS:2, 1:4 * START_PANELS:2][:, None].astype(float)
+_PAIR_PANELS = np.repeat((START_PANELS, 2.0 * START_PANELS),
+                         (START_PANELS, 2 * START_PANELS))[:, None]
 
 
 @dataclass(frozen=True)
@@ -173,23 +180,44 @@ def ensure_finite_rules(params: ModelParams) -> None:
 
 
 @functools.lru_cache(maxsize=RULES_KEPT)
-def _moment_rule(params: ModelParams, kappa: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
-    """(q, rho), the m-independent part of the moment integrand on ``panels``
-    panels of the sinh rule at ``kappa``: q = k^2/(omega + mu) and
-    rho = wk k^2 f^2 / (2 omega), both read-only.
-
-    The last RULES_KEPT (model in units of mu, kappa, panels) rules are kept,
-    so the refined passes of a solve or a sweep, which fall in a few kappa
-    octaves, evaluate the form factor once per octave and panel count.
-    """
-    k, wk = _sinh_panels(upper_momentum(params), kappa, panels)
-    k2, mu = k * k, params.mu
+def _moment_rules(params: ModelParams, kappa: float, panels: int
+                  ) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The kept levels (q, rho) of :func:`_moment_rule` from ``panels`` panels on: the
+    opening pair, START_PANELS and 2 START_PANELS panels, built as one grid of nodes,
+    else that one level.  Each level is a read-only view of one buffer per array."""
+    hi, mu = upper_momentum(params), params.mu
+    if panels == START_PANELS and hi > 0.0:  # as _sinh_panels builds each level alone
+        x, w = _gauss_nodes(NODES_PER_PANEL)
+        half = 0.5 * math.asinh(hi / kappa) / _PAIR_PANELS
+        u = _PAIR_ODD * half + half * x
+        k, wk = kappa * np.sinh(u), (kappa * half * w) * np.cosh(u)
+    else:
+        k, wk = _sinh_panels(hi, kappa, panels)
+    k2 = k * k
     om = np.sqrt(k2 + mu * mu)
     fval = params.form_factor.evaluate(k, mu)
     rho = wk * k2 * fval * fval / (2.0 * om)
     q = k2 / (om + mu)
     q.flags.writeable = rho.flags.writeable = False
-    return q, rho
+    q, rho = q.ravel(), rho.ravel()
+    if panels != START_PANELS:
+        return (q, rho),
+    cut = START_PANELS * NODES_PER_PANEL
+    return (q[:cut], rho[:cut]), (q[cut:], rho[cut:])
+
+
+def _moment_rule(params: ModelParams, kappa: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """(q, rho), the m-independent part of the moment integrand on ``panels``
+    panels of the sinh rule at ``kappa``: q = k^2/(omega + mu) and
+    rho = wk k^2 f^2 / (2 omega), both read-only.
+
+    The last RULES_KEPT entries of :func:`_moment_rules` are kept, each the opening
+    pair or one later level, so the refined passes of a solve or a sweep, which fall
+    in a few kappa octaves and settle at 8 panels or so, evaluate the form factor
+    once per octave.
+    """
+    second = panels == 2 * START_PANELS
+    return _moment_rules(params, kappa, START_PANELS if second else panels)[second]
 
 
 def _moments_on(level: tuple[np.ndarray, np.ndarray], delta: float,

@@ -37,10 +37,12 @@ from leemodel.quadrature import (
     FOUR_PI,
     NODES_PER_PANEL,
     NORM_ORDER,
+    PANEL_CAP,
     RULES_KEPT,
     START_PANELS,
     _moment_pass,
     _moment_rule,
+    _moment_rules,
     _refine,
     _sinh_panels,
     _threshold_scale,
@@ -254,20 +256,24 @@ def test_tiny_lambda_is_refused_or_finite(kind, lam_over_mu, mu):
     assert all(math.isfinite(v) for v in spectral_moments(0.5 * mu, params, SPEC))
 
 
+def _level_alone(params, kappa, panels):
+    # one level (q, rho) of the moment rule built by itself on its own sinh rule
+    k, wk = _sinh_panels(upper_momentum(params), kappa, panels)
+    k2, mu = k * k, params.mu
+    om = np.sqrt(k2 + mu * mu)
+    fval = params.form_factor.evaluate(k, mu)
+    return k2 / (om + mu), wk * k2 * fval * fval / (2.0 * om)
+
+
 def _uncached_moments(m, params, orders=(1, 2)):
     # the moment pass with every sinh rule rebuilt at every level, as if
     # nothing were kept for the model
-    ff, mu = params.form_factor, params.mu
     delta = params.threshold - m
     kappa = _threshold_scale(params, delta)
 
     def estimate(panels):
-        k, wk = _sinh_panels(upper_momentum(params), kappa, panels)
-        k2 = k * k
-        om = np.sqrt(k2 + mu * mu)
-        fval = ff.evaluate(k, mu)
-        rho = wk * k2 * fval * fval / (2.0 * om)
-        inv = -1.0 / (delta + k2 / (om + mu))
+        q, rho = _level_alone(params, kappa, panels)
+        inv = -1.0 / (delta + q)
         return (FOUR_PI * np.array([rho.dot(inv ** n) for n in orders])).tolist()
 
     return tuple(_refine(estimate, SPEC, lambda: "reference")[0])
@@ -288,17 +294,37 @@ def test_kept_rules_never_change_a_bit():
     for m in (1.49, 1.991, 2.0 - 1.2e-8, 0.5, 1.9, 2.0 - 1e-6):
         spectral_moments(m, model_a, SPEC)
     _moment_pass.cache_clear()
-    filled = _moment_rule.cache_info()
+    filled = _moment_rules.cache_info()
     warm = [spectral_moments(m, model_a, SPEC) for m in masses]
-    warmed = _moment_rule.cache_info()
+    warmed = _moment_rules.cache_info()
     assert warmed.misses == filled.misses and warmed.hits > filled.hits
     # model B is kept next to model A: it must neither read nor evict A's rules
     assert spectral_moments(1.5, model_b, SPEC) == _uncached_moments(1.5, model_b)
     _moment_pass.cache_clear()
-    before = _moment_rule.cache_info()
+    before = _moment_rules.cache_info()
     refilled = [spectral_moments(m, model_a, SPEC) for m in masses]
-    assert _moment_rule.cache_info().misses == before.misses
+    assert _moment_rules.cache_info().misses == before.misses
     assert reference == cold == warm == refilled
+
+
+@pytest.mark.parametrize("make", ALL_MODELS + (lambda: sharp_model(MU),
+                                                lambda: sharp_model(0.5 * MU)))
+def test_opening_pair_matches_each_level_built_alone(make):
+    # the 4- and 8-panel levels are built as one grid, and must equal, bit for
+    # bit, each level built alone; kappa = 2^-30 is the 1e-9 mu floor, and a sharp
+    # Lambda <= mu leaves an empty range and empty levels
+    params = make()
+    kappas = [_threshold_scale(params, delta) for delta in (0.5, 1e-6, 0.0)]
+    assert len(set(kappas)) == 3 and kappas[-1] == 2.0 ** -30
+    forget_kept_state()
+    for kappa in kappas:
+        for panels in (START_PANELS, 2 * START_PANELS):
+            alone = _level_alone(params, kappa, panels)
+            kept = _moment_rule(params, kappa, panels)
+            size = 0 if upper_momentum(params) == 0.0 else panels * NODES_PER_PANEL
+            for got, want in zip(kept, alone):
+                assert got.shape == (size,) and np.array_equal(got, want), (kappa, panels)
+    assert _moment_rules.cache_info().misses == len(kappas)
 
 
 def test_kept_rules_are_read_only():
@@ -306,36 +332,51 @@ def test_kept_rules_are_read_only():
     kappas = {_threshold_scale(params, delta) for delta in (0.5, 1e-10)}
     assert len(kappas) == 2
     for kappa in kappas:
-        for panels in (START_PANELS, 2 * START_PANELS):
+        for panels in (START_PANELS, 2 * START_PANELS, 4 * START_PANELS):
             for arr in _moment_rule(params, kappa, panels):
-                with pytest.raises(ValueError):
-                    arr[0] = 0.0
+                for target in (arr, arr.base):  # the buffer a level is a view of, too
+                    with pytest.raises(ValueError):
+                        target.flat[0] = 0.0
 
 
-def test_bare_sweep_evaluates_the_form_factor_once_per_octave_and_panel_count(monkeypatch):
+def test_a_kept_entry_holds_at_most_6_mib():
+    # RULES_KEPT entries, each the opening pair or one level up to the panel cap
+    forget_kept_state()
+    params = exponential_model()
+    for panels in (START_PANELS, PANEL_CAP):
+        buffers = {id(arr.base): arr.base.nbytes
+                   for level in _moment_rules(params, 1.0, panels) for arr in level}
+        assert sum(buffers.values()) <= 6 * 2 ** 20
+
+
+def test_bare_sweep_evaluates_the_form_factor_once_per_octave(monkeypatch):
+    # each kept entry is built once, on one evaluation: an octave's opening pair
+    # of levels on (4 + 8) * 24 nodes, or one later level
     sizes, keys = [], []
-    evaluate, sinh_panels = FormFactor.evaluate, _sinh_panels
+    evaluate, moment_rules = FormFactor.evaluate, _moment_rules
 
     def counted(self, k, mu):
         sizes.append(np.size(k))
         return evaluate(self, k, mu)
 
-    def recorded(hi, kappa, panels, order=NODES_PER_PANEL):
-        if order == NODES_PER_PANEL:
-            keys.append((kappa, panels))
-        return sinh_panels(hi, kappa, panels, order)
+    def recorded(params, kappa, panels):
+        keys.append((kappa, panels))
+        return moment_rules(params, kappa, panels)
 
+    forget_kept_state()  # before the memo is wrapped, so that it is cleared
     monkeypatch.setattr(FormFactor, "evaluate", counted)
-    monkeypatch.setattr(leemodel.quadrature, "_sinh_panels", recorded)
-    forget_kept_state()
+    monkeypatch.setattr(leemodel.quadrature, "_moment_rules", recorded)
     cfg = parse_config(json.dumps({
         "model": {"form_factor": {"kind": "exponential", "lambda": 10.0}},
         "input": {"mode": "bare", "m_V0": 1.99},
         "sweep": {"parameter": "g0", "start": 0.0, "stop": 3.0, "steps": 24}}))
     rows = run_sweep(cfg)
     assert len(rows) == 24 and not any(row["error"] for row in rows)
-    assert len(keys) == len(set(keys)) > 2 and len({kappa for kappa, _ in keys}) > 1
-    assert sorted(sizes) == sorted(panels * NODES_PER_PANEL for _, panels in keys)
+    octaves = {kappa for kappa, _ in keys}
+    assert len(octaves) > 1
+    assert sorted(sizes) == sorted((3 if panels == START_PANELS else 1) * panels * NODES_PER_PANEL
+                                   for _, panels in set(keys))
+    assert sizes.count(3 * START_PANELS * NODES_PER_PANEL) == len(octaves)
 
 
 def test_held_newton_steps_never_look_up_a_rule(monkeypatch):
@@ -366,7 +407,7 @@ def test_held_newton_steps_never_look_up_a_rule(monkeypatch):
         "input": {"mode": "bare", "m_V0": 1.999},
         "sweep": {"parameter": "g0", "start": 0.0, "stop": 2.5, "steps": 24}})))
     assert len(rows) == 24 and not any(row["error"] for row in rows)
-    info = _moment_rule.cache_info()
+    info = _moment_rules.cache_info()
     assert len(held) > len(passes) > 0
     assert info.hits + info.misses <= len(levels) + len(passes)
 
@@ -386,20 +427,37 @@ def test_alternating_models_keep_their_rules(monkeypatch):
     reports = [full_report(params, BareCoupling(1.9, 1.0), SPEC)
                for params in (model_a, model_b, model_a, model_b)]
     assert reports[:2] == reports[2:]
-    assert len(calls) == 8
-    assert calls.count("exponential") == calls.count("dipole") == 4
+    assert len(calls) == 4
+    assert calls.count("exponential") == calls.count("dipole") == 2
+
+
+@pytest.mark.parametrize("make", ALL_MODELS)
+def test_cold_renormalized_report_evaluates_the_form_factor_once(monkeypatch, make):
+    # a renormalized point is one refined pass, which settles at 8 panels, and
+    # its opening pair of levels is one build: one evaluation on (4 + 8) * 24 nodes
+    sizes = []
+    evaluate = FormFactor.evaluate
+
+    def counted(self, k, mu):
+        sizes.append(np.size(k))
+        return evaluate(self, k, mu)
+
+    monkeypatch.setattr(FormFactor, "evaluate", counted)
+    forget_kept_state()
+    full_report(make(), RenCoupling(m_v=1.9, g=1.0), SPEC)
+    assert sizes == [288]
 
 
 def test_full_report_threads_match_serial():
-    # 18 models of at least two rules each overflow the RULES_KEPT kept
-    # rules, and the kept passes, so the threads evict each other's
+    # 18 models of at least two rule entries each overflow the RULES_KEPT kept
+    # entries, and the kept passes, so the threads evict each other's
     points = [(make(lam), BareCoupling(1.9, g0))
               for lam in (2.0, 3.0, 4.0, 5.0, 7.0, 10.0, 15.0, 20.0, 30.0)
               for g0 in (0.5, 2.0) for make in (exponential_model, dipole_model)]
     assert len({params for params, _ in points}) > 16
     forget_kept_state()
     serial = [full_report(params, bare, SPEC) for params, bare in points]
-    assert _moment_rule.cache_info().misses > RULES_KEPT
+    assert _moment_rules.cache_info().misses > RULES_KEPT
     forget_kept_state()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -425,7 +483,7 @@ def test_kept_state_lives_in_quadrature():
         kept |= {(obj.__module__, obj.__qualname__) for owner in owners
                  for obj in vars(owner).values() if hasattr(obj, "cache_clear")}
     assert kept == {("leemodel.quadrature", name)
-                    for name in ("_gauss_nodes", "_moment_rule", "_moment_pass")}, kept
+                    for name in ("_gauss_nodes", "_moment_rules", "_moment_pass")}, kept
 
 
 @pytest.mark.parametrize("mu", (1.0, 3.0))
