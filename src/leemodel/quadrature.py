@@ -29,10 +29,12 @@ read from the last RULES_KEPT entries of :func:`_moment_rules`: the masses of
 one solve or sweep fall in a few kappa octaves and reuse them.  Every pass
 refines from 4 panels to 8 and settles there or so, so an entry is a kappa's
 opening pair, the 4- and 8-panel levels built as one grid of 288 nodes on one
-form-factor evaluation, or one later level.  The kept arrays are read-only and
-exactly those each level built alone gives.  On arrays that small a build or a
-level costs numpy calls, not arithmetic per node: each is written with as few
-array operations as its bits allow.
+form-factor evaluation, or one later level.  A pass evaluates its opening pair
+in one sweep: one lookup, one 1/(delta + q) and each power of it on all 288
+nodes, and a dot per level and order.  The kept arrays are read-only and
+exactly those each level built alone gives, and so is every moment.  On arrays
+that small a build or a level costs numpy calls, not arithmetic per node: each
+is written with as few array operations as its bits allow.
 
 The norm integral keeps its own integrand, the squared cloud amplitude, on
 20-node panels of the same map, built afresh and never read from the kept
@@ -52,7 +54,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -121,21 +123,32 @@ def _gauss_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
+def _settled(cur: tuple[float, ...], prev: Sequence[float], spec: QuadSpec) -> bool:
+    """Whether each value of ``cur`` is within max(abs_tol, rel_tol*|value|) of ``prev``'s."""
+    for c, p in zip(cur, prev):
+        if not abs(c - p) <= max(spec.abs_tol, spec.rel_tol * abs(c)):
+            return False
+    return True
+
+
 def _refine(estimate: Callable[[int], tuple[float, ...]], spec: QuadSpec,
-            what: Callable[[], str]) -> tuple[tuple[float, ...], int]:
-    """(estimate(panels), panels), doubling from START_PANELS until each value settles."""
-    panels = START_PANELS
-    cur = estimate(panels)
-    changes = [math.inf]
+            what: Callable[[], str], opening: tuple[Sequence[float], tuple[float, ...]] | None
+            = None) -> tuple[tuple[float, ...], int]:
+    """(estimate(panels), panels), doubling from START_PANELS until each value settles;
+    ``opening`` is the estimates at START_PANELS and 2 START_PANELS panels, if taken and not
+    settled."""
+    if opening is None:
+        panels, cur = START_PANELS, estimate(START_PANELS)
+    else:
+        panels, (prev, cur) = 2 * START_PANELS, opening
     while panels < PANEL_CAP:
         panels = min(2 * panels, PANEL_CAP)
         prev, cur = cur, estimate(panels)
-        changes = [abs(c - p) for c, p in zip(cur, prev)]
-        if all(d <= max(spec.abs_tol, spec.rel_tol * abs(c)) for d, c in zip(changes, cur)):
+        if _settled(cur, prev, spec):
             return cur, panels
     raise NoConvergence(
-        f"{what()} did not reach tolerance within {PANEL_CAP} panels "
-        f"(last refinement changed the estimate by {', '.join(f'{d:.3e}' for d in changes)})")
+        f"{what()} did not reach tolerance within {PANEL_CAP} panels (last refinement "
+        f"changed the estimate by {', '.join(f'{abs(c - p):.3e}' for c, p in zip(cur, prev))})")
 
 
 def _threshold_scale(params: ModelParams, delta: float) -> float:
@@ -181,10 +194,11 @@ def ensure_finite_rules(params: ModelParams) -> None:
 
 @functools.lru_cache(maxsize=RULES_KEPT)
 def _moment_rules(params: ModelParams, kappa: float, panels: int
-                  ) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """The kept levels (q, rho) of :func:`_moment_rule` from ``panels`` panels on: the
-    opening pair, START_PANELS and 2 START_PANELS panels, built as one grid of nodes,
-    else that one level.  Each level is a read-only view of one buffer per array."""
+                  ) -> tuple[np.ndarray, tuple[tuple[np.ndarray, np.ndarray], ...]]:
+    """(q, levels): the kept levels (q, rho) of :func:`_moment_rule` from ``panels`` panels
+    on, the opening pair, START_PANELS and 2 START_PANELS panels, built as one grid of nodes,
+    else that one level, and q on all their nodes, so that a pass evaluates the pair in one
+    sweep.  Every array is a read-only view of one buffer per quantity: q adds no memory."""
     hi, mu = upper_momentum(params), params.mu
     if panels == START_PANELS and hi > 0.0:  # as _sinh_panels builds each level alone
         x, w = _gauss_nodes(NODES_PER_PANEL)
@@ -201,9 +215,9 @@ def _moment_rules(params: ModelParams, kappa: float, panels: int
     q.flags.writeable = rho.flags.writeable = False
     q, rho = q.ravel(), rho.ravel()
     if panels != START_PANELS:
-        return (q, rho),
+        return q, ((q, rho),)
     cut = START_PANELS * NODES_PER_PANEL
-    return (q[:cut], rho[:cut]), (q[cut:], rho[cut:])
+    return q, ((q[:cut], rho[:cut]), (q[cut:], rho[cut:]))
 
 
 def _moment_rule(params: ModelParams, kappa: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
@@ -217,7 +231,7 @@ def _moment_rule(params: ModelParams, kappa: float, panels: int) -> tuple[np.nda
     once per octave.
     """
     second = panels == 2 * START_PANELS
-    return _moment_rules(params, kappa, START_PANELS if second else panels)[second]
+    return _moment_rules(params, kappa, START_PANELS if second else panels)[1][second]
 
 
 def _moments_on(level: tuple[np.ndarray, np.ndarray], delta: float,
@@ -226,19 +240,41 @@ def _moments_on(level: tuple[np.ndarray, np.ndarray], delta: float,
     q, rho = level
     inv = np.add(delta, q)
     np.divide(-1.0, inv, out=inv)      # 1 / (m - m_N - omega)
-    return tuple(FOUR_PI * float(rho.dot(inv if n == 1 else inv ** n)) for n in orders)
+    sq = inv * inv if 2 in orders else None  # the bits of inv ** 2
+    return tuple([FOUR_PI * float(rho.dot(inv if n == 1 else sq if n == 2 else inv ** n))
+                  for n in orders])
 
 
 @functools.lru_cache(maxsize=PASSES_KEPT)
 def _moment_pass(delta: float, unit: ModelParams, spec: QuadSpec, orders: tuple[int, ...]
                  ) -> tuple[tuple[float, ...], tuple[np.ndarray, np.ndarray]]:
-    """:func:`spectral_moments` at delta on ``unit``, a model in units of mu, and their level."""
-    kappa, ff = _threshold_scale(unit, delta), unit.form_factor
+    """:func:`spectral_moments` at delta on ``unit``, a model in units of mu, and their level.
+
+    The opening pair is evaluated in one sweep: one rule lookup, each power of
+    1 / (m - m_N - omega) formed once on both levels' nodes, and each level's moments dots
+    on its half.  A pair that settles hands back its 8-panel level; only one that does
+    not refines on from 16 panels, each level built and evaluated alone.
+    """
+    kappa = _threshold_scale(unit, delta)
+    q, ((_, rho4), eight) = _moment_rules(unit, kappa, START_PANELS)
+    inv = np.add(delta, q)
+    np.divide(-1.0, inv, out=inv)      # as _moments_on forms it, on both levels' nodes
+    sq = inv * inv if 2 in orders else None
+    cut, coarse, values = rho4.size, [], []
+    for n in orders:
+        p = inv if n == 1 else sq if n == 2 else inv ** n
+        coarse.append(FOUR_PI * float(rho4.dot(p[:cut])))
+        values.append(FOUR_PI * float(eight[1].dot(p[cut:])))
+    values = tuple(values)
+    if _settled(values, coarse, spec):
+        return values, eight
+    ff = unit.form_factor
     values, panels = _refine(lambda n: _moments_on(_moment_rule(unit, kappa, n), delta, orders),
                              spec, lambda: f"moment(s) {orders} of the {ff.kind} form factor "
                                            f"(Lambda = {ff.lam / unit.mu!r}) at m = "
                                            f"{(unit.threshold - delta) / unit.mu!r}, "
-                                           f"delta = {delta / unit.mu!r}, all in units of mu")
+                                           f"delta = {delta / unit.mu!r}, all in units of mu",
+                             (coarse, values))
     return values, _moment_rule(unit, kappa, panels)
 
 
@@ -247,7 +283,8 @@ def spectral_moments(m: float, params: ModelParams, spec: QuadSpec,
     """Moments I_n(m) = Int d^3k f^2(omega) / (2*omega) / (m - m_N - omega)^n, one per order.
 
     All orders are summed from one f^2 evaluation per rule, the sinh rule anchored at
-    kappa ~ sqrt(2 mu delta) and kept per (model, kappa, panels) (:func:`_moment_rule`), and
+    kappa ~ sqrt(2 mu delta) and kept per (model, kappa) opening pair or later level
+    (:func:`_moment_rule`), the pair evaluated in one sweep (:func:`_moment_pass`), and
     refined until each settles, on the model in units of mu; I_n maps back by s^(n - 2).
     The denominator is -(delta + k^2/(omega + mu)) with delta = m_N + mu - m formed once, so
     nothing cancels near the threshold; delta = 0 is allowed for I1 alone, finite there.

@@ -294,6 +294,11 @@ def _from_renormalized(params: ModelParams, ren: RenCoupling, spec: QuadSpec) ->
         g0_sq = g_sq / (1.0 - x)
         m_v0 = ren.m_v - g0_sq / TWO_PI_CUBED * i1
         delta_m = ren.m_v - m_v0
+        if not math.isfinite(delta_m):  # finite only where m_V0 and g0^2 are
+            raise StabilityViolation(
+                f"g = {ren.g!r} at m_V = {ren.m_v!r} gives x = {x!r}, whose bare side overflows: "
+                f"g0^2 = {g0_sq!r}, m_V0 = {m_v0!r}, delta m = {delta_m!r}; g0^2 = g^2 / (1 - x), "
+                f"m_V0 and delta m must stay finite")
     return RenormReport(
         m_v=ren.m_v, m_v0=m_v0, delta_m=delta_m, g0_sq=g0_sq, g_sq=g_sq, x=x,
         z_standard=standard_z(x), z_regularized=regularized_z(x), regime=regime,
@@ -326,7 +331,8 @@ def full_report(params: ModelParams, coupling: "BareCoupling | RenCoupling",
     in the normal regime.  From a renormalized input the strength decides the
     regime; outside the Normal regime (Critical or Ghost) the bare-side fields
     are absent (None) rather than an error, so ghost points remain reportable.
-    A renormalized g whose x overflows raises StabilityViolation.
+    A renormalized g whose x, or in the Normal regime g0^2, m_V0 or delta m, overflows
+    raises StabilityViolation.
     """
     if isinstance(coupling, BareCoupling):
         solved = _newton(params, coupling, spec)

@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 import leemodel.quadrature
+import leemodel.renorm
 from leemodel import BareCoupling, FormFactor, ModelParams, QuadSpec
 
 MU = 1.0
@@ -86,6 +87,24 @@ def forget_kept_state() -> None:
     for kept in vars(leemodel.quadrature).values():
         if hasattr(kept, "cache_clear"):
             kept.cache_clear()
+
+
+def record_refined_passes(monkeypatch) -> list[float]:
+    """Start cold, then record the delta, in units of mu, of every refined moment pass
+    the package runs: each call of quadrature._moment_pass that its memo misses."""
+    forget_kept_state()
+    kept, deltas = leemodel.quadrature._moment_pass, []
+
+    def recorded(delta, unit, spec, orders):
+        misses = kept.cache_info().misses
+        result = kept(delta, unit, spec, orders)
+        if kept.cache_info().misses > misses:
+            deltas.append(delta)
+        return result
+
+    for module in (leemodel.quadrature, leemodel.renorm):
+        monkeypatch.setattr(module, "_moment_pass", recorded)
+    return deltas
 
 
 def sharp_moments_closed_form(lam: float, delta: float, mu: float = MU) -> tuple[float, float]:

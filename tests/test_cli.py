@@ -422,6 +422,21 @@ def test_mass_residual_overflow_is_an_error_not_a_root(tmp_path, capsys):
     assert rows[1]["m_V"] is None and rows[1]["error"].startswith("StabilityViolation")
 
 
+def test_bare_side_overflow_is_an_error_not_a_table(tmp_path, capsys):
+    # a Normal renormalized point whose g0^2 overflows wrote a JSON table with
+    # Infinity tokens, which strict JSON parsers refuse, and exited 0
+    out = tmp_path / "x.json"
+    cfg = _write(tmp_path, "cfg.json", {
+        "model": {"form_factor": {"kind": "sharp", "lambda": 2.0}},
+        "input": {"mode": "renormalized", "m_V": -1e150, "g": 6.064071437216217e+150},
+        "output": {"path": str(out), "format": "json"},
+    })
+    assert main(["--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: g = 6.064071437216217e+150") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_main_validate_oracle(tmp_path, capsys):
     cfg = _write(tmp_path, "cfg.json", {
         "input": {"mode": "bare", "m_V0": 1.8, "g0": 1.0},

@@ -64,6 +64,7 @@ from helpers import (
     dipole_moments_reference,
     exponential_model,
     forget_kept_state,
+    record_refined_passes,
     riemann_radial,
     sharp_model,
     sharp_moments_closed_form,
@@ -327,6 +328,67 @@ def test_opening_pair_matches_each_level_built_alone(make):
     assert _moment_rules.cache_info().misses == len(kappas)
 
 
+def _moments_alone(params, kappa, panels, delta, orders):
+    # the moments on one level built alone, by the expression that evaluated
+    # each level on its own: a reciprocal per level and inv ** n per order
+    q, rho = _level_alone(params, kappa, panels)
+    inv = np.add(delta, q)
+    np.divide(-1.0, inv, out=inv)
+    return tuple(FOUR_PI * float(rho.dot(inv if n == 1 else inv ** n)) for n in orders)
+
+
+@pytest.mark.parametrize("make, delta, orders", [
+    (make, delta, orders)
+    for make in ALL_MODELS + (lambda: sharp_model(MU), lambda: sharp_model(0.5 * MU))
+    for delta in (0.5, 1e-6, 0.0) for orders in ((1,), (2,), (1, 2)) if delta or orders == (1,)]
+    + [(lambda: dipole_model(40.0), 1e-14 * MU, orders) for orders in ((1,), (2,), (1, 2))])
+def test_one_sweep_of_the_pair_matches_each_level_alone(monkeypatch, make, delta, orders):
+    # a pass takes its opening pair's 4- and 8-panel moments in one sweep of the
+    # pair's nodes, then refines past the pair, if it must, level by level; the
+    # pair's moments, the pass's values and its level must equal, bit for bit,
+    # each level built and evaluated alone.  delta = 0 is the 1e-9 mu floor of
+    # kappa, where only I1 is finite; a sharp Lambda <= mu has empty levels; I1 of
+    # the dipole at Lambda = 40 and delta = 1e-14 mu settles at 16 panels
+    params, pairs = make(), []
+    settled = leemodel.quadrature._settled
+
+    def recorded(cur, prev, spec):
+        pairs.append((tuple(prev), tuple(cur)))
+        return settled(cur, prev, spec)
+
+    monkeypatch.setattr(leemodel.quadrature, "_settled", recorded)
+    kappa = _threshold_scale(params, delta)
+    alone = {panels: _moments_alone(params, kappa, panels, delta, orders)
+             for panels in (START_PANELS, 2 * START_PANELS, 4 * START_PANELS, 8 * START_PANELS)}
+    forget_kept_state()
+    values, level = _moment_pass(delta, params, SPEC, orders)
+    panels = 2 ** len(pairs) * START_PANELS
+    assert pairs == [(alone[n // 2], alone[n]) for n in (8, 16, 32)[:len(pairs)]], pairs
+    assert values == alone[panels]
+    assert all(np.array_equal(got, want)
+               for got, want in zip(level, _level_alone(params, kappa, panels)))
+    if params.form_factor.lam == 40.0 and 1 in orders:  # I1 there settles past the pair
+        assert panels == 16
+
+
+def test_a_cold_pass_looks_up_one_rule(monkeypatch):
+    # a pass that settles at 8 panels reads its opening pair once, for both
+    # levels and the level it hands back, where a lookup per level read it three times
+    lookups = []
+    moment_rules = _moment_rules
+
+    def recorded(params, kappa, panels):
+        lookups.append(panels)
+        return moment_rules(params, kappa, panels)
+
+    forget_kept_state()  # before the memo is wrapped, so that it is cleared
+    monkeypatch.setattr(leemodel.quadrature, "_moment_rules", recorded)
+    for make in ALL_MODELS:
+        lookups.clear()
+        full_report(make(), RenCoupling(m_v=1.9, g=1.0), SPEC)
+        assert lookups == [START_PANELS]
+
+
 def test_kept_rules_are_read_only():
     params = sharp_model()
     kappas = {_threshold_scale(params, delta) for delta in (0.5, 1e-10)}
@@ -344,9 +406,10 @@ def test_a_kept_entry_holds_at_most_6_mib():
     forget_kept_state()
     params = exponential_model()
     for panels in (START_PANELS, PANEL_CAP):
+        nodes, levels = _moment_rules(params, 1.0, panels)
         buffers = {id(arr.base): arr.base.nbytes
-                   for level in _moment_rules(params, 1.0, panels) for arr in level}
-        assert sum(buffers.values()) <= 6 * 2 ** 20
+                   for arr in (nodes, *(arr for level in levels for arr in level))}
+        assert len(buffers) == 2 and sum(buffers.values()) <= 6 * 2 ** 20
 
 
 def test_bare_sweep_evaluates_the_form_factor_once_per_octave(monkeypatch):
@@ -381,27 +444,25 @@ def test_bare_sweep_evaluates_the_form_factor_once_per_octave(monkeypatch):
 
 def test_held_newton_steps_never_look_up_a_rule(monkeypatch):
     # a refined pass hands back the level it settled on, and the held steps
-    # evaluate it, so only the refinement levels and each pass's settled level
-    # reach the kept rules
-    levels, passes, held = [], [], []
+    # evaluate it, so only the passes reach the kept rules: one lookup for the
+    # opening pair, and one per level refined past it plus its settled level
+    levels, held = [], []
     refine, moments_on = leemodel.quadrature._refine, leemodel.renorm._moments_on
 
-    def counted_refine(estimate, spec, what):
-        passes.append(None)
-
+    def counted_refine(estimate, *rest):
         def counted(panels):
             levels.append(panels)
             return estimate(panels)
 
-        return refine(counted, spec, what)
+        return refine(counted, *rest)
 
     def counted_held(*args):
         held.append(None)
         return moments_on(*args)
 
+    passes = record_refined_passes(monkeypatch)
     monkeypatch.setattr(leemodel.quadrature, "_refine", counted_refine)
     monkeypatch.setattr(leemodel.renorm, "_moments_on", counted_held)
-    forget_kept_state()
     rows = run_sweep(parse_config(json.dumps({
         "model": {"form_factor": {"kind": "exponential", "lambda": 10.0}},
         "input": {"mode": "bare", "m_V0": 1.999},
@@ -409,7 +470,7 @@ def test_held_newton_steps_never_look_up_a_rule(monkeypatch):
     assert len(rows) == 24 and not any(row["error"] for row in rows)
     info = _moment_rules.cache_info()
     assert len(held) > len(passes) > 0
-    assert info.hits + info.misses <= len(levels) + len(passes)
+    assert info.hits + info.misses <= len(passes) + 2 * len(levels)
 
 
 def test_alternating_models_keep_their_rules(monkeypatch):

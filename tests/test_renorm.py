@@ -4,7 +4,6 @@ import math
 import numpy as np
 import pytest
 
-import leemodel.quadrature
 import leemodel.renorm
 from leemodel import (
     FORM_FACTOR_KINDS,
@@ -52,6 +51,7 @@ from helpers import (
     Z_BARE_G1,
     exponential_model,
     forget_kept_state,
+    record_refined_passes,
     sharp_model,
 )
 
@@ -331,42 +331,28 @@ def test_bare_solve_is_confirmed_by_a_fresh_pass(make, lam, m_v0):
     assert report.z_standard == 1.0 / (1.0 + c * i2)
 
 
-def _count_refined_passes(monkeypatch) -> list[str]:
-    """The context of every refinement the package runs from here on, cold."""
-    calls = []
-    refine = leemodel.quadrature._refine
-
-    def counted(estimate, spec, what):
-        calls.append(what())
-        return refine(estimate, spec, what)
-
-    monkeypatch.setattr(leemodel.quadrature, "_refine", counted)
-    forget_kept_state()
-    return calls
-
-
 def test_bare_sweep_refines_once_per_point(monkeypatch):
     # the opening pass at m_V0, which picks the rule, is kept and shared by
     # the sweep, and each point refines once more to confirm its root; a pass
     # at every Newton step made 5.6 per point on this sweep, and an unshared
     # opening pass about 2
-    calls = _count_refined_passes(monkeypatch)
+    deltas = record_refined_passes(monkeypatch)
     params = exponential_model()
     g0s = np.linspace(0.0, 3.0, 24)[1:]
     for g0 in g0s:
         full_report(params, BareCoupling(m_v0=2.0 - 1e-3, g0=float(g0)), SPEC)
-    assert len(calls) <= len(g0s) + 1, len(calls)
-    assert sum(f"m = {2.0 - 1e-3!r}," in what for what in calls) == 1, calls
+    assert len(deltas) <= len(g0s) + 1, len(deltas)
+    assert deltas.count(params.threshold - (2.0 - 1e-3)) == 1, deltas
 
 
 def test_g_sweep_refines_once(monkeypatch):
     # every point of a renormalized g sweep takes its moments at the same m_V
-    calls = _count_refined_passes(monkeypatch)
+    deltas = record_refined_passes(monkeypatch)
     params = exponential_model()
     reports = [full_report(params, RenCoupling(m_v=1.9, g=float(g)), SPEC)
                for g in np.linspace(0.0, 8.0, 24)]
     assert {r.regime for r in reports} == {Regime.NORMAL, Regime.GHOST}
-    assert len(calls) == 1, calls
+    assert len(deltas) == 1, deltas
 
 
 @pytest.mark.parametrize("make", ALL_MODELS)
@@ -677,6 +663,20 @@ def test_renormalized_coupling_whose_x_overflows_raises(call):
     # g^2 = 1e308 is finite, but I2 = 1.4e3 at delta = 1e-4 overflows x
     with pytest.raises(StabilityViolation, match="g = 1e[+]154 .* x = inf"):
         call(PARAMS, RenCoupling(m_v=2.0 - 1e-4, g=1e154), SPEC)
+
+
+@pytest.mark.parametrize("call", (full_report, bare_from_renormalized))
+def test_renormalized_point_whose_bare_side_overflows_raises(call):
+    # x = 1 - 1e-11 is Normal, but g0^2 = g^2 / (1 - x) overflows, and m_V0 and
+    # delta m with it: full_report returned g0^2 = inf, m_V0 = inf and delta m =
+    # -inf, and bare_from_renormalized raised an untyped ValueError
+    params, ren = sharp_model(2.0), RenCoupling(m_v=-1e150, g=6.064071437216217e+150)
+    assert 0.0 < 1.0 - dressing_strength(params, ren.g, ren.m_v, SPEC) <= 2e-11
+    with pytest.raises(StabilityViolation) as err:
+        call(params, ren, SPEC)
+    message = str(err.value)
+    for part in (f"g = {ren.g!r}", "m_V = -1e+150", "x = 0.99999999999", "g0^2 = inf"):
+        assert part in message, (part, message)
 
 
 @pytest.mark.parametrize("m_v0", (1.5, 2.5))  # below and above the threshold 2
