@@ -16,13 +16,13 @@ All energies are in the same (arbitrary) unit; the solvers, and every square the
 kinematics form, are in units of mu (``ModelParams._in_units_of_mu``).  All types
 here are immutable values and all functions are pure, so everything can be
 shared freely between threads and across parameter sweeps.  That holds for the
-whole package: its only state, each model's threshold and copy in units of mu
-(each built once per model) and the memos of :mod:`leemodel.quadrature` (Gauss-Legendre
-nodes, the last 32 moment rule entries, each the opening 4- and 8-panel pair or one later
-level of a model in units of mu and a kappa octave, and the last 8 refined passes, one per
-delta and model in units of mu, tolerances and orders, each with its level's arrays), is
-memoized values and read-only arrays rebuilt bit for bit on a miss, so a thread never
-sees another's results.
+whole package: its only state, each model's threshold and copy in units of mu (each
+built once per model) and the memos of :mod:`leemodel.quadrature` (Gauss-Legendre nodes,
+the panel rows of each run of levels, the last 32 moment rule entries, each a rung of the
+one refinement ladder, the opening 4- and 8-panel pair or one later level, of a model in
+units of mu and a kappa octave, and the last 8 refined passes, one per delta, model in units
+of mu, tolerances and orders, each with its level's arrays), is memoized values and
+read-only arrays rebuilt bit for bit on a miss, so a thread never sees another's results.
 """
 
 from __future__ import annotations

@@ -24,28 +24,31 @@ an exact power-of-two scale s; :func:`spectral_moments` alone maps I_n back, by 
 I1 and I2 are moments of one spectral density, summed together by
 :func:`spectral_moments` on 24-node panels.  Only the energy denominator
 depends on m, so the rest of the integrand (nodes, weights, f^2) is one
-function of (model in units of mu, kappa, panel count), :func:`_moment_rule`,
-read from the last RULES_KEPT entries of :func:`_moment_rules`: the masses of
-one solve or sweep fall in a few kappa octaves and reuse them.  Every pass
-refines from 4 panels to 8 and settles there or so, so an entry is a kappa's
-opening pair, the 4- and 8-panel levels built as one grid of 288 nodes on one
-form-factor evaluation, or one later level.  A pass evaluates its opening pair
-in one sweep: one lookup, one 1/(delta + q) and each power of it on all 288
-nodes, and a dot per level and order.  The kept arrays are read-only and
-exactly those each level built alone gives, and so is every moment.  On arrays
-that small a build or a level costs numpy calls, not arithmetic per node: each
-is written with as few array operations as its bits allow.
+function of (model in units of mu, kappa, levels), :func:`_moment_rules`, which
+keeps its last RULES_KEPT entries: the masses of one solve or sweep fall in a
+few kappa octaves and reuse them.
+
+Every integral refines on one ladder, doubling the panel count until two
+successive estimates agree to tolerance; if it reaches the cap of 2**14 panels
+first, NoConvergence is raised.  Its first rung is the opening pair, the 4- and
+8-panel levels laid out as one grid by :func:`_sinh_panels` (the one place sinh
+panels are laid out) and evaluated on one call.  Every integral settles there
+or so; one that does not doubles on from 16 panels (:func:`_refine`), a level at
+a time.  A moment pass evaluates its pair in one sweep of its 288 nodes: one
+lookup, one 1/(delta + q) and each power of it, and a dot per level and order.
+The kept arrays are read-only and exactly those each level built alone gives,
+and so is every moment.  On arrays that small a build or a level costs numpy
+calls, not arithmetic per node: each is written with as few array operations
+as its bits allow.
 
 The norm integral keeps its own integrand, the squared cloud amplitude, on
-20-node panels of the same map, built afresh and never read from the kept
-moment arrays, so that the norm condition stays an independent check.
+20-node panels of the same map and ladder, built afresh and never read from
+the kept moment arrays, so that the norm condition stays an independent check.
 
-Every rule is refined by doubling the panel count until two successive
-estimates agree to tolerance.  The panel cap is 2**14; if the doubling
-sequence exhausts it, NoConvergence is raised.  A mass solve refines only to
-pick a level and to confirm its root: its other steps run on its arrays.  The
-last PASSES_KEPT refined passes, keyed by delta on models in units of mu, are kept
-(:func:`_moment_pass`), so a g0 sweep shares its opening pass and a g sweep its pass at m_V.
+A mass solve refines only to pick a level and to confirm its root: its other
+steps run on its arrays.  The last PASSES_KEPT refined passes, keyed by delta
+on models in units of mu, are kept (:func:`_moment_pass`), so a g0 sweep shares
+its opening pass and a g sweep its pass at m_V.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .core import SHARP, ModelParams, dressing_amplitude, ensure_stable
+from .core import SHARP, ModelParams, _ensure_coupling, dressing_amplitude, ensure_stable
 from .errors import NoConvergence, StabilityViolation
 
 FOUR_PI = 4.0 * math.pi
@@ -76,10 +79,6 @@ PANEL_CAP = 2 ** 14
 # panel cap (a pair holds 4.5 KiB), so the rules can hold 192 MiB and the passes 48 MiB more.
 RULES_KEPT = 32
 PASSES_KEPT = 8
-# the rows of the opening pair's grid: each panel's midpoint in half widths, its level's panels
-_PAIR_ODD = np.r_[1:2 * START_PANELS:2, 1:4 * START_PANELS:2][:, None].astype(float)
-_PAIR_PANELS = np.repeat((START_PANELS, 2.0 * START_PANELS),
-                         (START_PANELS, 2 * START_PANELS))[:, None]
 
 
 @dataclass(frozen=True)
@@ -131,16 +130,11 @@ def _settled(cur: tuple[float, ...], prev: Sequence[float], spec: QuadSpec) -> b
     return True
 
 
-def _refine(estimate: Callable[[int], tuple[float, ...]], spec: QuadSpec,
-            what: Callable[[], str], opening: tuple[Sequence[float], tuple[float, ...]] | None
-            = None) -> tuple[tuple[float, ...], int]:
-    """(estimate(panels), panels), doubling from START_PANELS until each value settles;
-    ``opening`` is the estimates at START_PANELS and 2 START_PANELS panels, if taken and not
-    settled."""
-    if opening is None:
-        panels, cur = START_PANELS, estimate(START_PANELS)
-    else:
-        panels, (prev, cur) = 2 * START_PANELS, opening
+def _refine(estimate: Callable[[int], tuple[float, ...]], spec: QuadSpec, what: Callable[[], str],
+            prev: Sequence[float], cur: tuple[float, ...]) -> tuple[tuple[float, ...], int]:
+    """(estimate(panels), panels), doubling on from an unsettled opening pair, its estimates
+    ``prev`` and ``cur`` at START_PANELS and 2 START_PANELS panels, until each value settles."""
+    panels = 2 * START_PANELS
     while panels < PANEL_CAP:
         panels = min(2 * panels, PANEL_CAP)
         prev, cur = cur, estimate(panels)
@@ -157,17 +151,30 @@ def _threshold_scale(params: ModelParams, delta: float) -> float:
     return math.ldexp(0.5, math.frexp(kappa)[1])
 
 
-def _sinh_panels(hi: float, kappa: float, panels: int,
+@functools.cache
+def _panel_rows(levels: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of one grid of ``levels``, panel counts laid out level after level: each
+    panel's midpoint in half widths (1, 3, 5, ...) and its level's panel count, read-only
+    columns.  One entry per run a ladder lays out, the pair and each later level: 12 in all."""
+    odd = np.concatenate([np.arange(1, 2 * p, 2) for p in levels]).astype(float)[:, None]
+    panels = np.repeat(np.array(levels, dtype=float), levels)[:, None]
+    odd.flags.writeable = panels.flags.writeable = False
+    return odd, panels
+
+
+def _sinh_panels(hi: float, kappa: float, levels: tuple[int, ...],
                  order: int = NODES_PER_PANEL) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes k = kappa sinh(u) on [0, hi] and their dk weights, from ``panels``
-    uniform ``order``-node Gauss-Legendre panels in u on [0, asinh(hi/kappa)].
-    An empty momentum range (sharp Lambda <= mu) has no nodes."""
+    """Nodes k = kappa sinh(u) on [0, hi] and their dk weights, level after level, of one
+    grid of ``levels``: for each panel count P, P uniform ``order``-node Gauss-Legendre
+    panels in u on [0, asinh(hi/kappa)].  An empty momentum range (sharp Lambda <= mu)
+    has no nodes."""
     if hi <= 0.0:
         return np.empty(0), np.empty(0)
     x, w = _gauss_nodes(order)
+    odd, panels = _panel_rows(levels)
     half = 0.5 * math.asinh(hi / kappa) / panels
-    # one (panels, order) grid: panel midpoints down, Gauss abscissae across
-    u = np.arange(1, 2 * panels, 2, dtype=float)[:, None] * half + half * x
+    # one (panel rows, order) grid: panel midpoints down, Gauss abscissae across
+    u = odd * half + half * x
     return (kappa * np.sinh(u)).ravel(), ((kappa * half * w) * np.cosh(u)).ravel()
 
 
@@ -193,50 +200,28 @@ def ensure_finite_rules(params: ModelParams) -> None:
 
 
 @functools.lru_cache(maxsize=RULES_KEPT)
-def _moment_rules(params: ModelParams, kappa: float, panels: int
+def _moment_rules(params: ModelParams, kappa: float, levels: tuple[int, ...]
                   ) -> tuple[np.ndarray, tuple[tuple[np.ndarray, np.ndarray], ...]]:
-    """(q, levels): the kept levels (q, rho) of :func:`_moment_rule` from ``panels`` panels
-    on, the opening pair, START_PANELS and 2 START_PANELS panels, built as one grid of nodes,
-    else that one level, and q on all their nodes, so that a pass evaluates the pair in one
-    sweep.  Every array is a read-only view of one buffer per quantity: q adds no memory."""
-    hi, mu = upper_momentum(params), params.mu
-    if panels == START_PANELS and hi > 0.0:  # as _sinh_panels builds each level alone
-        x, w = _gauss_nodes(NODES_PER_PANEL)
-        half = 0.5 * math.asinh(hi / kappa) / _PAIR_PANELS
-        u = _PAIR_ODD * half + half * x
-        k, wk = kappa * np.sinh(u), (kappa * half * w) * np.cosh(u)
-    else:
-        k, wk = _sinh_panels(hi, kappa, panels)
-    k2 = k * k
+    """(q, rules): the m-independent part of the moment integrand on one grid of ``levels``
+    of the sinh rule at ``kappa``: q = k^2/(omega + mu) on all its nodes, and each level's
+    (q, rho), rho = wk k^2 f^2 / (2 omega), read-only views of q and rho.  A pass reads its
+    opening pair, keyed (START_PANELS, 2 START_PANELS), and each level past it, keyed (P,);
+    the last RULES_KEPT entries are kept, so the passes of a solve or a sweep, which fall in
+    a few kappa octaves and settle at 8 panels or so, evaluate the form factor once an octave."""
+    k, wk = _sinh_panels(upper_momentum(params), kappa, levels)
+    k2, mu = k * k, params.mu
     om = np.sqrt(k2 + mu * mu)
     fval = params.form_factor.evaluate(k, mu)
     rho = wk * k2 * fval * fval / (2.0 * om)
     q = k2 / (om + mu)
     q.flags.writeable = rho.flags.writeable = False
-    q, rho = q.ravel(), rho.ravel()
-    if panels != START_PANELS:
-        return q, ((q, rho),)
-    cut = START_PANELS * NODES_PER_PANEL
-    return q, ((q[:cut], rho[:cut]), (q[cut:], rho[cut:]))
-
-
-def _moment_rule(params: ModelParams, kappa: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
-    """(q, rho), the m-independent part of the moment integrand on ``panels``
-    panels of the sinh rule at ``kappa``: q = k^2/(omega + mu) and
-    rho = wk k^2 f^2 / (2 omega), both read-only.
-
-    The last RULES_KEPT entries of :func:`_moment_rules` are kept, each the opening
-    pair or one later level, so the refined passes of a solve or a sweep, which fall
-    in a few kappa octaves and settle at 8 panels or so, evaluate the form factor
-    once per octave.
-    """
-    second = panels == 2 * START_PANELS
-    return _moment_rules(params, kappa, START_PANELS if second else panels)[1][second]
+    cut = NODES_PER_PANEL * levels[0]  # a level, or a pair: its first level and the rest
+    return q, ((q[:cut], rho[:cut]), (q[cut:], rho[cut:]))[:len(levels)]
 
 
 def _moments_on(level: tuple[np.ndarray, np.ndarray], delta: float,
                 orders: tuple[int, ...]) -> tuple[float, ...]:
-    """The moments of ``orders`` at delta on one level (q, rho) of :func:`_moment_rule`."""
+    """The moments of ``orders`` at delta on one level (q, rho) of :func:`_moment_rules`."""
     q, rho = level
     inv = np.add(delta, q)
     np.divide(-1.0, inv, out=inv)      # 1 / (m - m_N - omega)
@@ -250,13 +235,13 @@ def _moment_pass(delta: float, unit: ModelParams, spec: QuadSpec, orders: tuple[
                  ) -> tuple[tuple[float, ...], tuple[np.ndarray, np.ndarray]]:
     """:func:`spectral_moments` at delta on ``unit``, a model in units of mu, and their level.
 
-    The opening pair is evaluated in one sweep: one rule lookup, each power of
-    1 / (m - m_N - omega) formed once on both levels' nodes, and each level's moments dots
-    on its half.  A pair that settles hands back its 8-panel level; only one that does
-    not refines on from 16 panels, each level built and evaluated alone.
+    The opening pair, the ladder's first rung, is evaluated in one sweep: one rule lookup,
+    each power of 1 / (m - m_N - omega) formed once on both levels' nodes, and each level's
+    moments dots on its part.  A pair that settles hands back its 8-panel level; only one
+    that does not refines on from 16 panels, each level built and evaluated alone.
     """
     kappa = _threshold_scale(unit, delta)
-    q, ((_, rho4), eight) = _moment_rules(unit, kappa, START_PANELS)
+    q, ((_, rho4), eight) = _moment_rules(unit, kappa, (START_PANELS, 2 * START_PANELS))
     inv = np.add(delta, q)
     np.divide(-1.0, inv, out=inv)      # as _moments_on forms it, on both levels' nodes
     sq = inv * inv if 2 in orders else None
@@ -269,13 +254,12 @@ def _moment_pass(delta: float, unit: ModelParams, spec: QuadSpec, orders: tuple[
     if _settled(values, coarse, spec):
         return values, eight
     ff = unit.form_factor
-    values, panels = _refine(lambda n: _moments_on(_moment_rule(unit, kappa, n), delta, orders),
-                             spec, lambda: f"moment(s) {orders} of the {ff.kind} form factor "
-                                           f"(Lambda = {ff.lam / unit.mu!r}) at m = "
-                                           f"{(unit.threshold - delta) / unit.mu!r}, "
-                                           f"delta = {delta / unit.mu!r}, all in units of mu",
-                             (coarse, values))
-    return values, _moment_rule(unit, kappa, panels)
+    values, panels = _refine(
+        lambda n: _moments_on(_moment_rules(unit, kappa, (n,))[1][0], delta, orders), spec,
+        lambda: f"moment(s) {orders} of the {ff.kind} form factor (Lambda = "
+                f"{ff.lam / unit.mu!r}) at m = {(unit.threshold - delta) / unit.mu!r}, "
+                f"delta = {delta / unit.mu!r}, all in units of mu", coarse, values)
+    return values, _moment_rules(unit, kappa, (panels,))[1][0]
 
 
 def spectral_moments(m: float, params: ModelParams, spec: QuadSpec,
@@ -284,8 +268,9 @@ def spectral_moments(m: float, params: ModelParams, spec: QuadSpec,
 
     All orders are summed from one f^2 evaluation per rule, the sinh rule anchored at
     kappa ~ sqrt(2 mu delta) and kept per (model, kappa) opening pair or later level
-    (:func:`_moment_rule`), the pair evaluated in one sweep (:func:`_moment_pass`), and
-    refined until each settles, on the model in units of mu; I_n maps back by s^(n - 2).
+    (:func:`_moment_rules`), on the one ladder: the pair evaluated in one sweep
+    (:func:`_moment_pass`), then refined until each settles, on the model in units of mu;
+    I_n maps back by s^(n - 2).
     The denominator is -(delta + k^2/(omega + mu)) with delta = m_N + mu - m formed once, so
     nothing cancels near the threshold; delta = 0 is allowed for I1 alone, finite there.
     """
@@ -330,21 +315,27 @@ def norm_integral(params: ModelParams, g0: float, m_v: float, spec: QuadSpec) ->
     Evaluated directly from the squared amplitude (:func:`dressing_amplitude`,
     which keeps full precision near the threshold); analytically it equals
     (g0^2 / (2 pi)^3) * z_factor_integral(m_v), and the two routes agreeing
-    is one of the package's consistency checks.  It runs on the sinh rule at
-    the moment pass's kappa but with NORM_ORDER-node panels, built afresh at
-    every level and never read from :func:`_moment_rule`, so that check stays
-    independent.
+    is one of the package's consistency checks.  It runs on the moments' ladder,
+    the sinh rule at the moment pass's kappa opening on the 4- and 8-panel pair as one
+    grid and one amplitude evaluation, but with NORM_ORDER-node panels, built afresh at
+    every level and never read from :func:`_moment_rules`, so that check stays
+    independent.  ValueError unless g0 is nonnegative with a finite square.
     """
+    _ensure_coupling("bare coupling g0", g0)
     ensure_stable(params, m_v)
     unit, s = params._in_units_of_mu
     hi, kappa = upper_momentum(unit), _threshold_scale(unit, (params.threshold - m_v) * s)
 
-    def estimate(panels):
-        k, wk = _sinh_panels(hi, kappa, panels, NORM_ORDER)
+    def estimates(levels):  # (first level's, the rest's)
+        k, wk = _sinh_panels(hi, kappa, levels, NORM_ORDER)
         amp = dressing_amplitude(unit, g0, m_v * s, k)
-        return (FOUR_PI * float(np.sum(wk * k * k * amp * amp)),)
+        terms, cut = wk * k * k * amp * amp, levels[0] * NORM_ORDER
+        return (FOUR_PI * float(np.sum(terms[:cut])),), (FOUR_PI * float(np.sum(terms[cut:])),)
 
-    ff = params.form_factor
-    return _refine(estimate, spec, lambda: (
-        f"norm integral of the {ff.kind} form factor (Lambda = {ff.lam!r}) "
-        f"at m_V = {m_v!r}, delta = {params.threshold - m_v!r}"))[0][0]
+    coarse, value = estimates((START_PANELS, 2 * START_PANELS))
+    if not _settled(value, coarse, spec):
+        ff = params.form_factor
+        value = _refine(lambda n: estimates((n,))[0], spec, lambda: (
+            f"norm integral of the {ff.kind} form factor (Lambda = {ff.lam!r}) "
+            f"at m_V = {m_v!r}, delta = {params.threshold - m_v!r}"), coarse, value)[0]
+    return value[0]

@@ -34,7 +34,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .core import BareCoupling, ModelParams, Regime, RenCoupling
+from .core import BareCoupling, ModelParams, Regime, RenCoupling, _ensure_coupling
 from .errors import DegenerateModel, GhostRegime, NoBoundState, NoConvergence, StabilityViolation
 from .quadrature import (QuadSpec, _moment_pass, _moments_on, mass_shift_integral,
                          spectral_moments, z_factor_integral)
@@ -71,7 +71,9 @@ class RenormReport:
 
 
 def mass_shift(params: ModelParams, g0: float, m_v: float, spec: QuadSpec) -> float:
-    """Self-energy shift delta m_V = (g0^2/(2 pi)^3) I1(m_V); always <= 0."""
+    """Self-energy shift delta m_V = (g0^2/(2 pi)^3) I1(m_V); always <= 0.  ValueError unless
+    g0 is nonnegative with a finite square, as :class:`BareCoupling` requires."""
+    _ensure_coupling("bare coupling g0", g0)
     return g0 * g0 / TWO_PI_CUBED * mass_shift_integral(m_v, params, spec)
 
 
@@ -192,15 +194,18 @@ def z_from_bare(params: ModelParams, g0: float, m_v: float, spec: QuadSpec) -> f
     """Overlap probability of the dressed V with the bare V, from bare data.
 
     1 / (1 + (g0^2/(2 pi)^3) I2(m_V)); always in (0, 1], equal to 1 only in
-    the free theory, and strictly decreasing in g0.
+    the free theory, and strictly decreasing in g0.  g0 as for :func:`mass_shift`.
     """
+    _ensure_coupling("bare coupling g0", g0)
     return 1.0 / (1.0 + g0 * g0 / TWO_PI_CUBED * z_factor_integral(m_v, params, spec))
 
 
 def renormalize_coupling(g0: float, z: float) -> float:
-    """Renormalized coupling g = sqrt(z) * g0."""
-    if z <= 0.0:
-        raise ValueError("wavefunction renormalization z must be positive")
+    """Renormalized coupling g = sqrt(z) * g0, for z positive and finite and g0 as for
+    :func:`mass_shift`."""
+    _ensure_coupling("bare coupling g0", g0)
+    if not 0.0 < z < math.inf:
+        raise ValueError("wavefunction renormalization z must be positive and finite")
     return math.sqrt(z) * g0
 
 
@@ -208,8 +213,10 @@ def dressing_strength(params: ModelParams, g: float, m_v: float, spec: QuadSpec)
     """Dimensionless strength x = (g^2/(2 pi)^3) I2(m_V) from renormalized data.
 
     x < 1 is the normal regime; x > 1 is the ghost regime where the standard
-    presentation of Z_V turns negative.
+    presentation of Z_V turns negative.  ValueError unless g is nonnegative with a finite
+    square, as :class:`RenCoupling` requires.
     """
+    _ensure_coupling("renormalized coupling g", g)
     return g * g / TWO_PI_CUBED * z_factor_integral(m_v, params, spec)
 
 

@@ -10,6 +10,7 @@ f^2/(2 omega) (m - m_N - omega)^(-1) and its squared-denominator partner.
 
 import math
 
+import mpmath
 import numpy as np
 
 import leemodel.quadrature
@@ -136,6 +137,43 @@ def sharp_moments_closed_form(lam: float, delta: float, mu: float = MU) -> tuple
     i2 = 2.0 * math.pi * (t + 2.0 * e * a_over_s
                           - 2.0 * mu * tau / (delta + (2.0 * mu - delta) * tau * tau))
     return i1, i2
+
+
+def sharp_moments(delta: float, mu: float, lam: float) -> tuple[float, float]:
+    """I1 and I2 of the sharp family at delta = m_N + mu - m > 0, in closed form.
+
+    With a = m - m_N = mu - delta, R = sqrt(Lambda^2 - mu^2), A = acosh(Lambda/mu) and
+    J = Int_mu^Lambda d omega / (sqrt(omega^2 - mu^2) (omega - a)) (omega = mu cosh t):
+
+        I1 = -2 pi [R + a A - delta (2 mu - delta) J]
+        I2 = -dI1/dm = 2 pi [A + a J - R / (Lambda - a)]
+
+    For delta < 2 mu, J = theta / sqrt(delta (2 mu - delta)) with
+    theta = 2 atan2(sqrt((2 mu - delta)(Lambda - mu)), sqrt(delta (Lambda + mu))), both
+    halves of the angle formed from delta and 2 mu - delta, so nothing cancels near the
+    threshold; for delta > 2 mu, J = 2 atanh(t) / sqrt(delta (delta - 2 mu)) with
+    t = sqrt((delta - 2 mu)(Lambda - mu) / (delta (Lambda + mu))); at delta = 2 mu,
+    J = tanh(A/2) / mu.  The far branch's terms grow as delta while I1 falls as 1/delta,
+    so it is evaluated in mpmath at 50 digits beyond the 2 log10(delta / mu) it cancels.
+    Shares no code with the package's quadrature; Lambda <= mu gives zeros.
+    """
+    if lam <= mu:
+        return 0.0, 0.0
+    with mpmath.workdps(50 + 2 * max(0, math.ceil(math.log10(delta / mu)))):
+        d, mu, lam = mpmath.mpf(delta), mpmath.mpf(mu), mpmath.mpf(lam)
+        a, r, big_a = mu - d, mpmath.sqrt(lam * lam - mu * mu), mpmath.acosh(lam / mu)
+        if d < 2 * mu:
+            theta = 2 * mpmath.atan2(mpmath.sqrt((2 * mu - d) * (lam - mu)),
+                                     mpmath.sqrt(d * (lam + mu)))
+            j = theta / mpmath.sqrt(d * (2 * mu - d))
+        elif d > 2 * mu:
+            t = mpmath.sqrt((d - 2 * mu) * (lam - mu) / (d * (lam + mu)))
+            j = 2 * mpmath.atanh(t) / mpmath.sqrt(d * (d - 2 * mu))
+        else:
+            j = mpmath.tanh(big_a / 2) / mu
+        i1 = -2 * mpmath.pi * (r + a * big_a - d * (2 * mu - d) * j)
+        i2 = 2 * mpmath.pi * (big_a + a * j - r / (lam - a))
+        return float(i1), float(i2)
 
 
 def dipole_moments_reference(lam: float, delta: float, mu: float = MU,

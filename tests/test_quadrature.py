@@ -2,9 +2,11 @@ import importlib
 import json
 import math
 import pkgutil
+import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from leemodel import (
     TWO_PI_CUBED,
     critical_coupling,
     default_spec,
+    dressing_amplitude,
     dressing_strength,
     ensure_stable,
     full_report,
@@ -41,9 +44,10 @@ from leemodel.quadrature import (
     RULES_KEPT,
     START_PANELS,
     _moment_pass,
-    _moment_rule,
     _moment_rules,
+    _panel_rows,
     _refine,
+    _settled,
     _sinh_panels,
     _threshold_scale,
 )
@@ -67,6 +71,7 @@ from helpers import (
     record_refined_passes,
     riemann_radial,
     sharp_model,
+    sharp_moments,
     sharp_moments_closed_form,
 )
 
@@ -81,7 +86,7 @@ def test_ball_volume():
     # both sinh rules integrate k^2 over the ball of radius 2 to its closed form
     for order in (NODES_PER_PANEL, NORM_ORDER):
         for kappa in (2.0 ** -30, 2.0 ** -10, 1.0):
-            k, wk = _sinh_panels(2.0, kappa, 8, order)
+            k, wk = _sinh_panels(2.0, kappa, (8,), order)
             value = FOUR_PI * np.sum(wk * k * k)
             assert math.isclose(value, 32.0 * math.pi / 3.0, rel_tol=1e-13), (order, kappa)
 
@@ -99,14 +104,23 @@ def test_sinh_panels_match_the_tiled_rule_bit_for_bit():
         for hi in (0.5, 40.0, 1600.0):
             for kappa in (2.0 ** -30, 2.0 ** -10, 1.0):
                 for panels in (1, 4, 8, 2 ** 14):
-                    got = _sinh_panels(hi, kappa, panels, order)
+                    got = _sinh_panels(hi, kappa, (panels,), order)
                     want = _tiled_sinh_panels(hi, kappa, panels, order)
                     for a, b in zip(got, want):
                         assert a.shape == (panels * order,)
                         assert np.array_equal(a, b), (order, hi, kappa, panels)
+                # a run of levels is one grid, each level's nodes as if laid out alone
+                for levels in ((4, 8), (2, 4), (8, 16), (1, 16, 2)):
+                    got = _sinh_panels(hi, kappa, levels, order)
+                    want = [np.concatenate(part) for part in zip(
+                        *(_tiled_sinh_panels(hi, kappa, panels, order) for panels in levels))]
+                    for a, b in zip(got, want):
+                        assert a.shape == (sum(levels) * order,)
+                        assert np.array_equal(a, b), (order, hi, kappa, levels)
         # a sharp cutoff at or below mu leaves an empty range
-        for got in _sinh_panels(0.0, 1.0, 8, order):
-            assert got.shape == (0,)
+        for levels in ((8,), (4, 8)):
+            for got in _sinh_panels(0.0, 1.0, levels, order):
+                assert got.shape == (0,)
 
 
 def _largest_lambda_built(kind):
@@ -259,7 +273,7 @@ def test_tiny_lambda_is_refused_or_finite(kind, lam_over_mu, mu):
 
 def _level_alone(params, kappa, panels):
     # one level (q, rho) of the moment rule built by itself on its own sinh rule
-    k, wk = _sinh_panels(upper_momentum(params), kappa, panels)
+    k, wk = _sinh_panels(upper_momentum(params), kappa, (panels,))
     k2, mu = k * k, params.mu
     om = np.sqrt(k2 + mu * mu)
     fval = params.form_factor.evaluate(k, mu)
@@ -277,7 +291,12 @@ def _uncached_moments(m, params, orders=(1, 2)):
         inv = -1.0 / (delta + q)
         return (FOUR_PI * np.array([rho.dot(inv ** n) for n in orders])).tolist()
 
-    return tuple(_refine(estimate, SPEC, lambda: "reference")[0])
+    panels = 2 * START_PANELS
+    prev, cur = estimate(START_PANELS), estimate(panels)
+    while not _settled(cur, prev, SPEC):
+        panels *= 2
+        prev, cur = cur, estimate(panels)
+    return tuple(cur)
 
 
 def test_kept_rules_never_change_a_bit():
@@ -319,9 +338,9 @@ def test_opening_pair_matches_each_level_built_alone(make):
     assert len(set(kappas)) == 3 and kappas[-1] == 2.0 ** -30
     forget_kept_state()
     for kappa in kappas:
-        for panels in (START_PANELS, 2 * START_PANELS):
+        pair = _moment_rules(params, kappa, (START_PANELS, 2 * START_PANELS))[1]
+        for panels, kept in zip((START_PANELS, 2 * START_PANELS), pair):
             alone = _level_alone(params, kappa, panels)
-            kept = _moment_rule(params, kappa, panels)
             size = 0 if upper_momentum(params) == 0.0 else panels * NODES_PER_PANEL
             for got, want in zip(kept, alone):
                 assert got.shape == (size,) and np.array_equal(got, want), (kappa, panels)
@@ -377,16 +396,16 @@ def test_a_cold_pass_looks_up_one_rule(monkeypatch):
     lookups = []
     moment_rules = _moment_rules
 
-    def recorded(params, kappa, panels):
-        lookups.append(panels)
-        return moment_rules(params, kappa, panels)
+    def recorded(params, kappa, levels):
+        lookups.append(levels)
+        return moment_rules(params, kappa, levels)
 
     forget_kept_state()  # before the memo is wrapped, so that it is cleared
     monkeypatch.setattr(leemodel.quadrature, "_moment_rules", recorded)
     for make in ALL_MODELS:
         lookups.clear()
         full_report(make(), RenCoupling(m_v=1.9, g=1.0), SPEC)
-        assert lookups == [START_PANELS]
+        assert lookups == [(START_PANELS, 2 * START_PANELS)]
 
 
 def test_kept_rules_are_read_only():
@@ -394,21 +413,28 @@ def test_kept_rules_are_read_only():
     kappas = {_threshold_scale(params, delta) for delta in (0.5, 1e-10)}
     assert len(kappas) == 2
     for kappa in kappas:
-        for panels in (START_PANELS, 2 * START_PANELS, 4 * START_PANELS):
-            for arr in _moment_rule(params, kappa, panels):
-                for target in (arr, arr.base):  # the buffer a level is a view of, too
+        for levels in ((START_PANELS, 2 * START_PANELS), (4 * START_PANELS,)):
+            nodes, rules = _moment_rules(params, kappa, levels)
+            for arr in (nodes, *(arr for level in rules for arr in level)):
+                owner = arr if arr.base is None else arr.base
+                for target in (arr, owner):  # the buffer a level is a view of, too
                     with pytest.raises(ValueError):
                         target.flat[0] = 0.0
+    # the kept rows every grid of a run of levels is laid out from
+    for arr in _panel_rows((START_PANELS, 2 * START_PANELS)):
+        with pytest.raises(ValueError):
+            arr.flat[0] = 0.0
 
 
 def test_a_kept_entry_holds_at_most_6_mib():
     # RULES_KEPT entries, each the opening pair or one level up to the panel cap
     forget_kept_state()
     params = exponential_model()
-    for panels in (START_PANELS, PANEL_CAP):
-        nodes, levels = _moment_rules(params, 1.0, panels)
-        buffers = {id(arr.base): arr.base.nbytes
-                   for arr in (nodes, *(arr for level in levels for arr in level))}
+    for levels in ((START_PANELS, 2 * START_PANELS), (PANEL_CAP,)):
+        nodes, rules = _moment_rules(params, 1.0, levels)
+        owners = [arr if arr.base is None else arr.base
+                  for arr in (nodes, *(arr for level in rules for arr in level))]
+        buffers = {id(owner): owner.nbytes for owner in owners}
         assert len(buffers) == 2 and sum(buffers.values()) <= 6 * 2 ** 20
 
 
@@ -422,9 +448,9 @@ def test_bare_sweep_evaluates_the_form_factor_once_per_octave(monkeypatch):
         sizes.append(np.size(k))
         return evaluate(self, k, mu)
 
-    def recorded(params, kappa, panels):
-        keys.append((kappa, panels))
-        return moment_rules(params, kappa, panels)
+    def recorded(params, kappa, levels):
+        keys.append((kappa, levels))
+        return moment_rules(params, kappa, levels)
 
     forget_kept_state()  # before the memo is wrapped, so that it is cleared
     monkeypatch.setattr(FormFactor, "evaluate", counted)
@@ -437,8 +463,7 @@ def test_bare_sweep_evaluates_the_form_factor_once_per_octave(monkeypatch):
     assert len(rows) == 24 and not any(row["error"] for row in rows)
     octaves = {kappa for kappa, _ in keys}
     assert len(octaves) > 1
-    assert sorted(sizes) == sorted((3 if panels == START_PANELS else 1) * panels * NODES_PER_PANEL
-                                   for _, panels in set(keys))
+    assert sorted(sizes) == sorted(sum(levels) * NODES_PER_PANEL for _, levels in set(keys))
     assert sizes.count(3 * START_PANELS * NODES_PER_PANEL) == len(octaves)
 
 
@@ -544,7 +569,7 @@ def test_kept_state_lives_in_quadrature():
         kept |= {(obj.__module__, obj.__qualname__) for owner in owners
                  for obj in vars(owner).values() if hasattr(obj, "cache_clear")}
     assert kept == {("leemodel.quadrature", name)
-                    for name in ("_gauss_nodes", "_moment_rules", "_moment_pass")}, kept
+                    for name in ("_gauss_nodes", "_panel_rows", "_moment_rules", "_moment_pass")}, kept
 
 
 @pytest.mark.parametrize("mu", (1.0, 3.0))
@@ -573,20 +598,51 @@ def test_overflowing_moment_is_a_stability_violation():
     assert math.isfinite(i1) and math.isfinite(i2)
 
 
+def _record_rule_levels(monkeypatch) -> list[list[int]]:
+    # start cold, then record the node count of each level of every moment rule read
+    sizes, moment_rules = [], _moment_rules
+
+    def recorded(*args):
+        entry = moment_rules(*args)
+        sizes.append([rho.size for _, rho in entry[1]])
+        return entry
+
+    forget_kept_state()  # before the memo is wrapped, so that it is cleared
+    monkeypatch.setattr(leemodel.quadrature, "_moment_rules", recorded)
+    return sizes
+
+
+def _record_amplitude_sizes(monkeypatch) -> list[int]:
+    # the node count of every cloud amplitude the norm integral evaluates
+    sizes, amplitude = [], leemodel.quadrature.dressing_amplitude
+
+    def recorded(params, g0, m_v, k):
+        sizes.append(np.size(k))
+        return amplitude(params, g0, m_v, k)
+
+    monkeypatch.setattr(leemodel.quadrature, "dressing_amplitude", recorded)
+    return sizes
+
+
 def test_no_convergence_names_its_context(monkeypatch):
     # both sinh rules resolve delta = 1e-13 mu within 16 panels, so each is
-    # held to 2 -> 4 panels here to make it run out
+    # held to 2 -> 4 panels here to make it run out: each opens on the
+    # patched pair, 2 and 4 panels, and the cap stops it there
     params = exponential_model(lam=40.0)
     spec = default_spec(params)
     m = 2.0 - 1e-13
     monkeypatch.setattr(leemodel.quadrature, "START_PANELS", 2)
     monkeypatch.setattr(leemodel.quadrature, "PANEL_CAP", 4)
-    forget_kept_state()  # a kept pass at m would skip the refinement
-    for what, mass, call in (
-            ("moment(s) (2,)", "m", lambda: z_factor_integral(m, params, spec)),
-            ("norm integral", "m_V", lambda: norm_integral(params, 1.0, m, spec))):
+    levels = _record_rule_levels(monkeypatch)  # cold: a kept pass at m would skip the refinement
+    amplitudes = _record_amplitude_sizes(monkeypatch)
+    for what, mass, call, built, want in (
+            ("moment(s) (2,)", "m", lambda: z_factor_integral(m, params, spec),
+             levels, [[2 * NODES_PER_PANEL, 4 * NODES_PER_PANEL]]),
+            ("norm integral", "m_V", lambda: norm_integral(params, 1.0, m, spec),
+             amplitudes, [(2 + 4) * NORM_ORDER])):
         with pytest.raises(NoConvergence) as err:
             call()
+        assert built == want, (what, built)
         message = str(err.value)
         for part in (what, "exponential", "Lambda = 40.0", f"{mass} = {m!r}",
                      f"delta = {2.0 - m!r}", "4 panels", "changed the estimate by"):
@@ -600,11 +656,13 @@ def test_no_convergence_of_a_pass_names_its_values_in_units_of_mu(monkeypatch):
     m = 2.0 - 1e-13
     monkeypatch.setattr(leemodel.quadrature, "START_PANELS", 2)
     monkeypatch.setattr(leemodel.quadrature, "PANEL_CAP", 4)
-    forget_kept_state()
+    levels = _record_rule_levels(monkeypatch)
     for mu in (1.0, 2.0 ** -600):
         params = ModelParams(m_n=mu, mu=mu, form_factor=FormFactor.exponential(40.0 * mu))
+        levels.clear()
         with pytest.raises(NoConvergence) as err:
             z_factor_integral(m * mu, params, QuadSpec())
+        assert levels == [[2 * NODES_PER_PANEL, 4 * NODES_PER_PANEL]], (mu, levels)
         message = str(err.value)
         for part in ("moment(s) (2,)", "exponential", "(Lambda = 40.0)", f"at m = {m!r},",
                      f"delta = {2.0 - m!r}, all in units of mu", "4 panels"):
@@ -653,11 +711,13 @@ def test_sharp_cutoff_exactness():
 
 
 def test_refinement_monotonicity(monkeypatch):
+    # the ladder opens on the patched pair, 8 and 16 panels
     params = sharp_model()
     a = z_factor_integral(1.5, params, SPEC)
     monkeypatch.setattr(leemodel.quadrature, "START_PANELS", 8)
-    forget_kept_state()  # else b is a's kept pass
+    levels = _record_rule_levels(monkeypatch)  # cold: else b is a's kept pass
     b = z_factor_integral(1.5, params, SPEC)
+    assert levels[0] == [8 * NODES_PER_PANEL, 16 * NODES_PER_PANEL], levels
     assert abs(a - b) <= max(SPEC.abs_tol, SPEC.rel_tol * abs(b))
 
 
@@ -700,6 +760,72 @@ def test_norm_condition_near_threshold(make, lam, delta):
     if make is sharp_model:
         exact = sharp_moments_closed_form(lam, 2.0 - m_v)[1] / TWO_PI_CUBED
         assert math.isclose(cloud, exact, rel_tol=1e-13), (cloud, exact)
+
+
+@pytest.mark.parametrize("make", ALL_MODELS + (lambda: sharp_model(0.5 * MU),
+                                                lambda: exponential_model(40.0)))
+@pytest.mark.parametrize("delta", (0.5, 1e-6, 1e-13))
+def test_norm_opens_on_one_amplitude_evaluation(monkeypatch, make, delta):
+    # the norm opens on the moments' ladder: its 4- and 8-panel pair is one grid of
+    # (4 + 8) * 20 nodes and one amplitude evaluation, and only a pair that does
+    # not settle refines on, a level per evaluation; its value is, bit for bit, the
+    # estimate of each level built and evaluated alone where the levels settle
+    params, g0, m_v = make(), 1.3, 2.0 - delta
+    kappa = _threshold_scale(params, params.threshold - m_v)
+
+    def alone(panels):
+        k, wk = _sinh_panels(upper_momentum(params), kappa, (panels,), NORM_ORDER)
+        amp = dressing_amplitude(params, g0, m_v, k)
+        return (FOUR_PI * float(np.sum(wk * k * k * amp * amp)),)
+
+    ladder = [START_PANELS, 2 * START_PANELS]
+    estimates = [alone(panels) for panels in ladder]
+    while not _settled(estimates[-1], estimates[-2], SPEC):
+        ladder.append(2 * ladder[-1])
+        estimates.append(alone(ladder[-1]))
+    sizes = _record_amplitude_sizes(monkeypatch)
+    assert norm_integral(params, g0, m_v, SPEC) == estimates[-1][0]
+    nodes = 0 if upper_momentum(params) == 0.0 else NORM_ORDER
+    assert sizes == [nodes * 3 * START_PANELS] + [nodes * n for n in ladder[2:]]
+    if make is sharp_model:
+        assert sizes == [240]  # settles at 8 panels
+    if params.form_factor.lam == 40.0 and delta == 1e-13:
+        assert ladder[-1] > 2 * START_PANELS  # refines past the pair
+
+
+def test_sharp_moments_match_the_closed_form():
+    # the sharp family's I1 and I2 in closed form (helpers.sharp_moments, mpmath),
+    # which shares no code with the pass, against the pass on a relative-only spec:
+    # 200 seeded points, mu in 10^[-5, 5], Lambda/mu in 10^[0.001, 6] and
+    # delta/mu in 10^[-14, 0.29]; measured 4.8e-15 for I1 and 5.2e-16 for I2
+    rng, worst = random.Random(1), [0.0, 0.0]
+    for _ in range(200):
+        mu = 10.0 ** rng.uniform(-5.0, 5.0)
+        params = ModelParams(m_n=mu, mu=mu, form_factor=FormFactor.sharp(
+            mu * 10.0 ** rng.uniform(0.001, 6.0)))
+        m = params.threshold - mu * 10.0 ** rng.uniform(-14.0, 0.29)
+        got = spectral_moments(m, params, QuadSpec(1e-300, 1e-13))
+        want = sharp_moments(params.threshold - m, mu, params.form_factor.lam)
+        worst = [max(w, abs(g - e) / abs(e)) for w, g, e in zip(worst, got, want)]
+    assert worst[0] <= 1e-14 and worst[1] <= 4e-15, worst
+
+
+@pytest.mark.parametrize("delta", (0.5, 1.9, 2.0, 2.5, 10.0))
+def test_sharp_closed_form_matches_its_integrals(delta):
+    # both branches of helpers.sharp_moments, the near one (delta < 2 mu), the
+    # far one (delta > 2 mu) and their limit at delta = 2 mu, against mpmath
+    # quadrature of I1 = -2 pi Int sqrt(omega^2 - mu^2)/(omega - a) d omega and
+    # I2 = 2 pi Int sqrt(omega^2 - mu^2)/(omega - a)^2 d omega, a = mu - delta
+    lam, a = 10.0, MU - delta
+    with mpmath.workdps(30):
+        want = [float(sign * 2 * mpmath.pi * mpmath.quad(
+            lambda w: mpmath.sqrt(w * w - MU * MU) / (w - a) ** n, [MU, lam]))
+            for sign, n in ((-1, 1), (1, 2))]
+    got = sharp_moments(delta, MU, lam)
+    assert all(math.isclose(g, w, rel_tol=1e-15) for g, w in zip(got, want)), (got, want)
+    if delta < 2.0:  # the float closed form of the golden checks agrees
+        assert all(math.isclose(g, w, rel_tol=1e-14)
+                   for g, w in zip(got, sharp_moments_closed_form(lam, delta)))
 
 
 def test_norm_integral_finite_for_all_models():
@@ -750,11 +876,12 @@ def test_stability_is_delta_positive_at_the_float_edge():
 def test_no_convergence_on_unresolvable_integrand():
     # oscillation far below any reachable panel width: refinement never settles
     def estimate(panels):
-        k, wk = _sinh_panels(2.0, 1.0, panels)
+        k, wk = _sinh_panels(2.0, 1.0, (panels,))
         return [FOUR_PI * float(np.sum(wk * k * k * np.sin(1e9 * k) ** 2))]
 
     with pytest.raises(NoConvergence):
-        _refine(estimate, SPEC, lambda: "oscillation")
+        _refine(estimate, SPEC, lambda: "oscillation", estimate(START_PANELS),
+                estimate(2 * START_PANELS))
 
 
 def test_quadspec_validation():

@@ -53,6 +53,7 @@ from helpers import (
     forget_kept_state,
     record_refined_passes,
     sharp_model,
+    sharp_moments,
 )
 
 PARAMS = sharp_model()
@@ -184,6 +185,9 @@ def test_solve_strong_coupling_from_above_threshold(m_n, mu, kind, lam, m_v0, g0
     assert abs(step) <= leemodel.renorm.ROOT_TOL * max(1.0, abs(report.m_v))
     (i1,) = spectral_moments(report.m_v, params, FINE, orders=(1,))
     assert abs(report.m_v - m_v0 - c * i1) <= 1e-9 * abs(c * i1)
+    if kind == "sharp":  # and on the closed form, which shares no code with the pass
+        i1 = sharp_moments(params.threshold - report.m_v, mu, lam)[0]
+        assert abs(report.m_v - m_v0 - c * i1) <= 1e-9 * abs(c * i1)
 
 
 @pytest.mark.parametrize("make", ALL_MODELS)
@@ -198,7 +202,8 @@ def test_strong_coupling_solves_in_a_few_steps(monkeypatch, make, m_v0, g0):
     # scaled, bit for bit; in absolute units the first raised NoConvergence
     # from g0 = 1e40 and the second overflowed the residual from g0 = 1e100.
     # The residual is checked at the spec the solve used, and on a relative-only
-    # spec within 1e-9 (at SPEC's abs_tol, which c multiplies, it was 3.4e-6)
+    # spec within 1e-9 (at SPEC's abs_tol, which c multiplies, it was 3.4e-6), and
+    # for the sharp family within 1e-9 on the closed form too
     levels = []
     moments_on = leemodel.renorm._moments_on
     monkeypatch.setattr(leemodel.renorm, "_moments_on",
@@ -212,6 +217,9 @@ def test_strong_coupling_solves_in_a_few_steps(monkeypatch, make, m_v0, g0):
     assert abs(report.m_v - m_v0 - c * i1) <= 1e-12 * abs(c * i1)
     (i1,) = spectral_moments(report.m_v, params, FINE, orders=(1,))
     assert abs(report.m_v - m_v0 - c * i1) <= 1e-9 * abs(c * i1)
+    if make is sharp_model:
+        i1 = sharp_moments(params.threshold - report.m_v, params.mu, params.form_factor.lam)[0]
+        assert abs(report.m_v - m_v0 - c * i1) <= 1e-9 * abs(c * i1)
     for mu in (2.0 ** -1000, 2.0 ** 400):
         levels.clear()
         scaled = ModelParams(m_n=mu, mu=mu, form_factor=FormFactor(params.form_factor.kind, 10.0 * mu))
@@ -432,6 +440,29 @@ def test_renormalize_coupling():
         renormalize_coupling(2.0, 0.0)
     with pytest.raises(ValueError):
         renormalize_coupling(2.0, -0.5)
+
+
+@pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf, 1e200, -1.0))
+@pytest.mark.parametrize("name, call", (
+    ("g0", lambda g: mass_shift(PARAMS, g, 1.5, SPEC)),
+    ("g0", lambda g: z_from_bare(PARAMS, g, 1.5, SPEC)),
+    ("g", lambda g: dressing_strength(PARAMS, g, 1.5, SPEC)),
+    ("g0", lambda g: renormalize_coupling(g, 0.5)),
+    ("g0", lambda g: norm_integral(PARAMS, g, 1.5, SPEC)),
+), ids=("mass_shift", "z_from_bare", "dressing_strength", "renormalize_coupling",
+        "norm_integral"))
+def test_public_helpers_refuse_a_bad_coupling(bad, name, call):
+    # the rule BareCoupling and RenCoupling apply: nonnegative with a finite square.
+    # NaN came back NaN, inf and 1e200 as -inf, 0.0 or inf, and the norm refined
+    # to the panel cap before a misleading NoConvergence
+    with pytest.raises(ValueError, match=f"coupling {name} must be nonnegative"):
+        call(bad)
+
+
+@pytest.mark.parametrize("z", (math.nan, math.inf))
+def test_renormalize_coupling_refuses_a_z_not_finite(z):
+    with pytest.raises(ValueError, match="z must be positive and finite"):
+        renormalize_coupling(2.0, z)
 
 
 def test_dressing_strength():
