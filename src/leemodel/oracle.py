@@ -11,11 +11,13 @@ arrowhead matrix
 
 Its eigenvalues with nonvanishing apex component are the roots of the secular
 function  s(lam) = m_V0 - lam + sum_i c_i^2 / (lam - d_i),  which is strictly
-decreasing between consecutive poles, so every root is bracketed and found by
-bisection; the outermost brackets are the Weyl bounds min(m_V0, d_1) - ||c||
-and max(m_V0, d_n) + ||c||.  The matrix holds c_i^2 (squared once, read-only),
-so an evaluation of s is one subtract, one divide and one reduction over the
-n entries.  The squared apex component of the normalized eigenvector,
+decreasing between consecutive poles, so every root is bracketed; the
+outermost brackets are the Weyl bounds min(m_V0, d_1) - ||c|| and
+max(m_V0, d_n) + ||c||.  all_eigenvalues bisects each bracket; the lowest
+root, on (Weyl bound, d_1), is found by a bracketed one-pole iteration that
+fits the pole at d_1 and stops where bisection would.  The matrix holds c_i^2
+(squared once, read-only), so an evaluation of s is one pass over the n
+entries.  The squared apex component of the normalized eigenvector,
 1 / (1 + sum_i c_i^2/(lam - d_i)^2), is the finite-n image of
 the overlap probability Z_V; as the grid refines, the lowest eigenpair
 converges to the continuum physical mass and Z_V.  This is a genuinely
@@ -27,7 +29,7 @@ quadratically toward k = 0, while the continuum integrals use a sinh map with
 
 LAPACK's dense symmetric eigensolver (tridiagonal reduction, then divide and
 conquer) provides a second, structurally different eigenvalue route for
-cross-checking the secular bisection on small truncations.
+cross-checking the secular roots on small truncations.
 """
 
 from __future__ import annotations
@@ -47,7 +49,8 @@ UNIFORM_K = "uniform"
 GAUSS_LEGENDRE_K = "gauss"
 GRID_SCHEMES = (UNIFORM_K, GAUSS_LEGENDRE_K)
 PANEL_ORDER = 16  # of the "gauss" grid's panels; see the module docstring
-# secular bisection stops at a bracket of SECULAR_TOL * max(1, |lam|) or BISECTION_CAP halvings
+# a secular root (by bisection, or the lowest by one-pole steps) stops at a bracket of
+# SECULAR_TOL * max(1, |lam|); either routine raises after BISECTION_CAP steps
 SECULAR_TOL = 1e-12
 BISECTION_CAP = 256
 
@@ -205,6 +208,55 @@ def _root_between(mat: ArrowheadMatrix, lo: float, hi: float) -> float:
     raise NoConvergence("secular bisection exceeded its iteration cap")
 
 
+def _secular_and_cloud(mat: ArrowheadMatrix, x: float) -> tuple[float, float]:
+    """s(x) and the cloud sum c_i^2/(x - d_i)^2 = -s'(x) - 1, in one pass:
+    r = 1/(x - d) and t = c^2 r give s = apex - x + sum t and the cloud as sum t r."""
+    r = 1.0 / (x - mat.diag)
+    t = mat.coupling_sq * r
+    return mat.apex - x + float(t.sum()), float((t * r).sum())
+
+
+def _lowest_root(mat: ArrowheadMatrix, lo: float, d1: float) -> float:
+    """The root of s on (lo, d1), with s(lo) >= 0 and d1 = d_1, by a bracketed
+    one-pole iteration; same stop and contract as :func:`_root_between`.
+
+    At each iterate x, s is fitted by A - y - B/(d1 - y) through s(x) and s'(x)
+    (the boundary case of R.-C. Li, LAPACK Working Note 89, as in LAPACK
+    dlaed4), and the next iterate is that model's root below d1; a step that
+    leaves the bracket is replaced by its midpoint, which is also the first
+    iterate.  Once a step falls below a quarter of the stopping width, it goes
+    half that width further, so the next evaluation closes the bracket from
+    the other side.  d1 is never evaluated.
+    """
+    hi = x = d1
+    for _ in range(BISECTION_CAP):
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            return mid  # float resolution exhausted
+        if hi - lo <= SECULAR_TOL * max(1.0, abs(mid)):
+            return mid
+        if not lo < x < hi:
+            x = mid
+        s, cloud = _secular_and_cloud(mat, x)
+        if s > 0.0:
+            lo = x
+        else:
+            hi = x
+        # the model matches s and s' = -1 - cloud at x: with gap = d1 - x,
+        # B = cloud * gap^2, and its root d1 - z solves z^2 + a z - B = 0 for z > 0
+        gap = d1 - x
+        a = s + gap * (cloud - 1.0)
+        b = cloud * gap * gap
+        root = math.hypot(a, 2.0 * math.sqrt(b))
+        z = 2.0 * b / (a + root) if a > 0.0 else 0.5 * (root - a)
+        step = d1 - z - x
+        tol = SECULAR_TOL * max(1.0, abs(x))
+        if abs(step) < 0.25 * tol:
+            step += 0.5 * tol if s > 0.0 else -0.5 * tol
+        x += step
+    raise NoConvergence("lowest secular root exceeded its iteration cap")
+
+
 def _spectral_bounds(mat: ArrowheadMatrix) -> tuple[float, float]:
     """Interval holding every eigenvalue (Weyl: the coupling part of the
     matrix has 2-norm ||c||, so no eigenvalue lies farther than that from
@@ -236,7 +288,7 @@ def lowest_eigenpair(mat: ArrowheadMatrix) -> EigenPair:
         if mat.apex - d1 + float((mat.coupling_sq[on] / (d1 - mat.diag[on])).sum()) >= 0:
             raise ValueError("the lowest eigenvalue is the decoupled continuum entry "
                              "d_1, which carries no apex weight")
-    lam = _root_between(mat, _spectral_bounds(mat)[0], d1)
+    lam = _lowest_root(mat, _spectral_bounds(mat)[0], d1)
     weight = 1.0 / (1.0 + float((mat.coupling_sq / (lam - mat.diag) ** 2).sum()))
     return EigenPair(energy=lam, apex_weight=weight)
 

@@ -28,7 +28,7 @@ from leemodel import (
     z_from_bare,
 )
 
-from leemodel.oracle import GRID_SCHEMES, _root_between
+from leemodel.oracle import GRID_SCHEMES, SECULAR_TOL, _root_between
 
 from helpers import ACC_BARE, ALL_MODELS, SHARP_K_CUT, SPEC, random_arrowhead, sharp_model
 
@@ -392,16 +392,97 @@ def test_secular_bisection_cap_raises(monkeypatch):
         _root_between(TWO_BY_TWO, -10.0, 2.0)
 
 
-def test_sharp_modes_above_cutoff_decouple():
-    # a grid padded past the sharp cutoff gains zero-coupling modes; dropping
-    # them leaves the secular function, hence the bound state, untouched
-    bare = BareCoupling(m_v0=1.8, g0=1.0)
+def _padded_sharp_matrix():
+    # a grid padded past the sharp cutoff gains zero-coupling modes
     grid = build_grid(1.3 * SHARP_K_CUT, 1024, "gauss")
-    mat = build_arrowhead(PARAMS, bare, grid)
+    mat = build_arrowhead(PARAMS, BareCoupling(m_v0=1.8, g0=1.0), grid)
     coupled = mat.coupling != 0.0
     assert np.any(~coupled)
-    sub = ArrowheadMatrix(apex=mat.apex, diag=mat.diag[coupled],
-                          coupling=mat.coupling[coupled])
+    return mat, ArrowheadMatrix(apex=mat.apex, diag=mat.diag[coupled],
+                                coupling=mat.coupling[coupled])
+
+
+def test_sharp_modes_above_cutoff_decouple():
+    # dropping the zero-coupling modes leaves the secular function, hence
+    # the bound state, untouched
+    mat, sub = _padded_sharp_matrix()
     lam_full = lowest_eigenpair(mat).energy
     lam_sub = lowest_eigenpair(sub).energy
     assert abs(lam_full - lam_sub) < 1e-12
+
+
+# --- the lowest root against the other eigenvalue routes --------------------------------
+
+def _assert_lowest_cross_checked(mat, coupled=None):
+    # lowest_eigenpair's one-pole iteration against all_eigenvalues' bisection
+    # (of `coupled`, the same secular function without zero couplings, where
+    # mat has some) and, up to n = 256, LAPACK; and the root certified from below
+    lam = lowest_eigenpair(mat).energy
+    tol = SECULAR_TOL * max(1.0, abs(lam))
+    assert abs(lam - all_eigenvalues(mat if coupled is None else coupled)[0]) <= tol
+    if mat.n <= 256:
+        assert abs(lam - dense_cross_check(mat)[0]) <= tol
+    assert secular_value(mat, lam - tol) > 0.0
+
+
+def _lowest_root_evaluations(monkeypatch, mat):
+    # evaluations of s in one lowest_eigenpair call, whichever routine takes them
+    calls = []
+    for name in ("_secular", "_secular_and_cloud"):
+        def counted(*args, inner=getattr(leemodel.oracle, name)):
+            calls.append(None)
+            return inner(*args)
+        monkeypatch.setattr(leemodel.oracle, name, counted)
+    lowest_eigenpair(mat)
+    return len(calls)
+
+
+@pytest.mark.parametrize("make", ALL_MODELS)
+@pytest.mark.parametrize("scheme", GRID_SCHEMES)
+@pytest.mark.parametrize("n", (8, 57, 912, 4096))
+def test_lowest_root_matches_the_other_routes(monkeypatch, make, scheme, n):
+    params = make()
+    mat = build_arrowhead(params, BareCoupling(m_v0=1.8, g0=1.5),
+                          build_grid(upper_momentum(params), n, scheme))
+    _assert_lowest_cross_checked(mat)
+    assert _lowest_root_evaluations(monkeypatch, mat) <= 8
+
+
+def test_lowest_root_matches_the_other_routes_on_random_and_decoupled_matrices():
+    for seed in range(100):
+        _assert_lowest_cross_checked(random_arrowhead(seed))
+    first_off = ArrowheadMatrix(apex=0.8, diag=[1.0, 2.0], coupling=[0.0, 1.0])
+    _assert_lowest_cross_checked(first_off, ArrowheadMatrix(apex=0.8, diag=[2.0], coupling=[1.0]))
+    _assert_lowest_cross_checked(*_padded_sharp_matrix())
+
+
+def test_lowest_root_takes_few_evaluations_on_the_c4_matrix(monkeypatch):
+    mat = build_arrowhead(PARAMS, ACC_BARE, build_grid(SHARP_K_CUT, 4096, "gauss"))
+    assert _lowest_root_evaluations(monkeypatch, mat) <= 8
+
+
+def test_lowest_root_far_below_the_continuum(monkeypatch):
+    # a large g0 pulls the root about 2^11.7 below d_1, far outside the
+    # continuum's scale, and nearly onto the Weyl bound
+    mat = build_arrowhead(PARAMS, BareCoupling(m_v0=1.8, g0=3000.0),
+                          build_grid(SHARP_K_CUT, 64, "gauss"))
+    lam = lowest_eigenpair(mat).energy
+    assert float(mat.diag[0]) - lam > 2.0 ** 11
+    _assert_lowest_cross_checked(mat)
+    assert _lowest_root_evaluations(monkeypatch, mat) <= 8
+
+
+def test_lowest_root_just_below_the_first_pole(monkeypatch):
+    # a tiny g0 and m_V0 above d_1 leave the root about 3e-10 below the pole
+    mat = build_arrowhead(PARAMS, BareCoupling(m_v0=2.5, g0=1e-4),
+                          build_grid(SHARP_K_CUT, 8, "uniform"))
+    gap = float(mat.diag[0]) - lowest_eigenpair(mat).energy
+    assert 1e-10 < gap < 1e-9
+    _assert_lowest_cross_checked(mat)
+    assert _lowest_root_evaluations(monkeypatch, mat) <= 8
+
+
+def test_lowest_root_cap_raises(monkeypatch):
+    monkeypatch.setattr(leemodel.oracle, "BISECTION_CAP", 2)
+    with pytest.raises(NoConvergence, match="iteration cap"):
+        lowest_eigenpair(TWO_BY_TWO)
