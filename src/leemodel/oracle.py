@@ -13,9 +13,10 @@ Its eigenvalues with nonvanishing apex component are the roots of the secular
 function  s(lam) = m_V0 - lam + sum_i c_i^2 / (lam - d_i),  which is strictly
 decreasing between consecutive poles, so every root is bracketed; the
 outermost brackets are the Weyl bounds min(m_V0, d_1) - ||c|| and
-max(m_V0, d_n) + ||c||.  all_eigenvalues bisects each bracket; the lowest
-root, on (Weyl bound, d_1), is found by a bracketed one-pole iteration that
-fits the pole at d_1 and stops where bisection would.  The matrix holds c_i^2
+max(m_V0, d_n) + ||c||.  One routine finds every root: a bracketed one-pole
+iteration that fits the pole at one end of its bracket, d_1 for the lowest
+root on (Weyl bound, d_1), each other bracket's upper end, and d_n for the
+top bracket, which has no upper pole.  The matrix holds c_i^2
 (squared once, read-only), so an evaluation of s is one pass over the n
 entries.  The squared apex component of the normalized eigenvector,
 1 / (1 + sum_i c_i^2/(lam - d_i)^2), is the finite-n image of
@@ -49,10 +50,10 @@ UNIFORM_K = "uniform"
 GAUSS_LEGENDRE_K = "gauss"
 GRID_SCHEMES = (UNIFORM_K, GAUSS_LEGENDRE_K)
 PANEL_ORDER = 16  # of the "gauss" grid's panels; see the module docstring
-# a secular root (by bisection, or the lowest by one-pole steps) stops at a bracket of
-# SECULAR_TOL * max(1, |lam|); either routine raises after BISECTION_CAP steps
+# a secular root stops at a bracket of SECULAR_TOL * max(1, |lam|), and raises after
+# SECULAR_CAP steps
 SECULAR_TOL = 1e-12
-BISECTION_CAP = 256
+SECULAR_CAP = 256
 
 
 @dataclass(frozen=True)
@@ -175,10 +176,6 @@ def build_arrowhead(params: ModelParams, bare: BareCoupling,
     return ArrowheadMatrix(apex=bare.m_v0, diag=d, coupling=c)
 
 
-def _secular(mat: ArrowheadMatrix, lam: float) -> float:
-    return mat.apex - lam + float((mat.coupling_sq / (lam - mat.diag)).sum())
-
-
 def secular_value(mat: ArrowheadMatrix, lam: float) -> float:
     """s(lam) = apex - lam + sum c_i^2/(lam - d_i); zero exactly at eigenvalues
     with nonvanishing apex component, strictly decreasing between poles."""
@@ -186,50 +183,32 @@ def secular_value(mat: ArrowheadMatrix, lam: float) -> float:
     scale = np.maximum(np.maximum(np.abs(mat.diag), abs(lam)), 1e-300)
     if np.any(gaps <= 1e-14 * scale):
         raise PoleHit(f"lam = {lam!r} coincides with a continuum diagonal entry")
-    return _secular(mat, lam)
-
-
-def _root_between(mat: ArrowheadMatrix, lo: float, hi: float) -> float:
-    """Bisect s on (lo, hi); s > 0 toward lo and s < 0 toward hi.
-
-    The endpoints are never evaluated, so they may be poles of s (the
-    bracketing signs there are known from the pole structure).
-    """
-    for _ in range(BISECTION_CAP):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            return mid  # float resolution exhausted
-        if hi - lo <= SECULAR_TOL * max(1.0, abs(mid)):
-            return mid
-        if _secular(mat, mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    raise NoConvergence("secular bisection exceeded its iteration cap")
+    return mat.apex - lam + float((mat.coupling_sq / (lam - mat.diag)).sum())
 
 
 def _secular_and_cloud(mat: ArrowheadMatrix, x: float) -> tuple[float, float]:
     """s(x) and the cloud sum c_i^2/(x - d_i)^2 = -s'(x) - 1, in one pass:
-    r = 1/(x - d) and t = c^2 r give s = apex - x + sum t and the cloud as sum t r."""
+    r = 1/(x - d) and t = c^2 r give s = apex - x + sum t and the cloud as t . r."""
     r = 1.0 / (x - mat.diag)
     t = mat.coupling_sq * r
-    return mat.apex - x + float(t.sum()), float((t * r).sum())
+    return mat.apex - x + float(t.sum()), float(t.dot(r))
 
 
-def _lowest_root(mat: ArrowheadMatrix, lo: float, d1: float) -> float:
-    """The root of s on (lo, d1), with s(lo) >= 0 and d1 = d_1, by a bracketed
-    one-pole iteration; same stop and contract as :func:`_root_between`.
+def _root_between(mat: ArrowheadMatrix, lo: float, hi: float, pole: float) -> float:
+    """The root of s on (lo, hi), with s > 0 toward lo and s < 0 toward hi, by a
+    bracketed one-pole iteration about ``pole``, the end lo or hi.
 
-    At each iterate x, s is fitted by A - y - B/(d1 - y) through s(x) and s'(x)
+    At each iterate x, s is fitted by A - y - B/(pole - y) through s(x) and s'(x)
     (the boundary case of R.-C. Li, LAPACK Working Note 89, as in LAPACK
-    dlaed4), and the next iterate is that model's root below d1; a step that
-    leaves the bracket is replaced by its midpoint, which is also the first
-    iterate.  Once a step falls below a quarter of the stopping width, it goes
-    half that width further, so the next evaluation closes the bracket from
-    the other side.  d1 is never evaluated.
+    dlaed4), and the next iterate is that model's root on the bracket's side of
+    the pole; a step that leaves the bracket is replaced by its midpoint, which
+    is also the first iterate.  Once a step falls below a quarter of the
+    stopping width SECULAR_TOL * max(1, |x|), it goes half that width further,
+    so the next evaluation closes the bracket from the other side.  The
+    endpoints are never evaluated, so both may be poles of s.
     """
-    hi = x = d1
-    for _ in range(BISECTION_CAP):
+    x = pole
+    for _ in range(SECULAR_CAP):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             return mid  # float resolution exhausted
@@ -242,19 +221,19 @@ def _lowest_root(mat: ArrowheadMatrix, lo: float, d1: float) -> float:
             lo = x
         else:
             hi = x
-        # the model matches s and s' = -1 - cloud at x: with gap = d1 - x,
-        # B = cloud * gap^2, and its root d1 - z solves z^2 + a z - B = 0 for z > 0
-        gap = d1 - x
+        # the model matches s and s' = -1 - cloud at x: with gap = pole - x, B = cloud * gap^2,
+        # and its root pole - z solves z^2 + a z - B = 0 for the z of gap's sign
+        gap = pole - x
         a = s + gap * (cloud - 1.0)
         b = cloud * gap * gap
-        root = math.hypot(a, 2.0 * math.sqrt(b))
-        z = 2.0 * b / (a + root) if a > 0.0 else 0.5 * (root - a)
-        step = d1 - z - x
+        root = math.copysign(math.hypot(a, 2.0 * math.sqrt(b)), gap)
+        z = 2.0 * b / (a + root) if a * gap > 0.0 else 0.5 * (root - a)
+        step = pole - z - x
         tol = SECULAR_TOL * max(1.0, abs(x))
         if abs(step) < 0.25 * tol:
             step += 0.5 * tol if s > 0.0 else -0.5 * tol
         x += step
-    raise NoConvergence("lowest secular root exceeded its iteration cap")
+    raise NoConvergence("secular root exceeded its iteration cap")
 
 
 def _spectral_bounds(mat: ArrowheadMatrix) -> tuple[float, float]:
@@ -288,22 +267,25 @@ def lowest_eigenpair(mat: ArrowheadMatrix) -> EigenPair:
         if mat.apex - d1 + float((mat.coupling_sq[on] / (d1 - mat.diag[on])).sum()) >= 0:
             raise ValueError("the lowest eigenvalue is the decoupled continuum entry "
                              "d_1, which carries no apex weight")
-    lam = _lowest_root(mat, _spectral_bounds(mat)[0], d1)
+    lam = _root_between(mat, _spectral_bounds(mat)[0], d1, d1)
     weight = 1.0 / (1.0 + float((mat.coupling_sq / (lam - mat.diag) ** 2).sum()))
     return EigenPair(energy=lam, apex_weight=weight)
 
 
 def all_eigenvalues(mat: ArrowheadMatrix) -> np.ndarray:
-    """All n+1 eigenvalues via per-interval secular bisection.
+    """All n+1 eigenvalues, one secular root per bracket.
 
     With distinct diagonal entries and all couplings nonzero the spectrum
     strictly interlaces the diagonal: lam_0 < d_1 < lam_1 < ... < d_n < lam_n.
+    Each bracket's iteration is about its upper end, the top one's about d_n.
     """
     if np.any(mat.coupling == 0.0):
         raise ValueError("all couplings must be nonzero for the interlacing structure")
     lo, hi = _spectral_bounds(mat)
-    edges = [lo, *map(float, mat.diag), hi]
-    return np.array([_root_between(mat, a, b) for a, b in zip(edges, edges[1:])])
+    d = list(map(float, mat.diag))
+    edges = [lo, *d, hi]
+    return np.array([_root_between(mat, a, b, p)
+                     for a, b, p in zip(edges, edges[1:], d + d[-1:])])
 
 
 def dense_cross_check(mat: ArrowheadMatrix) -> np.ndarray:

@@ -287,6 +287,38 @@ def test_all_eigenvalues_requires_nonzero_couplings():
         all_eigenvalues(mat)
 
 
+def _assert_certified(mat, lam, lo, hi):
+    # the root lam of s on (lo, hi) lies strictly inside and within w = SECULAR_TOL *
+    # max(1, |lam|) of the root: s(lam - w) > 0 and s(lam + w) < 0, where each is inside
+    w = SECULAR_TOL * max(1.0, abs(lam))
+    assert lo < lam < hi
+    if lam - w > lo:
+        assert secular_value(mat, lam - w) > 0.0
+    if lam + w < hi:
+        assert secular_value(mat, lam + w) < 0.0
+
+
+def _assert_all_certified(mat):
+    edges = [-math.inf, *map(float, mat.diag), math.inf]
+    for i, lam in enumerate(map(float, all_eigenvalues(mat))):
+        _assert_certified(mat, lam, edges[i], edges[i + 1])
+
+
+@pytest.mark.parametrize("make", ALL_MODELS)
+@pytest.mark.parametrize("scheme", GRID_SCHEMES)
+@pytest.mark.parametrize("n", (8, 57))
+def test_every_secular_root_is_certified_inside_its_bracket(make, scheme, n):
+    params = make()
+    mat = build_arrowhead(params, BareCoupling(m_v0=1.8, g0=1.5),
+                          build_grid(upper_momentum(params), n, scheme))
+    _assert_all_certified(mat)
+
+
+def test_every_secular_root_is_certified_on_random_matrices():
+    for seed in range(100):
+        _assert_all_certified(random_arrowhead(seed))
+
+
 def test_interlacing_random_instances():
     for seed in range(100):
         mat = random_arrowhead(seed, n_max=16)
@@ -379,17 +411,17 @@ def test_convergence_study_validates_order():
         convergence_study(params, BareCoupling(m_v0=1e300, g0=1.0), [16], 1e-299)
 
 
-def test_secular_bisection_ends_at_float_resolution():
+def test_secular_root_ends_at_float_resolution():
     # a bracket of adjacent floats has no midpoint strictly inside it
     lo = 1.0 - math.sqrt(2.0)
     hi = math.nextafter(lo, math.inf)
-    assert _root_between(TWO_BY_TWO, lo, hi) in (lo, hi)
+    assert _root_between(TWO_BY_TWO, lo, hi, hi) in (lo, hi)
 
 
-def test_secular_bisection_cap_raises(monkeypatch):
-    monkeypatch.setattr(leemodel.oracle, "BISECTION_CAP", 3)
-    with pytest.raises(NoConvergence, match="iteration cap"):
-        _root_between(TWO_BY_TWO, -10.0, 2.0)
+def test_secular_root_cap_raises(monkeypatch):
+    monkeypatch.setattr(leemodel.oracle, "SECULAR_CAP", 3)
+    with pytest.raises(NoConvergence, match="secular root exceeded its iteration cap"):
+        all_eigenvalues(TWO_BY_TWO)
 
 
 def _padded_sharp_matrix():
@@ -414,25 +446,30 @@ def test_sharp_modes_above_cutoff_decouple():
 # --- the lowest root against the other eigenvalue routes --------------------------------
 
 def _assert_lowest_cross_checked(mat, coupled=None):
-    # lowest_eigenpair's one-pole iteration against all_eigenvalues' bisection
-    # (of `coupled`, the same secular function without zero couplings, where
-    # mat has some) and, up to n = 256, LAPACK; and the root certified from below
+    # lowest_eigenpair certified from both sides at every n; up to n = 256, against
+    # all_eigenvalues, the same routine on the same bracket and so the same bits, and LAPACK;
+    # or, where mat has zero couplings, against all_eigenvalues of `coupled`, the same
+    # secular function without them, on its own bracket
     lam = lowest_eigenpair(mat).energy
     tol = SECULAR_TOL * max(1.0, abs(lam))
-    assert abs(lam - all_eigenvalues(mat if coupled is None else coupled)[0]) <= tol
+    if coupled is not None:
+        assert abs(lam - all_eigenvalues(coupled)[0]) <= tol
+    elif mat.n <= 256:
+        assert lam == all_eigenvalues(mat)[0]
     if mat.n <= 256:
         assert abs(lam - dense_cross_check(mat)[0]) <= tol
-    assert secular_value(mat, lam - tol) > 0.0
+    _assert_certified(mat, lam, -math.inf, float(mat.diag[0]))
 
 
 def _lowest_root_evaluations(monkeypatch, mat):
-    # evaluations of s in one lowest_eigenpair call, whichever routine takes them
+    # evaluations of s in one lowest_eigenpair call
     calls = []
-    for name in ("_secular", "_secular_and_cloud"):
-        def counted(*args, inner=getattr(leemodel.oracle, name)):
-            calls.append(None)
-            return inner(*args)
-        monkeypatch.setattr(leemodel.oracle, name, counted)
+    inner = leemodel.oracle._secular_and_cloud
+
+    def counted(*args):
+        calls.append(None)
+        return inner(*args)
+    monkeypatch.setattr(leemodel.oracle, "_secular_and_cloud", counted)
     lowest_eigenpair(mat)
     return len(calls)
 
@@ -483,6 +520,6 @@ def test_lowest_root_just_below_the_first_pole(monkeypatch):
 
 
 def test_lowest_root_cap_raises(monkeypatch):
-    monkeypatch.setattr(leemodel.oracle, "BISECTION_CAP", 2)
+    monkeypatch.setattr(leemodel.oracle, "SECULAR_CAP", 2)
     with pytest.raises(NoConvergence, match="iteration cap"):
         lowest_eigenpair(TWO_BY_TWO)
