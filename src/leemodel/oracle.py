@@ -204,14 +204,16 @@ def _root_between(mat: ArrowheadMatrix, lo: float, hi: float, pole: float) -> fl
     the pole; a step that leaves the bracket is replaced by its midpoint, which
     is also the first iterate.  Once a step falls below a quarter of the
     stopping width SECULAR_TOL * max(1, |x|), it goes half that width further,
-    so the next evaluation closes the bracket from the other side.  The
-    endpoints are never evaluated, so both may be poles of s.
+    so the next evaluation closes the bracket from the other side, and a step
+    that rounds onto the pole stops half that width short of it.  The endpoints
+    are never evaluated, so both may be poles of s, and the pole is never
+    returned: once no float lies strictly inside, the other end is.
     """
     x = pole
     for _ in range(SECULAR_CAP):
         mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            return mid  # float resolution exhausted
+        if mid <= lo or mid >= hi:  # float resolution exhausted: the end that is no pole
+            return lo if hi == pole else hi
         if hi - lo <= SECULAR_TOL * max(1.0, abs(mid)):
             return mid
         if not lo < x < hi:
@@ -233,6 +235,8 @@ def _root_between(mat: ArrowheadMatrix, lo: float, hi: float, pole: float) -> fl
         if abs(step) < 0.25 * tol:
             step += 0.5 * tol if s > 0.0 else -0.5 * tol
         x += step
+        if x == pole:  # a root within rounding of the pole: half a width off it
+            x = pole - math.copysign(0.5 * tol, gap)
     raise NoConvergence("secular root exceeded its iteration cap")
 
 

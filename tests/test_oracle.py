@@ -519,6 +519,32 @@ def test_lowest_root_just_below_the_first_pole(monkeypatch):
     assert _lowest_root_evaluations(monkeypatch, mat) <= 8
 
 
+def _near_pole_matrix(g0):
+    # m_V0 = 5 lies above d_1, so a small g0 leaves the lowest root close below d_1
+    return build_arrowhead(PARAMS, BareCoupling(m_v0=5.0, g0=g0),
+                           build_grid(SHARP_K_CUT, 256, "gauss"))
+
+
+def test_lowest_root_is_never_the_first_pole():
+    # each root lies within one ulp below d_1, where the last bracket (d_1 - ulp, d_1) holds
+    # no float and its midpoint rounded onto d_1: 12 of these 200 g0, and the repro's
+    repro = 0.037145597109747165
+    for g0 in (repro, *map(float, np.geomspace(0.005, 0.2, 4000)[::20])):
+        mat = _near_pole_matrix(g0)
+        lam = lowest_eigenpair(mat).energy
+        assert lam < mat.diag[0], g0
+        _assert_certified(mat, lam, -math.inf, float(mat.diag[0]))
+    for _, _, weight in convergence_study(PARAMS, BareCoupling(5.0, repro), [256, 1024, 4096],
+                                          SHARP_K_CUT):
+        assert weight > 0.0
+
+
+def test_lowest_root_within_rounding_of_the_first_pole(monkeypatch):
+    # the root lies below d_1 by less than rounding, so every model step lands on d_1
+    for g0 in (1e-4, 1e-5, 1e-6):
+        assert _lowest_root_evaluations(monkeypatch, _near_pole_matrix(g0)) <= 4
+
+
 def test_lowest_root_cap_raises(monkeypatch):
     monkeypatch.setattr(leemodel.oracle, "SECULAR_CAP", 2)
     with pytest.raises(NoConvergence, match="iteration cap"):
