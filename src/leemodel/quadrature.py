@@ -17,8 +17,12 @@ the scale kappa = sqrt(2*mu*delta), delta = m_N + mu - m.  So one rule serves
 them: it maps k = kappa*sinh(u) (the sinh transformation of Johnston &
 Elliott, IJNME 62 (2005) 564) and lays uniform Gauss-Legendre panels on u in
 [0, asinh(k_max/kappa)], and the panel count no longer grows as delta -> 0.
-kappa is floored at 1e-9*mu, so delta = 0 is allowed, and rounded down to a
-power of two.  Every rule and pass runs in units of mu (``ModelParams._in_units_of_mu``),
+kappa is capped at mu, the scale of omega's branch points k = +-i mu, which
+rules far from the threshold must still resolve, floored at 2^-250 mu, which
+keeps 1/(delta + q) finite for I1 at subnormal delta, and rounded down to a
+power of two; at delta = 0, allowed for I1 alone, it is 1e-9 mu.  I2 and the
+norm are refused below delta = 2^-511 mu or so, where their 1/delta^2 leaves
+the float range.  Every rule and pass runs in units of mu (``ModelParams._in_units_of_mu``),
 an exact power-of-two scale s; :func:`spectral_moments` alone maps I_n back, by s^(n - 2).
 
 I1 and I2 are moments of one spectral density, summed together by
@@ -56,6 +60,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -146,9 +151,24 @@ def _refine(estimate: Callable[[int], tuple[float, ...]], spec: QuadSpec, what: 
 
 
 def _threshold_scale(params: ModelParams, delta: float) -> float:
-    """kappa = max(sqrt(2 mu delta), 1e-9 mu), rounded down to a power of two."""
-    kappa = max(math.sqrt(2.0 * params.mu * delta), 1e-9 * params.mu)
+    """kappa = min(max(sqrt(2 mu delta), 2^-250 mu), mu) for delta > 0, where the peak at
+    sqrt(2 mu delta) or omega's branch points at k = +-i mu set the integrand's scale, and
+    1e-9 mu at delta = 0 (I1 alone); rounded down to a power of two."""
+    mu = params.mu
+    kappa = min(max(math.sqrt(2.0 * mu * delta), 2.0 ** -250 * mu), mu) if delta else 1e-9 * mu
     return math.ldexp(0.5, math.frexp(kappa)[1])
+
+
+def _ensure_in_float_range(unit: ModelParams, delta: float, order: int, what: str) -> None:
+    """StabilityViolation, before any pass, where delta^order (delta in units of mu, order > 1)
+    is below the least normal float, so that the integrand's 1/(delta + q)^order can overflow."""
+    least = sys.float_info.min ** (1.0 / order) if order > 1 else 0.0
+    if delta < least:
+        ff, mu = unit.form_factor, unit.mu
+        raise StabilityViolation(
+            f"{what} of the {ff.kind} form factor (Lambda = {ff.lam / mu!r} mu) at delta = "
+            f"{delta / mu!r} mu lies too close to the threshold: 1/delta^{order} leaves the "
+            f"float range below delta = {least / mu!r} mu")
 
 
 @functools.cache
@@ -180,10 +200,13 @@ def _sinh_panels(hi: float, kappa: float, levels: tuple[int, ...],
 
 def ensure_finite_rules(params: ModelParams) -> None:
     """The one rule on Lambda / mu: ValueError unless the model in units of mu (mu in [1, 2),
-    kappa >= 2^-30) has a cutoff with a positive square and finite rules.  A rule of P >=
-    START_PANELS panels has nodes k = kappa sinh(u) <= hi, u < U = asinh(hi/kappa), and weights
-    wk <= (U/2P) hypot(hi, kappa) (Gauss weights are below 1), so U/(2 START_PANELS) hi^2
-    hypot(hi, kappa) bounds wk k^2, the largest product of any rule, and must be finite."""
+    kappa = 2^-30 at delta = 0) has a cutoff with a positive square and finite rules.  A rule
+    of P >= START_PANELS panels has nodes k = kappa sinh(u) <= hi, u < U = asinh(hi/kappa), and
+    weights wk <= (U/2P) hypot(hi, kappa) (Gauss weights are below 1), so U/(2 START_PANELS)
+    hi^2 hypot(hi, kappa) bounds wk k^2, the largest product of any rule, and must be finite.
+    The kappa of delta > 0, down to 2^-250, lengthens U by less than 153, which at most
+    doubles U where the bound nears the float range (U > 153 there), and the Gauss weights,
+    below 0.16 at 20 and 24 nodes, cover that."""
     try:
         unit = params._in_units_of_mu[0]
         lam, hi, kappa = unit.form_factor.lam, upper_momentum(unit), _threshold_scale(unit, 0.0)
@@ -240,6 +263,7 @@ def _moment_pass(delta: float, unit: ModelParams, spec: QuadSpec, orders: tuple[
     moments dots on its part.  A pair that settles hands back its 8-panel level; only one
     that does not refines on from 16 panels, each level built and evaluated alone.
     """
+    _ensure_in_float_range(unit, delta, max(orders, default=0), f"moment(s) {orders}")
     kappa = _threshold_scale(unit, delta)
     q, ((_, rho4), eight) = _moment_rules(unit, kappa, (START_PANELS, 2 * START_PANELS))
     inv = np.add(delta, q)
@@ -324,7 +348,9 @@ def norm_integral(params: ModelParams, g0: float, m_v: float, spec: QuadSpec) ->
     _ensure_coupling("bare coupling g0", g0)
     ensure_stable(params, m_v)
     unit, s = params._in_units_of_mu
-    hi, kappa = upper_momentum(unit), _threshold_scale(unit, (params.threshold - m_v) * s)
+    delta = (params.threshold - m_v) * s
+    _ensure_in_float_range(unit, delta, 2, "the norm integral")
+    hi, kappa = upper_momentum(unit), _threshold_scale(unit, delta)
 
     def estimates(levels):  # (first level's, the rest's)
         k, wk = _sinh_panels(hi, kappa, levels, NORM_ORDER)

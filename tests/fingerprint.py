@@ -58,7 +58,8 @@ def sample():
         yield "bare", (bare, outcome(lambda: full_report(params, bare, spec)))
         ren = RenCoupling(m, rng.uniform(0.0, 8.0))
         yield "renormalized", (ren, outcome(lambda: full_report(params, ren, spec)))
-    # typed errors: a mass at the threshold, and I2 and the norm below the kappa floor's reach
+    # typed errors at the threshold, and I2 and the norm at delta = 1e-30 mu, which a kappa
+    # floor of 1e-9 mu once refused with NoConvergence (the labels keep that name)
     params = ModelParams(-1.0, 1.0, FormFactor.sharp(10.0))
     yield "at threshold", outcome(lambda: spectral_moments(0.0, params, SPECS[0], (1, 2)))
     yield "norm at threshold", outcome(lambda: norm_integral(params, 1.0, 0.0, SPECS[0]))

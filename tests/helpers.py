@@ -58,6 +58,29 @@ BFR_M_V0 = 2.5428196106007676529
 M_NEAR_THRESHOLD = 2.0 - 1e-8
 I2_EXP10_NEAR_THRESHOLD = 114270.81922153062314684727081578769283396302703245
 
+# I1 and I2 far from the threshold, keyed (family, Lambda, delta) with m_N = mu = 1:
+# 4 pi Int_0^(40 Lambda) k^2 f^2 / (2 omega) (-(delta + k^2/(omega + mu)))^(-n) dk, at
+# 60 digits in mpmath on dyadic pieces of the momentum range, where Gauss-Legendre and
+# tanh-sinh agreed to 1e-53
+FAR_THRESHOLD_MOMENTS = {
+    ("exponential", 1e3, 1e4): (-143.35901273075003569810540676068487034013358164302,
+                                0.013130636932658874100808094912217952490312316488306),
+    ("exponential", 1e3, 1e6): (-1.5692079923888645040322272336695092268215135612143,
+                                1.5676434604459948130966726958914732097935715853824e-6),
+    ("exponential", 1e5, 1e4): (-220334.36975255953905159041402566289492963226789308,
+                                4.9767398431259489314116293386800729205790857740765),
+    ("exponential", 1e5, 1e6): (-14334.814511448692988767105026836268671838619570477,
+                                0.01312845965636848364828334161369372023850422431805),
+    ("dipole", 1e3, 1e4): (-277.33448738084906792315179348043017959548850589492,
+                           0.024783454832980991331104963655246900886551707378587),
+    ("dipole", 1e3, 1e6): (-3.1348547976204694377467777679887435762002998978017,
+                           3.1301195195929676185940412282048978862367896098269e-6),
+    ("dipole", 1e5, 1e4): (-368203.02511060863313093916425044820919669699486003,
+                           7.2772102962547518136916404882177861230677533712601),
+    ("dipole", 1e5, 1e6): (-27731.202609848532932526255964782571285317268778037,
+                           0.024779239993559623183777437598030429288315848830958),
+}
+
 # bare pair whose physical point is exactly (m_V = 1.5, Z_V = 0.7)
 ACC_G0 = 2.3348152471404674888
 ACC_M_V0 = 2.8407680707724155538

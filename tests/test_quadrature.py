@@ -54,6 +54,7 @@ from leemodel.quadrature import (
 
 from helpers import (
     ALL_MODELS,
+    FAR_THRESHOLD_MOMENTS,
     I1_AT_15,
     I2_AT_15,
     I2_EXP10_NEAR_THRESHOLD,
@@ -74,6 +75,9 @@ from helpers import (
     sharp_moments,
     sharp_moments_closed_form,
 )
+
+# the least delta, in units of mu, at which I2 and the norm are taken: 1/delta^2 is finite
+LEAST_DELTA = math.sqrt(sys.float_info.min)
 
 
 def test_rule_orders_differ():
@@ -148,11 +152,10 @@ def test_rule_range_edge(kind, first_overflow):
     assert first_overflow / 30.0 < inside < first_overflow
     with pytest.raises(ValueError, match="overflows its quadrature rule"):
         ModelParams(m_n=-MU, mu=MU, form_factor=FormFactor(kind, outside))
-    # just inside, every rule is finite at its largest products, which the
-    # kappa floor gives: delta = 0 for I1, delta << 1e-9 mu for I2 and the norm
+    # just inside, every rule is finite at its largest products, which the least kappa
+    # gives: delta = 0 for I1, and the least delta not refused for I2 and the norm
     params = ModelParams(m_n=-MU, mu=MU, form_factor=FormFactor(kind, inside))
-    near = -1e-20 * MU
-    assert _threshold_scale(params, -near) == _threshold_scale(params, 0.0)
+    near = -LEAST_DELTA * MU
     values = (*spectral_moments(params.threshold, params, SPEC, orders=(1,)),
               *spectral_moments(near, params, SPEC),
               norm_integral(params, 1.0, near, SPEC))
@@ -203,6 +206,31 @@ def test_i2_near_threshold_golden():
     params = exponential_model()
     value = z_factor_integral(M_NEAR_THRESHOLD, params, default_spec(params))
     assert math.isclose(value, I2_EXP10_NEAR_THRESHOLD, rel_tol=1e-9)
+
+
+@pytest.mark.parametrize("kind", ("sharp", "exponential", "dipole"))
+def test_i2_near_threshold_law(kind):
+    # near k = 0, q = k^2/(omega + mu) ~ k^2/(2 mu), so I2 sqrt(delta) -> pi^2 sqrt(2 mu) f(0)^2,
+    # with an error of O(sqrt(delta)); the norm is (g0^2/(2 pi)^3) I2.  No quadrature here
+    params = ModelParams(m_n=-MU, mu=MU, form_factor=FormFactor(kind, 10.0 * MU))
+    f0 = math.exp(-MU / (10.0 * MU)) if kind == "exponential" else 1.0
+    law = math.pi ** 2 * math.sqrt(2.0 * MU) * f0 * f0
+    for delta in np.geomspace(1e-153, 1e-100, 7) * MU:
+        (i2,) = spectral_moments(-delta, params, SPEC, (2,))
+        assert math.isclose(i2 * math.sqrt(delta), law, rel_tol=1e-12), delta
+        norm = norm_integral(params, 1.0, -delta, SPEC) * TWO_PI_CUBED
+        assert math.isclose(norm * math.sqrt(delta), law, rel_tol=1e-12), delta
+
+
+@pytest.mark.parametrize("kind, lam, delta", FAR_THRESHOLD_MOMENTS)
+def test_moments_far_from_the_threshold_golden(kind, lam, delta):
+    # kappa = sqrt(2 mu delta) >> mu would undersample k ~ mu, the scale of omega's branch
+    # points at k = +-i mu: each refined estimate must be within its tolerance of the truth
+    params = ModelParams(m_n=M_N, mu=MU, form_factor=FormFactor(kind, lam * MU))
+    for spec in (SPEC, QuadSpec(1e-13, 1e-13)):
+        values = spectral_moments(params.threshold - delta * MU, params, spec)
+        for value, golden in zip(values, FAR_THRESHOLD_MOMENTS[kind, lam, delta]):
+            assert math.isclose(value, golden, rel_tol=spec.rel_tol), (spec, value, golden)
 
 
 def test_spectral_moments_match_single_order_calls():
@@ -596,6 +624,23 @@ def test_overflowing_moment_is_a_stability_violation():
         assert part in message, (part, message)
     i1, i2 = spectral_moments(1e99, params, QuadSpec(), (1, 2))
     assert math.isfinite(i1) and math.isfinite(i2)
+
+
+@pytest.mark.parametrize("kind", ("sharp", "exponential", "dipole"))
+def test_moments_past_the_float_range_are_refused(kind):
+    # below delta = 2^-511 mu, 1/delta^2 leaves the float range: I2 and the norm are refused
+    # before any pass, while I1 alone stays finite down to the least float
+    params = ModelParams(m_n=-MU, mu=MU, form_factor=FormFactor(kind, 10.0 * MU))
+    below = math.nextafter(LEAST_DELTA, 0.0) * MU
+    for call in (lambda: spectral_moments(-below, params, SPEC, (2,)),
+                 lambda: spectral_moments(-below, params, SPEC, (1, 2)),
+                 lambda: z_factor_integral(-below, params, SPEC),
+                 lambda: norm_integral(params, 1.0, -below, SPEC)):
+        with pytest.raises(StabilityViolation, match=f"{kind} form factor .* delta = {below!r} mu"):
+            call()
+    for delta in (LEAST_DELTA * MU, below, math.ulp(0.0)):
+        assert math.isfinite(mass_shift_integral(-delta, params, SPEC))
+    assert all(map(math.isfinite, spectral_moments(-LEAST_DELTA * MU, params, SPEC)))
 
 
 def _record_rule_levels(monkeypatch) -> list[list[int]]:
