@@ -16,8 +16,8 @@ class StabilityViolation(LeeModelError, ValueError):
 
 class NoConvergence(LeeModelError, RuntimeError):
     """An iterative scheme (quadrature refinement, the Newton solve for the
-    physical mass, secular bisection) failed to reach its tolerance within
-    the documented iteration cap."""
+    physical mass, the secular root iteration) failed to reach its tolerance
+    within the documented iteration cap."""
 
 
 class DegenerateModel(LeeModelError, ValueError):
