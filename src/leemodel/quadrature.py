@@ -159,16 +159,18 @@ def _threshold_scale(params: ModelParams, delta: float) -> float:
     return math.ldexp(0.5, math.frexp(kappa)[1])
 
 
-def _ensure_in_float_range(unit: ModelParams, delta: float, order: int, what: str) -> None:
-    """StabilityViolation, before any pass, where delta^order (delta in units of mu, order > 1)
-    is below the least normal float, so that the integrand's 1/(delta + q)^order can overflow."""
-    least = sys.float_info.min ** (1.0 / order) if order > 1 else 0.0
-    if delta < least:
-        ff, mu = unit.form_factor, unit.mu
-        raise StabilityViolation(
-            f"{what} of the {ff.kind} form factor (Lambda = {ff.lam / mu!r} mu) at delta = "
-            f"{delta / mu!r} mu lies too close to the threshold: 1/delta^{order} leaves the "
-            f"float range below delta = {least / mu!r} mu")
+def _ensure_in_float_range(unit: ModelParams, delta: float, orders: tuple[int, ...],
+                           what: str) -> None:
+    """StabilityViolation, before any pass, where delta^n (delta in units of mu) of an order
+    n > 1 is below the least normal float, so that the integrand's 1/(delta + q)^n can
+    overflow; ``what`` names the integral, {n} its order."""
+    for n in orders:
+        if n > 1 and delta < sys.float_info.min ** (1.0 / n):
+            ff, mu, least = unit.form_factor, unit.mu, sys.float_info.min ** (1.0 / n)
+            raise StabilityViolation(
+                f"{what.format(n=n)} of the {ff.kind} form factor (Lambda = {ff.lam / mu!r} mu) "
+                f"at delta = {delta / mu!r} mu lies too close to the threshold: 1/delta^{n} "
+                f"leaves the float range below delta = {least / mu!r} mu")
 
 
 @functools.cache
@@ -263,7 +265,7 @@ def _moment_pass(delta: float, unit: ModelParams, spec: QuadSpec, orders: tuple[
     moments dots on its part.  A pair that settles hands back its 8-panel level; only one
     that does not refines on from 16 panels, each level built and evaluated alone.
     """
-    _ensure_in_float_range(unit, delta, max(orders, default=0), f"moment(s) {orders}")
+    _ensure_in_float_range(unit, delta, orders, "moment I{n}")
     kappa = _threshold_scale(unit, delta)
     q, ((_, rho4), eight) = _moment_rules(unit, kappa, (START_PANELS, 2 * START_PANELS))
     inv = np.add(delta, q)
@@ -349,7 +351,7 @@ def norm_integral(params: ModelParams, g0: float, m_v: float, spec: QuadSpec) ->
     ensure_stable(params, m_v)
     unit, s = params._in_units_of_mu
     delta = (params.threshold - m_v) * s
-    _ensure_in_float_range(unit, delta, 2, "the norm integral")
+    _ensure_in_float_range(unit, delta, (2,), "the norm integral")
     hi, kappa = upper_momentum(unit), _threshold_scale(unit, delta)
 
     def estimates(levels):  # (first level's, the rest's)
