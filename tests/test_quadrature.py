@@ -211,7 +211,8 @@ def test_i2_near_threshold_golden():
 @pytest.mark.parametrize("kind", ("sharp", "exponential", "dipole"))
 def test_i2_near_threshold_law(kind):
     # near k = 0, q = k^2/(omega + mu) ~ k^2/(2 mu), so I2 sqrt(delta) -> pi^2 sqrt(2 mu) f(0)^2,
-    # with an error of O(sqrt(delta)); the norm is (g0^2/(2 pi)^3) I2.  No quadrature here
+    # with an error of O(sqrt(delta)); the norm is (g0^2/(2 pi)^3) I2.  The law has no
+    # quadrature in it
     params = ModelParams(m_n=-MU, mu=MU, form_factor=FormFactor(kind, 10.0 * MU))
     f0 = math.exp(-MU / (10.0 * MU)) if kind == "exponential" else 1.0
     law = math.pi ** 2 * math.sqrt(2.0 * MU) * f0 * f0
