@@ -18,11 +18,12 @@ here are immutable values and all functions are pure, so everything can be
 shared freely between threads and across parameter sweeps.  That holds for the
 whole package: its only state, each model's threshold and copy in units of mu (each
 built once per model) and the memos of :mod:`leemodel.quadrature` (Gauss-Legendre nodes,
-the panel rows of each run of levels, the last 32 moment rule entries, each a rung of the
-one refinement ladder, the opening 4- and 8-panel pair or one later level, of a model in
-units of mu and a kappa octave, and the last 8 refined passes, one per delta, model in units
-of mu, tolerances and orders, each with its level's arrays), is memoized values and
-read-only arrays rebuilt bit for bit on a miss, so a thread never sees another's results.
+the node layouts of the last 4 runs of levels, the last 32 moment rule entries, each a
+rung of the one refinement ladder, the opening 4- and 8-panel pair or one later level, of
+a model in units of mu and a kappa octave, and the last 8 refined passes, one per delta,
+model in units of mu, tolerances and orders, each with its level's arrays), is memoized
+values and read-only arrays rebuilt bit for bit on a miss, so a thread never sees another's
+results.
 """
 
 from __future__ import annotations
@@ -98,7 +99,7 @@ class FormFactor:
         om = np.sqrt(ks * ks + (mu * s) * (mu * s))
         if self.kind == SHARP:
             return _maybe_scalar(np.where(om <= lam, 1.0, 0.0))
-        return _maybe_scalar(np.exp(-om / lam))
+        return _maybe_scalar(np.exp(om / -lam))
 
 
 def _ensure_mu(mu: float, m_n: float = 0.0) -> float:

@@ -43,7 +43,9 @@ lookup, one 1/(delta + q) and each power of it, and a dot per level and order.
 The kept arrays are read-only and exactly those each level built alone gives,
 and so is every moment.  On arrays that small a build or a level costs numpy
 calls, not arithmetic per node: each is written with as few array operations
-as its bits allow.
+as its bits allow, and a grid is formed elementwise on flat columns that give
+each node its panel, its level's panel count and its Gauss node
+(:func:`_node_columns`, which keeps the last LAYOUTS_KEPT layouts).
 
 The norm integral keeps its own integrand, the squared cloud amplitude, on
 20-node panels of the same map and ladder, built afresh and never read from
@@ -79,11 +81,15 @@ NODES_PER_PANEL = 24
 NORM_ORDER = 20
 PANEL_CAP = 2 ** 14
 # Kept across calls: moment rule entries, one per (model, kappa) opening pair or later
-# (model, kappa, panels) level, a 24-point sweep building at most 7, and refined passes,
-# one per (delta, model, tolerances, orders).  An entry holds at most 6 MiB, a level at the
-# panel cap (a pair holds 4.5 KiB), so the rules can hold 192 MiB and the passes 48 MiB more.
+# (model, kappa, panels) level, a 24-point sweep building at most 7, refined passes, one
+# per (delta, model, tolerances, orders), and node layouts, one per (levels, order).  An
+# entry holds at most 6 MiB, a level at the panel cap (a pair holds 4.5 KiB), so the rules
+# can hold 192 MiB and the passes 48 MiB more.  A layout holds 32 B a node, 9 KiB for the
+# opening pair at 24 nodes, so the kept layouts hold at most 33 MiB: the levels of 2^13
+# and 2^14 panels, at 24 and at 20 nodes.
 RULES_KEPT = 32
 PASSES_KEPT = 8
+LAYOUTS_KEPT = 4
 
 
 @dataclass(frozen=True)
@@ -173,31 +179,42 @@ def _ensure_in_float_range(unit: ModelParams, delta: float, orders: tuple[int, .
                 f"leaves the float range below delta = {least / mu!r} mu")
 
 
-@functools.cache
-def _panel_rows(levels: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of one grid of ``levels``, panel counts laid out level after level: each
-    panel's midpoint in half widths (1, 3, 5, ...) and its level's panel count, read-only
-    columns.  One entry per run a ladder lays out, the pair and each later level: 12 in all."""
+@functools.lru_cache(maxsize=LAYOUTS_KEPT)
+def _node_columns(levels: tuple[int, ...], order: int
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The layout of one grid of ``levels`` of ``order``-node panels, panel counts laid out
+    level after level, as four read-only columns with one entry per node: its panel's
+    midpoint in half widths (1, 3, 5, ...), its level's panel count, and its Gauss-Legendre
+    abscissa and weight on [-1, 1].  The last LAYOUTS_KEPT are kept: enough for the opening
+    pair and the level past it at both orders, where nearly every integral settles."""
+    x, w = _gauss_nodes(order)
     odd = np.concatenate([np.arange(1, 2 * p, 2) for p in levels]).astype(float)[:, None]
     panels = np.repeat(np.array(levels, dtype=float), levels)[:, None]
-    odd.flags.writeable = panels.flags.writeable = False
-    return odd, panels
+    grid = (len(odd), order)  # panels down, Gauss nodes across, ravelled into owned columns
+    columns = tuple(np.broadcast_to(a, grid).ravel() for a in (odd, panels, x, w))
+    for column in columns:
+        column.flags.writeable = False
+    return columns
 
 
 def _sinh_panels(hi: float, kappa: float, levels: tuple[int, ...],
                  order: int = NODES_PER_PANEL) -> tuple[np.ndarray, np.ndarray]:
     """Nodes k = kappa sinh(u) on [0, hi] and their dk weights, level after level, of one
     grid of ``levels``: for each panel count P, P uniform ``order``-node Gauss-Legendre
-    panels in u on [0, asinh(hi/kappa)].  An empty momentum range (sharp Lambda <= mu)
-    has no nodes."""
+    panels in u on [0, asinh(hi/kappa)], every node formed elementwise from its entries in
+    :func:`_node_columns`.  An empty momentum range (sharp Lambda <= mu) has no nodes."""
     if hi <= 0.0:
         return np.empty(0), np.empty(0)
-    x, w = _gauss_nodes(order)
-    odd, panels = _panel_rows(levels)
+    odd, panels, x, w = _node_columns(levels, order)
     half = 0.5 * math.asinh(hi / kappa) / panels
-    # one (panel rows, order) grid: panel midpoints down, Gauss abscissae across
-    u = odd * half + half * x
-    return (kappa * np.sinh(u)).ravel(), ((kappa * half * w) * np.cosh(u)).ravel()
+    u = odd * half
+    u += half * x
+    half *= kappa      # the weight kappa half w cosh(u), in that order
+    half *= w
+    half *= np.cosh(u)
+    k = np.sinh(u, out=u)
+    k *= kappa
+    return k, half
 
 
 def ensure_finite_rules(params: ModelParams) -> None:
@@ -233,12 +250,17 @@ def _moment_rules(params: ModelParams, kappa: float, levels: tuple[int, ...]
     opening pair, keyed (START_PANELS, 2 START_PANELS), and each level past it, keyed (P,);
     the last RULES_KEPT entries are kept, so the passes of a solve or a sweep, which fall in
     a few kappa octaves and settle at 8 panels or so, evaluate the form factor once an octave."""
-    k, wk = _sinh_panels(upper_momentum(params), kappa, levels)
+    k, rho = _sinh_panels(upper_momentum(params), kappa, levels)
     k2, mu = k * k, params.mu
     om = np.sqrt(k2 + mu * mu)
     fval = params.form_factor.evaluate(k, mu)
-    rho = wk * k2 * fval * fval / (2.0 * om)
-    q = k2 / (om + mu)
+    rho *= k2          # wk k^2 f f / (2 omega), in that order
+    rho *= fval
+    rho *= fval
+    q = om + mu
+    om *= 2.0
+    rho /= om
+    np.divide(k2, q, out=q)
     q.flags.writeable = rho.flags.writeable = False
     cut = NODES_PER_PANEL * levels[0]  # a level, or a pair: its first level and the rest
     return q, ((q[:cut], rho[:cut]), (q[cut:], rho[cut:]))[:len(levels)]

@@ -4,6 +4,7 @@ import math
 import pkgutil
 import random
 import sys
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
@@ -38,6 +39,7 @@ from leemodel.cli import parse_config, run_sweep
 from leemodel.oracle import PANEL_ORDER
 from leemodel.quadrature import (
     FOUR_PI,
+    LAYOUTS_KEPT,
     NODES_PER_PANEL,
     NORM_ORDER,
     PANEL_CAP,
@@ -45,7 +47,7 @@ from leemodel.quadrature import (
     START_PANELS,
     _moment_pass,
     _moment_rules,
-    _panel_rows,
+    _node_columns,
     _refine,
     _settled,
     _sinh_panels,
@@ -449,10 +451,12 @@ def test_kept_rules_are_read_only():
                 for target in (arr, owner):  # the buffer a level is a view of, too
                     with pytest.raises(ValueError):
                         target.flat[0] = 0.0
-    # the kept rows every grid of a run of levels is laid out from
-    for arr in _panel_rows((START_PANELS, 2 * START_PANELS)):
-        with pytest.raises(ValueError):
-            arr.flat[0] = 0.0
+    # the kept columns every grid of a run of levels is laid out from
+    for order in (NODES_PER_PANEL, NORM_ORDER):
+        for column in _node_columns((START_PANELS, 2 * START_PANELS), order):
+            assert column.base is None  # so no other view of its buffer can write it
+            with pytest.raises(ValueError):
+                column[0] = 0.0
 
 
 def test_a_kept_entry_holds_at_most_6_mib():
@@ -465,6 +469,27 @@ def test_a_kept_entry_holds_at_most_6_mib():
                   for arr in (nodes, *(arr for level in rules for arr in level))]
         buffers = {id(owner): owner.nbytes for owner in owners}
         assert len(buffers) == 2 and sum(buffers.values()) <= 6 * 2 ** 20
+
+
+def test_kept_layouts_hold_at_most_33_mib():
+    # every run of levels a ladder to the panel cap lays out, at both orders: the kept
+    # layouts, 32 B a node, are then the largest LAYOUTS_KEPT, the two top levels at both
+    forget_kept_state()
+    laid_out = []
+    levels, runs = (START_PANELS, 2 * START_PANELS), []
+    while levels[-1] < PANEL_CAP:
+        runs.append(levels)
+        levels = (2 * levels[-1],)
+    for levels in [*runs, levels]:
+        for order in (NODES_PER_PANEL, NORM_ORDER):
+            _sinh_panels(2.0, 1.0, levels, order)
+            laid_out.extend(weakref.ref(column) for column in _node_columns(levels, order))
+    kept = [column() for column in laid_out if column() is not None]
+    assert _node_columns.cache_info().currsize == LAYOUTS_KEPT == len(kept) // 4
+    assert all(column.base is None for column in kept)  # each owns its buffer
+    assert sum(column.nbytes for column in kept) == 32 * (PANEL_CAP + PANEL_CAP // 2) * (
+        NODES_PER_PANEL + NORM_ORDER) <= 33 * 2 ** 20
+    forget_kept_state()
 
 
 def test_bare_sweep_evaluates_the_form_factor_once_per_octave(monkeypatch):
@@ -598,7 +623,7 @@ def test_kept_state_lives_in_quadrature():
         kept |= {(obj.__module__, obj.__qualname__) for owner in owners
                  for obj in vars(owner).values() if hasattr(obj, "cache_clear")}
     assert kept == {("leemodel.quadrature", name)
-                    for name in ("_gauss_nodes", "_panel_rows", "_moment_rules", "_moment_pass")}, kept
+                    for name in ("_gauss_nodes", "_node_columns", "_moment_rules", "_moment_pass")}, kept
 
 
 @pytest.mark.parametrize("mu", (1.0, 3.0))
