@@ -80,6 +80,9 @@ START_PANELS = 4
 NODES_PER_PANEL = 24
 NORM_ORDER = 20
 PANEL_CAP = 2 ** 14
+# The least delta, in units of mu, at which I2 and the norm are taken: 1/delta^2 is finite
+# there and leaves the float range below it (delta^n below the least normal float for I_n).
+LEAST_DELTA = math.sqrt(sys.float_info.min)
 # Kept across calls: moment rule entries, one per (model, kappa) opening pair or later
 # (model, kappa, panels) level, a 24-point sweep building at most 7, refined passes, one
 # per (delta, model, tolerances, orders), and node layouts, one per (levels, order).  An
@@ -167,12 +170,12 @@ def _threshold_scale(params: ModelParams, delta: float) -> float:
 
 def _ensure_in_float_range(unit: ModelParams, delta: float, orders: tuple[int, ...],
                            what: str) -> None:
-    """StabilityViolation, before any pass, where delta^n (delta in units of mu) of an order
-    n > 1 is below the least normal float, so that the integrand's 1/(delta + q)^n can
-    overflow; ``what`` names the integral, {n} its order."""
+    """StabilityViolation, before any pass, where delta (in units of mu) is below LEAST_DELTA
+    ^ (2/n) for an order n > 1, so that delta^n is below the least normal float and the
+    integrand's 1/(delta + q)^n can overflow; ``what`` names the integral, {n} its order."""
     for n in orders:
-        if n > 1 and delta < sys.float_info.min ** (1.0 / n):
-            ff, mu, least = unit.form_factor, unit.mu, sys.float_info.min ** (1.0 / n)
+        if n > 1 and delta < LEAST_DELTA ** (2.0 / n):
+            ff, mu, least = unit.form_factor, unit.mu, LEAST_DELTA ** (2.0 / n)
             raise StabilityViolation(
                 f"{what.format(n=n)} of the {ff.kind} form factor (Lambda = {ff.lam / mu!r} mu) "
                 f"at delta = {delta / mu!r} mu lies too close to the threshold: 1/delta^{n} "

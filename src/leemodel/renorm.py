@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 from .core import BareCoupling, ModelParams, Regime, RenCoupling, _ensure_coupling
 from .errors import DegenerateModel, GhostRegime, NoBoundState, NoConvergence, StabilityViolation
-from .quadrature import (QuadSpec, _moment_pass, _moments_on, mass_shift_integral,
+from .quadrature import (LEAST_DELTA, QuadSpec, _moment_pass, _moments_on, mass_shift_integral,
                          spectral_moments, z_factor_integral)
 
 TWO_PI_CUBED = (2.0 * math.pi) ** 3
@@ -90,7 +90,8 @@ def _newton(params: ModelParams, bare: BareCoupling,
     iff F(threshold) > 0; the start delta = F(threshold) lies past the root, and a step to
     delta <= 0 takes instead the least of the chord to (0, F(threshold)), the midpoint and
     the root of the bound c |I1| <= c |I1(delta)| delta / delta', all factors of delta, so
-    delta at least halves.  A refined pass runs at the delta of the mass a stop there
+    delta at least halves.  A delta0 below LEAST_DELTA, the least delta a pass takes I2 at,
+    starts there where F >= 0, and raises StabilityViolation where the root lies below it.  A refined pass runs at the delta of the mass a stop there
     reports (m = thr - delta, then delta = thr - m); a root that rounds onto the threshold
     is that delta at 0, and raises StabilityViolation.  The solve maps its root back once
     (ModelParams._bare_in_units_of_mu); its passes (kept, :func:`_moment_pass`) refine I1 and
@@ -119,6 +120,13 @@ def _newton(params: ModelParams, bare: BareCoupling,
         if f_thr <= 0.0:
             return None
         delta = f_thr
+    elif d0 < LEAST_DELTA:  # a pass takes I2 no closer: start there if the root lies above
+        delta = LEAST_DELTA
+        if d0 - delta - c * _moment_pass(delta, unit, spec, (1, 2))[0][0] < 0.0:
+            raise StabilityViolation(
+                f"the mass root of the {ff.kind} form factor for m_V0 = {bare.m_v0!r}, g0 = "
+                f"{bare.g0!r} lies below delta = {delta / unit.mu!r} mu from the threshold "
+                f"{params.threshold!r}, where 1/delta^2 leaves the float range")
     level = None
     for _ in range(NEWTON_CAP):
         held = level

@@ -40,6 +40,7 @@ from leemodel.oracle import PANEL_ORDER
 from leemodel.quadrature import (
     FOUR_PI,
     LAYOUTS_KEPT,
+    LEAST_DELTA,
     NODES_PER_PANEL,
     NORM_ORDER,
     PANEL_CAP,
@@ -77,9 +78,6 @@ from helpers import (
     sharp_moments,
     sharp_moments_closed_form,
 )
-
-# the least delta, in units of mu, at which I2 and the norm are taken: 1/delta^2 is finite
-LEAST_DELTA = math.sqrt(sys.float_info.min)
 
 
 def test_rule_orders_differ():

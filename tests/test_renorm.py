@@ -36,7 +36,7 @@ from leemodel import (
     standard_z,
     z_from_bare,
 )
-from leemodel.quadrature import _moment_pass
+from leemodel.quadrature import LEAST_DELTA, _moment_pass
 
 from helpers import (
     ACC_BARE,
@@ -257,6 +257,34 @@ def test_root_within_rounding_of_the_threshold_names_its_context():
         for part in ("sharp", f"m_V0 = {m_v0 * mu!r}", "g0 = 1.0",
                      f"F(threshold) = {f_thr * mu!r}", f"within rounding of the threshold {2.0 * mu!r}"):
             assert part in message, (part, message)
+
+
+@pytest.mark.parametrize("g0, delta", ((1.0, 0.26753), (1e-3, 3.2779e-7), (1e-9, 3.2785e-19)))
+def test_bare_mass_closer_than_the_least_delta_solves(g0, delta):
+    # m_V0 lies 1e-160 mu below the threshold, closer than the least delta a pass takes I2
+    # at (2^-511 mu), and was refused there; the root lies far above, so the solve starts
+    # at that bound.  The residual holds on a relative-only spec and on the closed form
+    params = ModelParams(m_n=-1.0, mu=1.0, form_factor=FormFactor.sharp(10.0))
+    bare = BareCoupling(m_v0=-1e-160, g0=g0)
+    report = full_report(params, bare, SPEC)
+    assert math.isclose(params.threshold - report.m_v, delta, rel_tol=1e-4)
+    assert 0.0 < report.z_standard < 1.0
+    c = g0 * g0 / TWO_PI_CUBED
+    (i1,) = spectral_moments(report.m_v, params, FINE, orders=(1,))
+    assert abs(report.m_v - bare.m_v0 - c * i1) <= 1e-9 * abs(c * i1)
+    i1 = sharp_moments(params.threshold - report.m_v, 1.0, 10.0)[0]
+    assert abs(report.m_v - bare.m_v0 - c * i1) <= 1e-9 * abs(c * i1)
+
+
+def test_bare_root_closer_than_the_least_delta_is_refused():
+    # at g0 = 1e-80 the root itself lies below 2^-511 mu, where 1/delta^2 leaves the float range
+    params = ModelParams(m_n=-1.0, mu=1.0, form_factor=FormFactor.sharp(10.0))
+    with pytest.raises(StabilityViolation) as err:
+        full_report(params, BareCoupling(m_v0=-1e-160, g0=1e-80), SPEC)
+    message = str(err.value)
+    for part in ("sharp", "m_V0 = -1e-160", "g0 = 1e-80", f"delta = {LEAST_DELTA!r} mu",
+                 "float range"):
+        assert part in message, (part, message)
 
 
 @pytest.mark.parametrize("g0", (1e20, 1e60, 1e114))
