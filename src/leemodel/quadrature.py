@@ -260,10 +260,8 @@ def _moment_rules(params: ModelParams, kappa: float, levels: tuple[int, ...]
     rho *= k2          # wk k^2 f f / (2 omega), in that order
     rho *= fval
     rho *= fval
-    q = om + mu
-    om *= 2.0
-    rho /= om
-    np.divide(k2, q, out=q)
+    rho /= 2.0 * om
+    q = k2 / (om + mu)
     q.flags.writeable = rho.flags.writeable = False
     cut = NODES_PER_PANEL * levels[0]  # a level, or a pair: its first level and the rest
     return q, ((q[:cut], rho[:cut]), (q[cut:], rho[cut:]))[:len(levels)]

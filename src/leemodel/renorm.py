@@ -91,9 +91,10 @@ def _newton(params: ModelParams, bare: BareCoupling,
     delta <= 0 takes instead the least of the chord to (0, F(threshold)), the midpoint and
     the root of the bound c |I1| <= c |I1(delta)| delta / delta', all factors of delta, so
     delta at least halves.  A delta0 below LEAST_DELTA, the least delta a pass takes I2 at,
-    starts there where F >= 0, and raises StabilityViolation where the root lies below it.  A refined pass runs at the delta of the mass a stop there
-    reports (m = thr - delta, then delta = thr - m); a root that rounds onto the threshold
-    is that delta at 0, and raises StabilityViolation.  The solve maps its root back once
+    starts there where F >= 0, and raises StabilityViolation where the root lies below it.
+    A refined pass runs at the delta of the mass a stop there reports (m = thr - delta, then
+    delta = thr - m); a root that rounds onto the threshold is that delta at 0, and raises
+    StabilityViolation.  The solve maps its root back once
     (ModelParams._bare_in_units_of_mu); its passes (kept, :func:`_moment_pass`) refine I1 and
     I2 to abs_tol / max(1, c), since F and s take c times their error.  Steps after a refined
     pass run on its level; one that settles there is refined again at the same delta.  A
