@@ -60,8 +60,6 @@ from .renorm import RenormReport, full_report
 
 COLUMNS = ("sweep_value", "m_V", "m_V0", "delta_m", "g0_sq", "g_sq", "x",
            "z_standard", "z_regularized", "regime", "error")
-# one row of a JSON table as json.dumps(indent=2) lays it out, a {} field per cell
-_JSON_ROW = "  {{\n" + ",\n".join(f'    "{col}": {{}}' for col in COLUMNS) + "\n  }}"
 
 _DEFAULT_ORACLE_N = 1024
 # the largest sweep and oracle grid a config may ask for; each value or node
@@ -283,13 +281,8 @@ def emit(table: list[dict], out_format: str, path: str) -> None:
             for row in table:
                 writer.writerow([_cell(row[col]) for col in COLUMNS])
     elif out_format == "json":
-        # json.dumps(rows, indent=2) + "\n", keys in COLUMNS order, with every cell encoded
-        # in one call of json's C encoder, which it takes only without indent; an encoded
-        # cell holds no raw newline, so the cells split on the separator "\n"
-        cells = json.dumps([row[col] for row in table for col in COLUMNS],
-                           separators=("\n", ": "))[1:-1].split("\n")
-        body = ",\n".join([_JSON_ROW] * len(table)).format(*cells)
-        text = f"[\n{body}\n]\n" if table else "[]\n"
+        ordered = [{col: row[col] for col in COLUMNS} for row in table]
+        text = json.dumps(ordered, indent=2) + "\n"
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     else:

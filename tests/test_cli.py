@@ -273,26 +273,6 @@ def test_emit_json_golden_bytes(tmp_path):
         ']\n')
 
 
-def test_emit_json_matches_the_indented_encoder(tmp_path):
-    # emit encodes the cells in one call of json's C encoder and lays the rows out
-    # itself; the bytes are json.dumps(rows, indent=2)'s on a sweep with error rows,
-    # on one point, on no rows, and on cells that hold every character the layout
-    # could trip on, and NaN and infinities
-    sweep = run_sweep(parse_config(json.dumps({
-        "model": {"form_factor": {"kind": "exponential", "lambda": 10.0}},
-        "input": {"mode": "bare", "m_V0": 2.0},
-        "sweep": {"parameter": "g0", "start": 0.0, "stop": 3.0, "steps": 24}})))
-    assert any(row["error"] for row in sweep) and not all(row["error"] for row in sweep)
-    odd = dict.fromkeys(COLUMNS)
-    odd.update(sweep_value=math.nan, m_V=math.inf, m_V0=-math.inf, regime='{0}: "}{"',
-               error='NoConvergence: a, "b"\nc\t\\ \u00e9 {} {0}')
-    path = tmp_path / "table.json"
-    for rows in (sweep, sweep[-1:], [], [odd, sweep[-1], odd]):
-        emit(rows, "json", str(path))
-        ordered = [{col: row[col] for col in COLUMNS} for row in rows]
-        assert path.read_bytes() == (json.dumps(ordered, indent=2) + "\n").encode("ascii")
-
-
 # --- the executable -----------------------------------------------------------------
 
 def _write(tmp_path, name, doc) -> str:

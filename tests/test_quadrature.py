@@ -40,7 +40,6 @@ from leemodel.oracle import PANEL_ORDER
 from leemodel.quadrature import (
     FOUR_PI,
     LAYOUTS_KEPT,
-    LEAST_DELTA,
     NODES_PER_PANEL,
     NORM_ORDER,
     PANEL_CAP,
@@ -78,6 +77,9 @@ from helpers import (
     sharp_moments,
     sharp_moments_closed_form,
 )
+
+# the least delta, in units of mu, at which I2 and the norm are taken: 1/delta^2 is finite
+LEAST_DELTA = math.sqrt(sys.float_info.min)
 
 
 def test_rule_orders_differ():
@@ -653,7 +655,9 @@ def test_overflowing_moment_is_a_stability_violation():
 @pytest.mark.parametrize("kind", ("sharp", "exponential", "dipole"))
 def test_moments_past_the_float_range_are_refused(kind):
     # below delta = 2^-511 mu, 1/delta^2 leaves the float range: I2 and the norm are refused
-    # before any pass, while I1 alone stays finite down to the least float
+    # before any pass, while I1 alone stays finite down to the least float; the package's
+    # one bound is this one
+    assert leemodel.quadrature.LEAST_DELTA == LEAST_DELTA == 2.0 ** -511
     params = ModelParams(m_n=-MU, mu=MU, form_factor=FormFactor(kind, 10.0 * MU))
     below = math.nextafter(LEAST_DELTA, 0.0) * MU
     for call in (lambda: spectral_moments(-below, params, SPEC, (2,)),

@@ -36,7 +36,7 @@ from leemodel import (
     standard_z,
     z_from_bare,
 )
-from leemodel.quadrature import LEAST_DELTA, _moment_pass
+from leemodel.quadrature import _moment_pass
 
 from helpers import (
     ACC_BARE,
@@ -282,7 +282,7 @@ def test_bare_root_closer_than_the_least_delta_is_refused():
     with pytest.raises(StabilityViolation) as err:
         full_report(params, BareCoupling(m_v0=-1e-160, g0=1e-80), SPEC)
     message = str(err.value)
-    for part in ("sharp", "m_V0 = -1e-160", "g0 = 1e-80", f"delta = {LEAST_DELTA!r} mu",
+    for part in ("sharp", "m_V0 = -1e-160", "g0 = 1e-80", f"delta = {2.0 ** -511!r} mu",
                  "float range"):
         assert part in message, (part, message)
 
