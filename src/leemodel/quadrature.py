@@ -89,7 +89,9 @@ LEAST_DELTA = math.sqrt(sys.float_info.min)
 # entry holds at most 6 MiB, a level at the panel cap (a pair holds 4.5 KiB), so the rules
 # can hold 192 MiB and the passes 48 MiB more.  A layout holds 32 B a node, 9 KiB for the
 # opening pair at 24 nodes, so the kept layouts hold at most 33 MiB: the levels of 2^13
-# and 2^14 panels, at 24 and at 20 nodes.
+# and 2^14 panels, at 24 and at 20 nodes.  Only a rule or norm build lays a grid out: the
+# three bench workloads lay out the 24-node pair alone, every lookup after the first a hit,
+# and no deeper level at all, so the memo keeps a deep level only for being the last.
 RULES_KEPT = 32
 PASSES_KEPT = 8
 LAYOUTS_KEPT = 4
@@ -188,8 +190,8 @@ def _node_columns(levels: tuple[int, ...], order: int
     """The layout of one grid of ``levels`` of ``order``-node panels, panel counts laid out
     level after level, as four read-only columns with one entry per node: its panel's
     midpoint in half widths (1, 3, 5, ...), its level's panel count, and its Gauss-Legendre
-    abscissa and weight on [-1, 1].  The last LAYOUTS_KEPT are kept: enough for the opening
-    pair and the level past it at both orders, where nearly every integral settles."""
+    abscissa and weight on [-1, 1].  The last LAYOUTS_KEPT are kept: the opening pair at
+    both orders and the first levels past it, so a ladder that settles early keeps its pair."""
     x, w = _gauss_nodes(order)
     odd = np.concatenate([np.arange(1, 2 * p, 2) for p in levels]).astype(float)[:, None]
     panels = np.repeat(np.array(levels, dtype=float), levels)[:, None]
