@@ -15,7 +15,10 @@ import numpy as np
 
 import leemodel.quadrature
 import leemodel.renorm
-from leemodel import BareCoupling, FormFactor, ModelParams, QuadSpec
+from leemodel import (BareCoupling, FormFactor, ModelParams, QuadSpec, all_eigenvalues,
+                      build_arrowhead, build_grid, default_spec, dense_cross_check,
+                      lowest_eigenpair, mass_shift_integral, norm_integral, solve_physical_mass,
+                      z_factor_integral, z_from_bare)
 
 MU = 1.0
 M_N = 1.0
@@ -256,3 +259,65 @@ def random_arrowhead(seed: int, n_max: int = 32):
     coupling = rng.uniform(0.1, 1.0, n)
     apex = float(rng.uniform(-5.0, 15.0))
     return ArrowheadMatrix(apex=apex, diag=diag, coupling=coupling)
+
+
+# The acceptance checks that compare two independent routes to one quantity, each as its
+# measured discrepancy against its bound: (holds, detail).  tests/test_acceptance.py runs
+# them as criteria c1, c3, c4 and c5, and tests/test_mutations.py runs them on perturbed
+# code, where each must fail.
+
+
+def derivative_identity_check() -> tuple[bool, str]:
+    """c1: I2 = -dI1/dm by central differences (h = 1e-5 mu) at ten masses of each family,
+    to a worst relative error below 1e-6."""
+    h, worst = 1e-5 * MU, 0.0
+    for make in ALL_MODELS:
+        params = make()
+        spec = default_spec(params)
+        for m in np.linspace(0.1, 1.9, 10):
+            fd = -(mass_shift_integral(m + h, params, spec)
+                   - mass_shift_integral(m - h, params, spec)) / (2.0 * h)
+            i2 = z_factor_integral(m, params, spec)
+            worst = max(worst, abs(i2 - fd) / abs(i2))
+    return worst < 1e-6, f"worst relative error {worst:.3e} < 1e-6"
+
+
+def norm_condition_check() -> tuple[bool, str]:
+    """c3: Z (1 + cloud) = 1, Z from I2 and the cloud from the norm integral, at ten seeded
+    points of the three families, to a worst deviation below 1e-9."""
+    rng, worst = np.random.default_rng(7041955), 0.0
+    for i in range(10):
+        params = ALL_MODELS[i % 3]()
+        spec = default_spec(params)
+        m_v = float(rng.uniform(1.05, 1.9))
+        g0 = float(rng.uniform(0.1, 2.5))
+        z = z_from_bare(params, g0, m_v, spec)
+        cloud = norm_integral(params, g0, m_v, spec)
+        worst = max(worst, abs(z * (1.0 + cloud) - 1.0))
+    return worst < 1e-9, f"worst deviation {worst:.3e} < 1e-9"
+
+
+def oracle_check() -> tuple[bool, str]:
+    """c4: the lowest eigenpair of the 4096-point "gauss" arrowhead against the continuum
+    solve at (m_V, Z) = (1.5, 0.7) of the sharp model: |dm| < 1e-5 mu and |dZ| < 1e-4."""
+    params = sharp_model()
+    m_v = solve_physical_mass(params, ACC_BARE, SPEC)
+    z = z_from_bare(params, ACC_BARE.g0, m_v, SPEC)
+    pair = lowest_eigenpair(build_arrowhead(params, ACC_BARE,
+                                            build_grid(SHARP_K_CUT, 4096, "gauss")))
+    mass_err, z_err = abs(pair.energy - m_v), abs(pair.apex_weight - z)
+    return (mass_err < 1e-5 * MU and z_err < 1e-4 and abs(z - 0.7) < 1e-9,
+            f"Z = {z:.6f}, |dm| = {mass_err:.3e} < 1e-5, |dZ| = {z_err:.3e} < 1e-4")
+
+
+def eigensolver_check() -> tuple[bool, str]:
+    """c5: the secular roots of 100 seeded arrowheads against LAPACK's dense eigenvalues,
+    to a worst gap below 1e-9, and interlacing the diagonal strictly."""
+    worst, interlaced = 0.0, True
+    for seed in range(100):
+        mat = random_arrowhead(seed, n_max=32)
+        secular = all_eigenvalues(mat)
+        worst = max(worst, float(np.max(np.abs(secular - dense_cross_check(mat)))))
+        interlaced &= bool(np.all(secular[:-1] < mat.diag) and np.all(mat.diag < secular[1:]))
+    return (worst < 1e-9 and interlaced,
+            f"worst eigenvalue gap {worst:.3e} < 1e-9, interlacing {interlaced}")

@@ -15,34 +15,26 @@ from leemodel import (
     BareCoupling,
     GhostRegime,
     RenCoupling,
-    all_eigenvalues,
     bare_from_renormalized,
-    build_arrowhead,
-    build_grid,
     classify_regime,
     critical_coupling,
     default_spec,
-    dense_cross_check,
     dressing_strength,
     geometric_partial_sum,
-    lowest_eigenpair,
-    mass_shift_integral,
-    norm_integral,
     regularized_z,
     renormalize_coupling,
     solve_physical_mass,
-    z_factor_integral,
     z_from_bare,
 )
 from leemodel.cli import COLUMNS, main
 
 from helpers import (
-    ACC_BARE,
     ALL_MODELS,
-    MU,
-    SHARP_K_CUT,
     SPEC,
-    random_arrowhead,
+    derivative_identity_check,
+    eigensolver_check,
+    norm_condition_check,
+    oracle_check,
     sharp_model,
 )
 
@@ -61,19 +53,9 @@ def _verdict(number: int, label: str, ok: bool, elapsed: float, limit: float,
 
 def test_c1_derivative_identity():
     started = time.perf_counter()
-    h = 1e-5 * MU
-    worst = 0.0
-    for make in ALL_MODELS:
-        params = make()
-        spec = default_spec(params)
-        for m in np.linspace(0.1, 1.9, 10):
-            fd = -(mass_shift_integral(m + h, params, spec)
-                   - mass_shift_integral(m - h, params, spec)) / (2.0 * h)
-            i2 = z_factor_integral(m, params, spec)
-            worst = max(worst, abs(i2 - fd) / abs(i2))
-    elapsed = time.perf_counter() - started
-    _verdict(1, "derivative identity I2 = -dI1/dm", worst < 1e-6, elapsed, 10.0,
-             f"worst relative error {worst:.3e} < 1e-6")
+    ok, detail = derivative_identity_check()
+    _verdict(1, "derivative identity I2 = -dI1/dm", ok, time.perf_counter() - started, 10.0,
+             detail)
 
 
 def test_c2_presentation_equivalence():
@@ -96,50 +78,23 @@ def test_c2_presentation_equivalence():
 
 def test_c3_norm_condition():
     started = time.perf_counter()
-    rng = np.random.default_rng(7041955)
-    worst = 0.0
-    for i in range(10):
-        params = ALL_MODELS[i % 3]()
-        spec = default_spec(params)
-        m_v = float(rng.uniform(1.05, 1.9))
-        g0 = float(rng.uniform(0.1, 2.5))
-        z = z_from_bare(params, g0, m_v, spec)
-        cloud = norm_integral(params, g0, m_v, spec)
-        worst = max(worst, abs(z * (1.0 + cloud) - 1.0))
-    elapsed = time.perf_counter() - started
-    _verdict(3, "state norm: Z * (1 + cloud) = 1", worst < 1e-9, elapsed, 10.0,
-             f"worst deviation {worst:.3e} < 1e-9")
+    ok, detail = norm_condition_check()
+    _verdict(3, "state norm: Z * (1 + cloud) = 1", ok, time.perf_counter() - started, 10.0,
+             detail)
 
 
 def test_c4_oracle_equivalence():
     started = time.perf_counter()
-    m_v = solve_physical_mass(PARAMS, ACC_BARE, SPEC)
-    z = z_from_bare(PARAMS, ACC_BARE.g0, m_v, SPEC)
-    grid = build_grid(SHARP_K_CUT, 4096, "gauss")
-    pair = lowest_eigenpair(build_arrowhead(PARAMS, ACC_BARE, grid))
-    mass_err = abs(pair.energy - m_v)
-    z_err = abs(pair.apex_weight - z)
-    elapsed = time.perf_counter() - started
-    ok = mass_err < 1e-5 * MU and z_err < 1e-4 and abs(z - 0.7) < 1e-9
-    _verdict(4, "arrowhead truncation matches the continuum", ok, elapsed, 60.0,
-             f"Z = {z:.6f}, |dm| = {mass_err:.3e} < 1e-5, |dZ| = {z_err:.3e} < 1e-4")
+    ok, detail = oracle_check()
+    _verdict(4, "arrowhead truncation matches the continuum", ok,
+             time.perf_counter() - started, 60.0, detail)
 
 
 def test_c5_mutual_eigensolver_agreement():
     started = time.perf_counter()
-    worst = 0.0
-    interlaced = True
-    for seed in range(100):
-        mat = random_arrowhead(seed, n_max=32)
-        secular = all_eigenvalues(mat)
-        dense = dense_cross_check(mat)
-        worst = max(worst, float(np.max(np.abs(secular - dense))))
-        interlaced &= bool(np.all(secular[:-1] < mat.diag)
-                           and np.all(mat.diag < secular[1:]))
-    elapsed = time.perf_counter() - started
-    ok = worst < 1e-9 and interlaced
-    _verdict(5, "secular bisection vs dense LAPACK", ok, elapsed, 30.0,
-             f"worst eigenvalue gap {worst:.3e} < 1e-9, interlacing {interlaced}")
+    ok, detail = eigensolver_check()
+    _verdict(5, "secular bisection vs dense LAPACK", ok, time.perf_counter() - started, 30.0,
+             detail)
 
 
 def test_c6_ghost_threshold():
