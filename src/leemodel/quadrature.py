@@ -37,8 +37,9 @@ successive estimates agree to tolerance; if it reaches the cap of 2**14 panels
 first, NoConvergence is raised.  Its first rung is the opening pair, the 4- and
 8-panel levels laid out as one grid by :func:`_sinh_panels` (the one place sinh
 panels are laid out) and evaluated on one call.  Every integral settles there
-or so; one that does not doubles on from 16 panels (:func:`_refine`), a level at
-a time.  A moment pass evaluates its pair in one sweep of its 288 nodes: one
+or so; one that does not doubles on from 16 panels, a level at a time.  One
+driver, :func:`_ladder`, checks the pair and climbs on for both the moments and
+the norm, each handing it its own estimates.  A moment pass evaluates its pair in one sweep of its 288 nodes: one
 lookup, one 1/(delta + q) and each power of it, and a dot per level and order.
 The kept arrays are read-only and exactly those each level built alone gives,
 and so is every moment.  On arrays that small a build or a level costs numpy
@@ -146,19 +147,21 @@ def _settled(cur: tuple[float, ...], prev: Sequence[float], spec: QuadSpec) -> b
     return True
 
 
-def _refine(estimate: Callable[[int], tuple[float, ...]], spec: QuadSpec, what: Callable[[], str],
+def _ladder(estimate: Callable[[int], tuple[float, ...]], spec: QuadSpec, what: Callable[[], str],
             prev: Sequence[float], cur: tuple[float, ...]) -> tuple[tuple[float, ...], int]:
-    """(estimate(panels), panels), doubling on from an unsettled opening pair, its estimates
-    ``prev`` and ``cur`` at START_PANELS and 2 START_PANELS panels, until each value settles."""
+    """(values, panels) of the first rung that settles, each value within tolerance of the
+    rung below: the opening pair's 2 START_PANELS-panel values ``cur`` against its
+    START_PANELS-panel ``prev``, else estimate(panels), doubling on from 4 START_PANELS
+    panels up to PANEL_CAP, where NoConvergence, named by ``what``, is raised."""
     panels = 2 * START_PANELS
-    while panels < PANEL_CAP:
-        panels = min(2 * panels, PANEL_CAP)
+    while not _settled(cur, prev, spec):
+        if panels >= PANEL_CAP:
+            changes = ', '.join(f'{abs(c - p):.3e}' for c, p in zip(cur, prev))
+            raise NoConvergence(f"{what()} did not reach tolerance within {PANEL_CAP} panels "
+                                f"(last refinement changed the estimate by {changes})")
+        panels *= 2
         prev, cur = cur, estimate(panels)
-        if _settled(cur, prev, spec):
-            return cur, panels
-    raise NoConvergence(
-        f"{what()} did not reach tolerance within {PANEL_CAP} panels (last refinement "
-        f"changed the estimate by {', '.join(f'{abs(c - p):.3e}' for c, p in zip(cur, prev))})")
+    return cur, panels
 
 
 def _threshold_scale(params: ModelParams, delta: float) -> float:
@@ -288,7 +291,8 @@ def _moment_pass(delta: float, unit: ModelParams, spec: QuadSpec, orders: tuple[
     The opening pair, the ladder's first rung, is evaluated in one sweep: one rule lookup,
     each power of 1 / (m - m_N - omega) formed once on both levels' nodes, and each level's
     moments dots on its part.  A pair that settles hands back its 8-panel level; only one
-    that does not refines on from 16 panels, each level built and evaluated alone.
+    that does not refines on from 16 panels (:func:`_ladder`), each level built and
+    evaluated alone.
     """
     _ensure_in_float_range(unit, delta, orders, "moment I{n}")
     kappa = _threshold_scale(unit, delta)
@@ -301,16 +305,13 @@ def _moment_pass(delta: float, unit: ModelParams, spec: QuadSpec, orders: tuple[
         p = inv if n == 1 else sq if n == 2 else inv ** n
         coarse.append(FOUR_PI * float(rho4.dot(p[:cut])))
         values.append(FOUR_PI * float(eight[1].dot(p[cut:])))
-    values = tuple(values)
-    if _settled(values, coarse, spec):
-        return values, eight
-    ff = unit.form_factor
-    values, panels = _refine(
+    values, panels = _ladder(
         lambda n: _moments_on(_moment_rules(unit, kappa, (n,))[1][0], delta, orders), spec,
-        lambda: f"moment(s) {orders} of the {ff.kind} form factor (Lambda = "
-                f"{ff.lam / unit.mu!r}) at m = {(unit.threshold - delta) / unit.mu!r}, "
-                f"delta = {delta / unit.mu!r}, all in units of mu", coarse, values)
-    return values, _moment_rules(unit, kappa, (panels,))[1][0]
+        lambda: f"moment(s) {orders} of the {unit.form_factor.kind} form factor (Lambda = "
+                f"{unit.form_factor.lam / unit.mu!r}) at m = {(unit.threshold - delta) / unit.mu!r}, "
+                f"delta = {delta / unit.mu!r}, all in units of mu", coarse, tuple(values))
+    return values, (eight if panels == 2 * START_PANELS
+                    else _moment_rules(unit, kappa, (panels,))[1][0])
 
 
 def spectral_moments(m: float, params: ModelParams, spec: QuadSpec,
@@ -385,10 +386,7 @@ def norm_integral(params: ModelParams, g0: float, m_v: float, spec: QuadSpec) ->
         terms, cut = wk * k * k * amp * amp, levels[0] * NORM_ORDER
         return (FOUR_PI * float(np.sum(terms[:cut])),), (FOUR_PI * float(np.sum(terms[cut:])),)
 
-    coarse, value = estimates((START_PANELS, 2 * START_PANELS))
-    if not _settled(value, coarse, spec):
-        ff = params.form_factor
-        value = _refine(lambda n: estimates((n,))[0], spec, lambda: (
-            f"norm integral of the {ff.kind} form factor (Lambda = {ff.lam!r}) "
-            f"at m_V = {m_v!r}, delta = {params.threshold - m_v!r}"), coarse, value)[0]
-    return value[0]
+    ff, (coarse, value) = params.form_factor, estimates((START_PANELS, 2 * START_PANELS))
+    return _ladder(lambda n: estimates((n,))[0], spec, lambda: (
+        f"norm integral of the {ff.kind} form factor (Lambda = {ff.lam!r}) "
+        f"at m_V = {m_v!r}, delta = {params.threshold - m_v!r}"), coarse, value)[0][0]

@@ -47,8 +47,8 @@ from leemodel.quadrature import (
     START_PANELS,
     _moment_pass,
     _moment_rules,
+    _ladder,
     _node_columns,
-    _refine,
     _settled,
     _sinh_panels,
     _threshold_scale,
@@ -526,21 +526,21 @@ def test_held_newton_steps_never_look_up_a_rule(monkeypatch):
     # evaluate it, so only the passes reach the kept rules: one lookup for the
     # opening pair, and one per level refined past it plus its settled level
     levels, held = [], []
-    refine, moments_on = leemodel.quadrature._refine, leemodel.renorm._moments_on
+    ladder, moments_on = leemodel.quadrature._ladder, leemodel.renorm._moments_on
 
-    def counted_refine(estimate, *rest):
+    def counted_ladder(estimate, *rest):
         def counted(panels):
             levels.append(panels)
             return estimate(panels)
 
-        return refine(counted, *rest)
+        return ladder(counted, *rest)
 
     def counted_held(*args):
         held.append(None)
         return moments_on(*args)
 
     passes = record_refined_passes(monkeypatch)
-    monkeypatch.setattr(leemodel.quadrature, "_refine", counted_refine)
+    monkeypatch.setattr(leemodel.quadrature, "_ladder", counted_ladder)
     monkeypatch.setattr(leemodel.renorm, "_moments_on", counted_held)
     rows = run_sweep(parse_config(json.dumps({
         "model": {"form_factor": {"kind": "exponential", "lambda": 10.0}},
@@ -953,7 +953,7 @@ def test_no_convergence_on_unresolvable_integrand():
         return [FOUR_PI * float(np.sum(wk * k * k * np.sin(1e9 * k) ** 2))]
 
     with pytest.raises(NoConvergence):
-        _refine(estimate, SPEC, lambda: "oscillation", estimate(START_PANELS),
+        _ladder(estimate, SPEC, lambda: "oscillation", estimate(START_PANELS),
                 estimate(2 * START_PANELS))
 
 
