@@ -21,9 +21,10 @@ built once per model) and the memos of :mod:`leemodel.quadrature` (Gauss-Legendr
 the node layouts of the last 4 runs of levels, the last 32 moment rule entries, each a
 rung of the one refinement ladder, the opening 4- and 8-panel pair or one later level, of
 a model in units of mu and a kappa octave, and the last 8 refined passes, one per delta,
-model in units of mu, tolerances and orders, each with its level's arrays), is memoized
-values and read-only arrays rebuilt bit for bit on a miss, so a thread never sees another's
-results.
+model in units of mu, tolerances and orders, each with its level's arrays; were every pass
+to reach the 2^10-panel cap, the rules would hold about 12 MiB, the passes 3, the layouts
+2), is memoized values and read-only arrays rebuilt bit for bit on a miss, so a thread
+never sees another's results.
 """
 
 from __future__ import annotations

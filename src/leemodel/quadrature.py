@@ -17,13 +17,14 @@ the scale kappa = sqrt(2*mu*delta), delta = m_N + mu - m.  So one rule serves
 them: it maps k = kappa*sinh(u) (the sinh transformation of Johnston &
 Elliott, IJNME 62 (2005) 564) and lays uniform Gauss-Legendre panels on u in
 [0, asinh(k_max/kappa)], and the panel count no longer grows as delta -> 0.
-kappa is capped at mu, the scale of omega's branch points k = +-i mu, which
-rules far from the threshold must still resolve, floored at 2^-250 mu, which
-keeps 1/(delta + q) finite for I1 at subnormal delta, and rounded down to a
-power of two; at delta = 0, allowed for I1 alone, it is 1e-9 mu.  I2 and the
-norm are refused below delta = 2^-511 mu or so, where their 1/delta^2 leaves
-the float range.  Every rule and pass runs in units of mu (``ModelParams._in_units_of_mu``),
-an exact power-of-two scale s; :func:`spectral_moments` alone maps I_n back, by s^(n - 2).
+kappa is capped at mu, the scale of omega's branch points k = +-i mu, which rules far
+from the threshold must still resolve, floored at 2^-256 mu, below the peak's 2^-255
+mu at the float-range bound, so that every rule stays anchored at the peak and
+1/(delta + q) finite for I1 at subnormal delta, and rounded down to a power of two;
+at delta = 0, allowed for I1 alone, it is 1e-9 mu.  I2 and the norm are refused below
+delta = 2^-511 mu or so, where their 1/delta^2 leaves the float range.  Every rule
+and pass runs in units of mu (``ModelParams._in_units_of_mu``), an exact power-of-two
+scale s; :func:`spectral_moments` alone maps I_n back, by s^(n - 2).
 
 I1 and I2 are moments of one spectral density, summed together by
 :func:`spectral_moments` on 24-node panels.  Only the energy denominator
@@ -32,21 +33,20 @@ function of (model in units of mu, kappa, levels), :func:`_moment_rules`, which
 keeps its last RULES_KEPT entries: the masses of one solve or sweep fall in a
 few kappa octaves and reuse them.
 
-Every integral refines on one ladder, doubling the panel count until two
-successive estimates agree to tolerance; if it reaches the cap of 2**14 panels
-first, NoConvergence is raised.  Its first rung is the opening pair, the 4- and
-8-panel levels laid out as one grid by :func:`_sinh_panels` (the one place sinh
-panels are laid out) and evaluated on one call.  Every integral settles there
-or so; one that does not doubles on from 16 panels, a level at a time.  One
-driver, :func:`_ladder`, checks the pair and climbs on for both the moments and
-the norm, each handing it its own estimates.  A moment pass evaluates its pair in one sweep of its 288 nodes: one
-lookup, one 1/(delta + q) and each power of it, and a dot per level and order.
-The kept arrays are read-only and exactly those each level built alone gives,
-and so is every moment.  On arrays that small a build or a level costs numpy
-calls, not arithmetic per node: each is written with as few array operations
-as its bits allow, and a grid is formed elementwise on flat columns that give
-each node its panel, its level's panel count and its Gauss node
-(:func:`_node_columns`, which keeps the last LAYOUTS_KEPT layouts).
+Every integral refines on one ladder, driven by :func:`_ladder` for the moments
+and the norm alike, doubling the panel count until two successive estimates agree
+to tolerance; if it reaches the cap of 2**10 panels first, NoConvergence is
+raised.  Its first rung is the opening pair, the 4- and 8-panel levels laid out as
+one grid by :func:`_sinh_panels` (the one place sinh panels are laid out) and
+evaluated on one call.  Every integral settles there or so; one that does not
+doubles on from 16 panels, a level at a time.  A moment pass evaluates its pair in
+one sweep of its 288 nodes: one lookup, one 1/(delta + q) and each power of it,
+and a dot per level and order.  The kept arrays are read-only and exactly those
+each level built alone gives, and so is every moment.  On arrays that small a
+build or a level costs numpy calls, not arithmetic per node: each is written with
+as few array operations as its bits allow, and a grid is formed elementwise on
+flat columns that give each node its panel, its level's panel count and its Gauss
+node (:func:`_node_columns`, which keeps the last LAYOUTS_KEPT layouts).
 
 The norm integral keeps its own integrand, the squared cloud amplitude, on
 20-node panels of the same map and ladder, built afresh and never read from
@@ -80,17 +80,17 @@ START_PANELS = 4
 # otherwise be the same discretization checked against itself.
 NODES_PER_PANEL = 24
 NORM_ORDER = 20
-PANEL_CAP = 2 ** 14
+PANEL_CAP = 2 ** 10
 # The least delta, in units of mu, at which I2 and the norm are taken: 1/delta^2 is finite
 # there and leaves the float range below it (delta^n below the least normal float for I_n).
 LEAST_DELTA = math.sqrt(sys.float_info.min)
 # Kept across calls: moment rule entries, one per (model, kappa) opening pair or later
 # (model, kappa, panels) level, a 24-point sweep building at most 7, refined passes, one
 # per (delta, model, tolerances, orders), and node layouts, one per (levels, order).  An
-# entry holds at most 6 MiB, a level at the panel cap (a pair holds 4.5 KiB), so the rules
-# can hold 192 MiB and the passes 48 MiB more.  A layout holds 32 B a node, 9 KiB for the
-# opening pair at 24 nodes, so the kept layouts hold at most 33 MiB: the levels of 2^13
-# and 2^14 panels, at 24 and at 20 nodes.  Only a rule or norm build lays a grid out: the
+# entry holds at most 384 KiB, a level at the panel cap (a pair holds 4.5 KiB), so the
+# rules can hold 12 MiB and the passes 3 MiB more.  A layout holds 32 B a node, 9 KiB for
+# the opening pair at 24 nodes, so the kept layouts hold at most 2.1 MiB: the levels of
+# 2^9 and 2^10 panels, at 24 and at 20 nodes.  Only a rule or norm build lays a grid out: the
 # three bench workloads lay out the 24-node pair alone, every lookup after the first a hit,
 # and no deeper level at all, so the memo keeps a deep level only for being the last.
 RULES_KEPT = 32
@@ -165,11 +165,11 @@ def _ladder(estimate: Callable[[int], tuple[float, ...]], spec: QuadSpec, what: 
 
 
 def _threshold_scale(params: ModelParams, delta: float) -> float:
-    """kappa = min(max(sqrt(2 mu delta), 2^-250 mu), mu) for delta > 0, where the peak at
+    """kappa = min(max(sqrt(2 mu delta), 2^-256 mu), mu) for delta > 0, where the peak at
     sqrt(2 mu delta) or omega's branch points at k = +-i mu set the integrand's scale, and
     1e-9 mu at delta = 0 (I1 alone); rounded down to a power of two."""
     mu = params.mu
-    kappa = min(max(math.sqrt(2.0 * mu * delta), 2.0 ** -250 * mu), mu) if delta else 1e-9 * mu
+    kappa = min(max(math.sqrt(2.0 * mu * delta), 2.0 ** -256 * mu), mu) if delta else 1e-9 * mu
     return math.ldexp(0.5, math.frexp(kappa)[1])
 
 
@@ -231,8 +231,8 @@ def ensure_finite_rules(params: ModelParams) -> None:
     of P >= START_PANELS panels has nodes k = kappa sinh(u) <= hi, u < U = asinh(hi/kappa), and
     weights wk <= (U/2P) hypot(hi, kappa) (Gauss weights are below 1), so U/(2 START_PANELS)
     hi^2 hypot(hi, kappa) bounds wk k^2, the largest product of any rule, and must be finite.
-    The kappa of delta > 0, down to 2^-250, lengthens U by less than 153, which at most
-    doubles U where the bound nears the float range (U > 153 there), and the Gauss weights,
+    The kappa of delta > 0, down to 2^-256, lengthens U by less than 157, which at most
+    doubles U where the bound nears the float range (U ~ 258 there), and the Gauss weights,
     below 0.16 at 20 and 24 nodes, cover that."""
     try:
         unit = params._in_units_of_mu[0]
@@ -291,8 +291,7 @@ def _moment_pass(delta: float, unit: ModelParams, spec: QuadSpec, orders: tuple[
     The opening pair, the ladder's first rung, is evaluated in one sweep: one rule lookup,
     each power of 1 / (m - m_N - omega) formed once on both levels' nodes, and each level's
     moments dots on its part.  A pair that settles hands back its 8-panel level; only one
-    that does not refines on from 16 panels (:func:`_ladder`), each level built and
-    evaluated alone.
+    that does not refines on from 16 panels, each level built and evaluated alone.
     """
     _ensure_in_float_range(unit, delta, orders, "moment I{n}")
     kappa = _threshold_scale(unit, delta)

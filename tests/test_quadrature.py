@@ -459,7 +459,7 @@ def test_kept_rules_are_read_only():
                 column[0] = 0.0
 
 
-def test_a_kept_entry_holds_at_most_6_mib():
+def test_a_kept_entry_holds_at_most_384_kib():
     # RULES_KEPT entries, each the opening pair or one level up to the panel cap
     forget_kept_state()
     params = exponential_model()
@@ -468,10 +468,10 @@ def test_a_kept_entry_holds_at_most_6_mib():
         owners = [arr if arr.base is None else arr.base
                   for arr in (nodes, *(arr for level in rules for arr in level))]
         buffers = {id(owner): owner.nbytes for owner in owners}
-        assert len(buffers) == 2 and sum(buffers.values()) <= 6 * 2 ** 20
+        assert len(buffers) == 2 and sum(buffers.values()) <= 384 * 2 ** 10
 
 
-def test_kept_layouts_hold_at_most_33_mib():
+def test_kept_layouts_hold_at_most_2_1_mib():
     # every run of levels a ladder to the panel cap lays out, at both orders: the kept
     # layouts, 32 B a node, are then the largest LAYOUTS_KEPT, the two top levels at both
     forget_kept_state()
@@ -488,7 +488,7 @@ def test_kept_layouts_hold_at_most_33_mib():
     assert _node_columns.cache_info().currsize == LAYOUTS_KEPT == len(kept) // 4
     assert all(column.base is None for column in kept)  # each owns its buffer
     assert sum(column.nbytes for column in kept) == 32 * (PANEL_CAP + PANEL_CAP // 2) * (
-        NODES_PER_PANEL + NORM_ORDER) <= 33 * 2 ** 20
+        NODES_PER_PANEL + NORM_ORDER) <= 2.1 * 2 ** 20
     forget_kept_state()
 
 
@@ -669,6 +669,46 @@ def test_moments_past_the_float_range_are_refused(kind):
     for delta in (LEAST_DELTA * MU, below, math.ulp(0.0)):
         assert math.isfinite(mass_shift_integral(-delta, params, SPEC))
     assert all(map(math.isfinite, spectral_moments(-LEAST_DELTA * MU, params, SPEC)))
+
+
+@pytest.mark.parametrize("kind", ("sharp", "exponential", "dipole"))
+def test_the_float_range_bound_settles_by_128_panels(monkeypatch, kind):
+    # at delta = LEAST_DELTA the rule stays anchored at sqrt(2 mu delta), so I1, I2 and
+    # the norm settle early; a kappa floor above it took 2,048 and 4,096 panels there
+    forget_kept_state()  # cold: a pass kept from a deeper ladder would skip the cap
+    monkeypatch.setattr(leemodel.quadrature, "PANEL_CAP", 128)
+    for lam in (1.5, 10.0, 1e5):
+        params = ModelParams(m_n=-MU, mu=MU, form_factor=FormFactor(kind, lam * MU))
+        values = spectral_moments(-LEAST_DELTA * MU, params, SPEC, (1, 2))
+        cloud = norm_integral(params, 1.0, -LEAST_DELTA * MU, SPEC)
+        assert all(map(math.isfinite, (*values, cloud))), (lam, values, cloud)
+
+
+def _strip_half_width(params: ModelParams, delta: float) -> float:
+    # the map k = kappa sinh(u) of the rule at delta sends a singularity at k = iy to
+    # Im u = asin(y / kappa), or pi/2 for y >= kappa; the integrand is analytic on the strip
+    # |Im u| < d, d the least of these over the pole of 1/(delta + q) at
+    # y = sqrt(2 mu delta - delta^2) (for delta <= mu), omega's branch points at y = mu and
+    # the dipole's poles at y = Lambda
+    mu, ff, kappa = params.mu, params.form_factor, _threshold_scale(params, delta)
+    ys = [mu]
+    if delta <= mu:
+        ys.append(math.sqrt(delta * (2.0 * mu - delta)))
+    if ff.kind == "dipole":
+        ys.append(ff.lam)
+    return min(math.asin(y / kappa) if y < kappa else 0.5 * math.pi for y in ys)
+
+
+def test_the_rule_keeps_a_strip_of_half_width_one():
+    # over the whole window of delta each rule's strip of analyticity stays at least 1
+    # wide, so no kappa, the float-range floor included, anchors the map off the peak
+    deltas = [2.0 ** (e / 8.0) for e in range(-511 * 8, 14 * 8 + 1)] + [0.5]
+    for mu in (1.0, 1.3, 1.9999):
+        for ff in (FormFactor.sharp(10.0 * mu), FormFactor.dipole(1.5 * mu),
+                   FormFactor.dipole(1e5 * mu)):
+            params = ModelParams(m_n=-mu, mu=mu, form_factor=ff)
+            least = min((_strip_half_width(params, d * mu), d) for d in deltas)
+            assert least[0] >= 1.0, (mu, ff, least)
 
 
 def _record_rule_levels(monkeypatch) -> list[list[int]]:
