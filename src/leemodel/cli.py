@@ -28,9 +28,9 @@ point and the fixed column set::
     sweep_value, m_V, m_V0, delta_m, g0_sq, g_sq, x,
     z_standard, z_regularized, regime, error
 
-Numbers are rendered with 17 significant digits, so parsing the file back
-reproduces every float exactly; identical configs produce byte-identical
-files.  Per-point failures in a sweep land in the "error" column and the run
+Numbers are rendered with 17 significant digits in CSV and in Python's shortest
+round-trip form in JSON, so parsing the file back reproduces every float exactly;
+identical configs produce byte-identical files.  Per-point failures in a sweep land in the "error" column and the run
 continues.  Exit codes: 0 success, 1 a numerical failure raised as a typed
 LeeModelError (NoConvergence, say, or an overflowing mass residual), 2 bad
 configuration, 3 no bound state (bare mode), 4 output I/O failure.  A

@@ -93,7 +93,7 @@ def test_c4_oracle_equivalence():
 def test_c5_mutual_eigensolver_agreement():
     started = time.perf_counter()
     ok, detail = eigensolver_check()
-    _verdict(5, "secular bisection vs dense LAPACK", ok, time.perf_counter() - started, 30.0,
+    _verdict(5, "secular one-pole roots vs dense LAPACK", ok, time.perf_counter() - started, 30.0,
              detail)
 
 
