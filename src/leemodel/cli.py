@@ -30,13 +30,13 @@ point and the fixed column set::
 
 Numbers are rendered with 17 significant digits in CSV and in Python's shortest
 round-trip form in JSON, so parsing the file back reproduces every float exactly;
-identical configs produce byte-identical files.  Per-point failures in a sweep land in the "error" column and the run
-continues.  Exit codes: 0 success, 1 a numerical failure raised as a typed
-LeeModelError (NoConvergence, say, or an overflowing mass residual), 2 bad
-configuration, 3 no bound state (bare mode), 4 output I/O failure.  A
-ghost-regime result is a result, not an error.  Config values are checked by
-the library's own rules, and an error names the field with their message;
-sizes are bounded by MAX_SWEEP_STEPS sweep values and MAX_ORACLE_N oracle nodes.
+identical configs produce byte-identical files.  Per-point failures in a sweep land
+in the "error" column and the run continues.  Exit codes: 0 success, 1 a numerical
+failure raised as a typed LeeModelError (NoConvergence, say, or an overflowing mass
+residual), 2 bad configuration, 3 no bound state (bare mode), 4 output I/O failure.
+A ghost-regime result is a result, not an error.  Config values are checked by the
+library's own rules, and an error names the field with their message; sizes are
+bounded by MAX_SWEEP_STEPS sweep values and MAX_ORACLE_N oracle nodes.
 """
 
 from __future__ import annotations

@@ -90,9 +90,9 @@ LEAST_DELTA = math.sqrt(sys.float_info.min)
 # entry holds at most 384 KiB, a level at the panel cap (a pair holds 4.5 KiB), so the
 # rules can hold 12 MiB and the passes 3 MiB more.  A layout holds 32 B a node, 9 KiB for
 # the opening pair at 24 nodes, so the kept layouts hold at most 2.1 MiB: the levels of
-# 2^9 and 2^10 panels, at 24 and at 20 nodes.  Only a rule or norm build lays a grid out: the
-# three bench workloads lay out the 24-node pair alone, every lookup after the first a hit,
-# and no deeper level at all, so the memo keeps a deep level only for being the last.
+# 2^9 and 2^10 panels, at 24 and at 20 nodes.  Only a rule or norm build lays a grid out:
+# the three bench workloads lay out the 24-node pair alone, every lookup after the first a
+# hit, and no deeper level at all, so the memo keeps a deep level only for being the last.
 RULES_KEPT = 32
 PASSES_KEPT = 8
 LAYOUTS_KEPT = 4
@@ -304,10 +304,11 @@ def _moment_pass(delta: float, unit: ModelParams, spec: QuadSpec, orders: tuple[
         p = inv if n == 1 else sq if n == 2 else inv ** n
         coarse.append(FOUR_PI * float(rho4.dot(p[:cut])))
         values.append(FOUR_PI * float(eight[1].dot(p[cut:])))
+    ff = unit.form_factor
     values, panels = _ladder(
         lambda n: _moments_on(_moment_rules(unit, kappa, (n,))[1][0], delta, orders), spec,
-        lambda: f"moment(s) {orders} of the {unit.form_factor.kind} form factor (Lambda = "
-                f"{unit.form_factor.lam / unit.mu!r}) at m = {(unit.threshold - delta) / unit.mu!r}, "
+        lambda: f"moment(s) {orders} of the {ff.kind} form factor (Lambda = "
+                f"{ff.lam / unit.mu!r}) at m = {(unit.threshold - delta) / unit.mu!r}, "
                 f"delta = {delta / unit.mu!r}, all in units of mu", coarse, tuple(values))
     return values, (eight if panels == 2 * START_PANELS
                     else _moment_rules(unit, kappa, (panels,))[1][0])

@@ -45,9 +45,9 @@ from leemodel.quadrature import (
     PANEL_CAP,
     RULES_KEPT,
     START_PANELS,
+    _ladder,
     _moment_pass,
     _moment_rules,
-    _ladder,
     _node_columns,
     _settled,
     _sinh_panels,
