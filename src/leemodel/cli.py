@@ -30,13 +30,15 @@ point and the fixed column set::
 
 Numbers are rendered with 17 significant digits in CSV and in Python's shortest
 round-trip form in JSON, so parsing the file back reproduces every float exactly;
-identical configs produce byte-identical files.  Per-point failures in a sweep land
-in the "error" column and the run continues.  Exit codes: 0 success, 1 a numerical
-failure raised as a typed LeeModelError (NoConvergence, say, or an overflowing mass
-residual), 2 bad configuration, 3 no bound state (bare mode), 4 output I/O failure.
-A ghost-regime result is a result, not an error.  Config values are checked by the
-library's own rules, and an error names the field with their message; sizes are
-bounded by MAX_SWEEP_STEPS sweep values and MAX_ORACLE_N oracle nodes.
+identical configs produce byte-identical files, the bytes of ``csv.writer`` and of
+``json.dumps(rows, indent=2)``, which :func:`emit` builds faster (see there).
+Per-point failures in a sweep land in the "error" column and the run continues.
+Exit codes: 0 success, 1 a numerical failure raised as a typed LeeModelError
+(NoConvergence, say, or an overflowing mass residual), 2 bad configuration, 3 no
+bound state (bare mode), 4 output I/O failure.  A ghost-regime result is a result,
+not an error.  Config values are checked by the library's own rules, and an error
+names the field with their message; sizes are bounded by MAX_SWEEP_STEPS sweep
+values and MAX_ORACLE_N oracle nodes.
 """
 
 from __future__ import annotations
@@ -251,10 +253,8 @@ def run_sweep(config: RunConfig) -> list[dict]:
 
     The swept parameter ("g0" or "g") is the name of the coupling's field."""
     sweep = config.sweep
-    values = np.linspace(sweep.start, sweep.stop, sweep.steps)
     rows = []
-    for value in values:
-        value = float(value)
+    for value in np.linspace(sweep.start, sweep.stop, sweep.steps).tolist():
         try:
             coupling = dataclasses.replace(config.coupling, **{sweep.parameter: value})
             report = full_report(config.params, coupling, config.quad)
@@ -272,17 +272,37 @@ def _cell(value) -> str:
     return f"{value:.17g}"
 
 
+# json's C encoder puts one cell on each line: no encoded cell holds a raw newline
+_CELL_ENCODER = json.JSONEncoder(separators=("\n", ":"))
+# one object of json.dumps(rows, indent=2), its keys encoded once, a %s per cell
+_JSON_ROW = "  {\n" + ",\n".join(f"    {json.dumps(col)}: %s" for col in COLUMNS) + "\n  }"
+
+
 def emit(table: list[dict], out_format: str, path: str) -> None:
-    """Write the row table as CSV or JSON with full float fidelity."""
+    """Write the row table as CSV or JSON with full float fidelity.
+
+    The bytes are those of ``csv.writer(fh, lineterminator="\\n")`` over :func:`_cell`
+    and of ``json.dumps(rows, indent=2) + "\\n"``, keys in COLUMNS order.  A CSV row
+    without error text needs no quoting and is joined directly; csv.writer writes the
+    rest, quoting as the running Python does (3.13 quotes a bare carriage return,
+    3.10 to 3.12 do not).  The JSON cells take one call of json's C encoder.
+    """
     if out_format == "csv":
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(COLUMNS)
             for row in table:
-                writer.writerow([_cell(row[col]) for col in COLUMNS])
+                cells = [_cell(row[col]) for col in COLUMNS]
+                if row["error"]:
+                    writer.writerow(cells)
+                else:
+                    fh.write(",".join(cells) + "\n")
     elif out_format == "json":
-        ordered = [{col: row[col] for col in COLUMNS} for row in table]
-        text = json.dumps(ordered, indent=2) + "\n"
+        text = "[]\n"
+        if table:
+            cells = _CELL_ENCODER.encode([row[col] for row in table for col in COLUMNS])
+            text = ("[\n" + ",\n".join([_JSON_ROW] * len(table)) + "\n]\n") % tuple(
+                cells[1:-1].split("\n"))
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     else:

@@ -7,25 +7,40 @@ Two trees that print the same hash returned the same bits on every call of the s
 change meant to keep every result can be checked by running it on both.  The sample covers
 all three form-factor families at mu != 1 (and sharp Lambda <= mu, an empty range), the
 moment orders (1,), (2,), (1, 2) and (0, 1, 2), the norm integral, and bare and renormalized
-full reports; a call that raises contributes its error's type name and message.  Every value
-is hashed by its repr, which round-trips a float exactly.  The hash is for reading: it is
-not a gate, and a change that moves bits on purpose moves it.
+full reports; a call that raises contributes its error's type name and message.  It ends with
+the bytes that ``leemodel.cli.emit`` writes for three fixed sweeps in CSV and in JSON: a bare
+sharp g0 sweep, a renormalized dipole g sweep across x = 1 and a bare g0 sweep whose first
+point has no bound state (one error row, whose text holds a comma).  Every value is hashed by
+its repr, which round-trips a float exactly.  The hash is for reading: it is not a gate, and
+a change that moves bits on purpose moves it.
 """
 
 import hashlib
+import json
 import random
 import sys
+import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from leemodel import (BareCoupling, FormFactor, LeeModelError, ModelParams,  # noqa: E402
                       QuadSpec, RenCoupling, full_report, norm_integral, spectral_moments)
+from leemodel.cli import emit, parse_config, run_sweep  # noqa: E402
 
 SEED = 20250
 DRAWS = 300
 ORDERS = ((1,), (2,), (1, 2), (0, 1, 2))
 SPECS = (QuadSpec(), QuadSpec(1e-13, 1e-12))
+SWEEPS = (
+    {"input": {"mode": "bare", "m_V0": 1.8},
+     "sweep": {"parameter": "g0", "start": 0.0, "stop": 2.0, "steps": 9}},
+    {"model": {"m_N": 0.7, "mu": 1.3, "form_factor": {"kind": "dipole", "lambda": 4.0}},
+     "input": {"mode": "renormalized", "m_V": 1.5},
+     "sweep": {"parameter": "g", "start": 0.0, "stop": 9.0, "steps": 8}},
+    {"input": {"mode": "bare", "m_V0": 2.05},
+     "sweep": {"parameter": "g0", "start": 0.0, "stop": 3.0, "steps": 7}},
+)
 
 
 def outcome(call):
@@ -65,6 +80,13 @@ def sample():
     yield "norm at threshold", outcome(lambda: norm_integral(params, 1.0, 0.0, SPECS[0]))
     yield "kappa floor", outcome(lambda: spectral_moments(-1e-30, params, SPECS[0], (2,)))
     yield "norm at the kappa floor", outcome(lambda: norm_integral(params, 1.0, -1e-30, SPECS[0]))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table"
+        for doc in SWEEPS:
+            table = run_sweep(parse_config(json.dumps(doc)))
+            for out_format in ("csv", "json"):
+                emit(table, out_format, str(path))
+                yield f"{out_format} table", path.read_bytes()
 
 
 def main() -> None:

@@ -1,18 +1,24 @@
+import csv
+import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import leemodel
-from leemodel import BareCoupling, ConfigError, QuadSpec, full_report
+from leemodel import BareCoupling, ConfigError, QuadSpec, RenCoupling, full_report
 from leemodel.cli import (
     COLUMNS,
     MAX_ORACLE_N,
     MAX_SWEEP_STEPS,
     OracleSpec,
+    _cell,
+    _report_row,
     emit,
     load_config,
     main,
@@ -171,6 +177,30 @@ def test_run_sweep_bare_records_errors_and_continues():
     assert all(row["m_V"] is not None for row in rows[2:])
 
 
+@pytest.mark.parametrize("doc", [
+    {"input": {"mode": "bare", "m_V0": 1.8},
+     "sweep": {"parameter": "g0", "start": 0.0, "stop": 2.0, "steps": 7}},
+    {"model": {"form_factor": {"kind": "dipole", "lambda": 4.0}, "mu": 1.3},
+     "input": {"mode": "renormalized", "m_V": 1.5},
+     "sweep": {"parameter": "g", "start": 0.0, "stop": 9.0, "steps": 8}},
+], ids=["bare-g0", "renormalized-g"])
+def test_each_sweep_row_is_its_single_point_report(doc):
+    # a sweep row is the single-point answer at its value, however the sweep builds
+    # the coupling; the g sweep crosses x = 1
+    cfg = parse_config(json.dumps(doc))
+    rows = run_sweep(cfg)
+    make = BareCoupling if doc["input"]["mode"] == "bare" else RenCoupling
+    mass = doc["input"].get("m_V0", doc["input"].get("m_V"))
+    values = [float(v) for v in np.linspace(cfg.sweep.start, cfg.sweep.stop, cfg.sweep.steps)]
+    assert len(rows) == len(values)
+    for row, value in zip(rows, values):
+        expected = _report_row(full_report(cfg.params, make(mass, value), cfg.quad), value)
+        assert row == expected
+        assert type(row["sweep_value"]) is float
+    if make is RenCoupling:
+        assert {row["regime"] for row in rows} >= {"Normal", "Ghost"}
+
+
 # --- emission ---------------------------------------------------------------------
 
 def test_emit_refuses_an_unknown_format(tmp_path):
@@ -187,8 +217,6 @@ def test_emit_empty_table_header_only(tmp_path):
 def test_emit_free_theory_row_both_formats(tmp_path):
     cfg = parse_config(MINIMAL)
     report = full_report(cfg.params, cfg.coupling, cfg.quad)
-    from leemodel.cli import _report_row
-
     row = _report_row(report)
     csv_path = tmp_path / "row.csv"
     emit([row], "csv", str(csv_path))
@@ -271,6 +299,80 @@ def test_emit_json_golden_bytes(tmp_path):
         '    "error": "NoConvergence: \\"I2\\" at \\u03b4 = 1e-13"\n'
         '  }\n'
         ']\n')
+
+
+def _reference_csv(table: list[dict]) -> str:
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(COLUMNS)
+    for row in table:
+        writer.writerow([_cell(row[col]) for col in COLUMNS])
+    return out.getvalue()
+
+
+def _reference_json(table: list[dict]) -> str:
+    ordered = [{col: row[col] for col in COLUMNS} for row in table]
+    return json.dumps(ordered, indent=2) + "\n"
+
+
+def test_emit_csv_golden_bytes(tmp_path):
+    numeric = {"sweep_value": 0.5, "m_V": 1.75, "m_V0": 1.8, "delta_m": -0.05,
+               "g0_sq": 0.4, "g_sq": 0.1 + 0.2, "x": 0.25, "z_standard": 0.75,
+               "z_regularized": 0.75, "regime": "Normal", "error": ""}
+    ghost = dict(numeric, sweep_value=2.0, m_V0=None, delta_m=None, g0_sq=None, x=2.25,
+                 z_standard=-1.25, z_regularized=0.0, regime="Ghost")
+    error = dict.fromkeys(reversed(COLUMNS))
+    error.update(sweep_value=1.0, regime="", error='NoConvergence: "I2", δ = 1e-13\nat 16 panels')
+    path = tmp_path / "golden.csv"
+    emit([numeric, ghost, error], "csv", str(path))
+    assert path.read_bytes().decode("utf-8") == (
+        "sweep_value,m_V,m_V0,delta_m,g0_sq,g_sq,x,z_standard,z_regularized,regime,error\n"
+        "0.5,1.75,1.8,-0.050000000000000003,0.40000000000000002,"
+        "0.30000000000000004,0.25,0.75,0.75,Normal,\n"
+        "2,1.75,,,,0.30000000000000004,2.25,-1.25,0,Ghost,\n"
+        '1,,,,,,,,,,"NoConvergence: ""I2"", δ = 1e-13\nat 16 panels"\n')
+    # csv's quoting of a bare carriage return differs between Python versions (3.13
+    # quotes it, 3.10 to 3.12 do not), so that row is held to this Python's csv.writer
+    carriage = dict(error, error="ValueError: a\rb")
+    emit([carriage], "csv", str(path))
+    assert path.read_bytes().decode("utf-8") == _reference_csv([carriage])
+
+
+def test_emit_matches_the_library_writers_on_random_tables(tmp_path):
+    # emit's bytes are those of json.dumps(indent=2) and csv.writer, the writers kept
+    # here as the reference, on float extremes, None and hostile error text
+    rng = random.Random(3301)
+    specials = [None, 0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e308,
+                -1e308, 0.1 + 0.2, 1.0, 2.0 ** 53, 1e-7, 1e16]
+    pieces = [",", '"', "\n", "\r", "\r\n", "\\", "\t", "\x00", "\x1f", "\x7f", "δ", "é",
+              " ", "\U0001d49c", "😀", " ", "'", "NoConvergence: ", "I2", "1e-13", ":"]
+
+    def number():
+        pick = rng.random()
+        if pick < 0.3:
+            return rng.choice(specials)
+        if pick < 0.6:
+            return rng.uniform(-10.0, 10.0)
+        return math.copysign(10.0 ** rng.uniform(-320.0, 308.0), rng.random() - 0.5)
+
+    def row():
+        cells = {col: number() for col in COLUMNS[:-2]}
+        if rng.random() < 0.3:
+            text = "".join(rng.choice(pieces) for _ in range(rng.randrange(1, 12)))
+            cells.update(regime="", error=text)
+        else:
+            cells.update(regime=rng.choice(("Normal", "Critical", "Ghost")), error="")
+        keys = list(cells)
+        rng.shuffle(keys)
+        return {key: cells[key] for key in keys}
+
+    tables = [[]] + [[row() for _ in range(rng.randrange(1, 30))] for _ in range(300)]
+    path = tmp_path / "table.out"
+    for table in tables:
+        emit(table, "json", str(path))
+        assert path.read_bytes().decode("utf-8") == _reference_json(table)
+        emit(table, "csv", str(path))
+        assert path.read_bytes().decode("utf-8") == _reference_csv(table)
 
 
 # --- the executable -----------------------------------------------------------------
