@@ -102,8 +102,8 @@ def _newton(params: ModelParams, bare: BareCoupling,
     to delta so that delta, Z and x keep their accuracy near the threshold, or by at most 4
     ulp(m) + 8 eps (|delta0 - delta| + |c I1|) / (1 + s), the rounding floor of F; where c >
     1, F can be 1/Z times that step, so the root is the settled step taken, and s is taken
-    from a pass at it.  None means no bound state.  An F or s that overflows, or a root past
-    the caller's float range, raises StabilityViolation.
+    from a pass at it.  None means no bound state.  An F that overflows, or at the root reported
+    an s that overflows or a mass past the caller's float range, raises StabilityViolation.
     """
     if bare.g0 == 0.0:
         return (bare.m_v0, 0.0) if bare.m_v0 < params.threshold else None
@@ -142,12 +142,14 @@ def _newton(params: ModelParams, bare: BareCoupling,
         else:
             i1, i2 = _moments_on(held, delta, (1, 2))
         f, s, m = d0 - delta - c * i1, c * i2, thr - delta
-        if not (math.isfinite(f) and math.isfinite(s)):
+        if not math.isfinite(f):
             raise _overflow(params, bare, m / scale, f"F = {f / scale!r}, c I2 = {s!r}")
         # the root of r h^2 + (1 - d r) h - f, d = delta0 - delta, for the pole fitted at
-        # delta: d r = (d / delta) (delta I2 / |I1|), the second factor in (0, 1), and r a = s
+        # delta: d r = (d / delta) (delta I2 / |I1|), the second factor in (0, 1), and r a = s,
+        # whose root is sqrt(c) sqrt(I2) where s overflows (only the reported root's must not)
         e = 0.5 + 0.5 * (d0 - delta) / delta * (delta * i2 / -i1 if i1 < 0.0 else 0.0)
-        step = f / (1.0 - e + math.hypot(e, math.sqrt(s)))
+        step = f / (1.0 - e + math.hypot(
+            e, math.sqrt(s) if s < math.inf else math.sqrt(c) * math.sqrt(i2)))
         # relative to delta, down to the rounding floor below which F cannot
         # resolve a step (formed only when the relative test fails)
         if (abs(step) <= ROOT_TOL * min(delta, max(1.0, abs(m)))
@@ -157,8 +159,9 @@ def _newton(params: ModelParams, bare: BareCoupling,
                 if c > 1.0 and m - step < thr:  # s from a pass at the mass reported
                     m -= step
                     s = c * _moment_pass(thr - m, unit, spec, (1, 2))[0][1]
-                if math.isinf(m / scale):
-                    raise _overflow(params, bare, m / scale, f"root m = {m!r} in units of mu")
+                if not (s < math.inf and math.isfinite(m / scale)):
+                    raise _overflow(params, bare, m / scale,
+                                    f"root m = {m!r} in units of mu, c I2 = {s!r}")
                 return m / scale, s
             level = None
             continue

@@ -191,11 +191,11 @@ def test_solve_strong_coupling_from_above_threshold(m_n, mu, kind, lam, m_v0, g0
 
 
 @pytest.mark.parametrize("make", ALL_MODELS)
-@pytest.mark.parametrize("m_v0", (1.8, 2.2))
+@pytest.mark.parametrize("m_v0", (1.8, 1.999, 2.2))
 @pytest.mark.parametrize("g0", (1e8, 1e20, 1e50, 1e100, 1e150, 1.3e154))
 def test_strong_coupling_solves_in_a_few_steps(monkeypatch, make, m_v0, g0):
     # the root lies about g0 below the threshold, many octaves of delta from
-    # either start; tangent steps about doubled delta each, so g0 = 1e20 took
+    # any start; tangent steps about doubled delta each, so g0 = 1e20 took
     # about 70 and g0 >= 1e30 hit NEWTON_CAP, where the one-pole step lands
     # within a few single-level evaluations.  The solve runs in units of mu, so
     # at mu = 2^-1000 and 2^400 the report is the mu = 1 one with its masses
@@ -203,7 +203,9 @@ def test_strong_coupling_solves_in_a_few_steps(monkeypatch, make, m_v0, g0):
     # from g0 = 1e40 and the second overflowed the residual from g0 = 1e100.
     # The residual is checked at the spec the solve used, and on a relative-only
     # spec within 1e-9 (at SPEC's abs_tol, which c multiplies, it was 3.4e-6), and
-    # for the sharp family within 1e-9 on the closed form too
+    # for the sharp family within 1e-9 on the closed form too.  At m_V0 = 1.999 and
+    # g0 = 1.3e154, c I2 overflows at the start, and the solve was refused there
+    # though m_V0 = 2 solves: c I2 must be finite only at the root it reports
     levels = []
     moments_on = leemodel.renorm._moments_on
     monkeypatch.setattr(leemodel.renorm, "_moments_on",
