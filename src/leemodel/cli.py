@@ -35,10 +35,10 @@ identical configs produce byte-identical files, the bytes of ``csv.writer`` and 
 Per-point failures in a sweep land in the "error" column and the run continues.
 Exit codes: 0 success, 1 a numerical failure raised as a typed LeeModelError
 (NoConvergence, say, or an overflowing mass residual), 2 bad configuration, 3 no
-bound state (bare mode), 4 output I/O failure.  A ghost-regime result is a result,
-not an error.  Config values are checked by the library's own rules, and an error
-names the field with their message; sizes are bounded by MAX_SWEEP_STEPS sweep
-values and MAX_ORACLE_N oracle nodes.
+bound state (bare mode), 4 I/O failure (an unreadable config or an unwritable
+output).  A ghost-regime result is a result, not an error.  Config values are checked
+by the library's own rules, and an error names the field with their message; sizes
+are bounded by MAX_SWEEP_STEPS sweep values and MAX_ORACLE_N oracle nodes.
 """
 
 from __future__ import annotations

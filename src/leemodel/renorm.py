@@ -85,16 +85,14 @@ def _newton(params: ModelParams, bare: BareCoupling,
     On a level |I1| = sum rho / (delta + q), so 1/|I1| is concave in delta; a step goes to
     the root of the model that puts c |I1| in one pole fitted to I1 and I2 at delta (Bunch,
     Nielsen & Sorensen, Numer. Math. 31 (1978) 31), which never overestimates it.  So steps
-    from below the root's delta rise monotonically onto it, however many octaves away; below
-    the threshold they start at delta0, where F >= 0.  At or above it a bound state exists
-    iff F(threshold) > 0; the start delta = F(threshold) lies past the root, and a step to
-    delta <= 0 takes instead the least of the chord to (0, F(threshold)), the midpoint and
-    the root of the bound c |I1| <= c |I1(delta)| delta / delta', all factors of delta, so
-    delta at least halves.  A delta0 below LEAST_DELTA, the least delta a pass takes I2 at,
-    starts there where F >= 0, and raises StabilityViolation where the root lies below it.
-    A refined pass runs at the delta of the mass a stop there reports (m = thr - delta, then
-    delta = thr - m); a root that rounds onto the threshold is that delta at 0, and raises
-    StabilityViolation.  The solve maps its root back once
+    from below the root's delta rise monotonically onto it, however many octaves away.  Every
+    solve starts below its root: at delta0, or where that lies closer to the threshold or
+    past it, at the least delta that both a pass (LEAST_DELTA, below which 1/delta^2 leaves
+    the float range) and a mass below the threshold (the last float below it) resolve.  F >=
+    0 at delta0; where F < 0 at the other start, the root lies closer to the threshold, if
+    anywhere: F(threshold) <= 0 means no bound state, and otherwise StabilityViolation names
+    the bound that hides it.  A refined pass runs at the delta of the mass a stop there
+    reports (m = thr - delta, then delta = thr - m).  The solve maps its root back once
     (ModelParams._bare_in_units_of_mu); its passes (kept, :func:`_moment_pass`) refine I1 and
     I2 to abs_tol / max(1, c), since F and s take c times their error.  Steps after a refined
     pass run on its level; one that settles there is refined again at the same delta.  A
@@ -102,42 +100,39 @@ def _newton(params: ModelParams, bare: BareCoupling,
     to delta so that delta, Z and x keep their accuracy near the threshold, or by at most 4
     ulp(m) + 8 eps (|delta0 - delta| + |c I1|) / (1 + s), the rounding floor of F; where c >
     1, F can be 1/Z times that step, so the root is the settled step taken, and s is taken
-    from a pass at it.  None means no bound state.  An F that overflows, or at the root reported
-    an s that overflows or a mass past the caller's float range, raises StabilityViolation.
+    from a pass at it.  None means no bound state.  An F that overflows, or at the root
+    reported an s that overflows or a mass past the caller's float range, raises
+    StabilityViolation.
     """
     if bare.g0 == 0.0:
         return (bare.m_v0, 0.0) if bare.m_v0 < params.threshold else None
     unit, unit_bare, scale = params._bare_in_units_of_mu(bare)
     thr, ff = unit.threshold, params.form_factor
-    delta = d0 = thr - unit_bare.m_v0
+    d0 = thr - unit_bare.m_v0
     c = bare.g0 * bare.g0 / TWO_PI_CUBED
     if c > 1.0:
         spec = QuadSpec(max(spec.abs_tol / c, math.ulp(0.0)), spec.rel_tol)
-    f_thr = None
-    if d0 <= 0.0:
+    # delta0, or the least delta that a pass and a mass below the threshold resolve; F < 0
+    # only at the latter, where the root, if any, lies closer to the threshold
+    delta = max(d0, LEAST_DELTA, thr - math.nextafter(thr, -math.inf))
+    if delta > d0 and d0 - delta - c * _moment_pass(delta, unit, spec, (1, 2))[0][0] < 0.0:
         f_thr = d0 - c * _moment_pass(0.0, unit, spec, (1,))[0][0]
         if not math.isfinite(f_thr):
             raise _overflow(params, bare, params.threshold, f"F = {f_thr!r}")
         if f_thr <= 0.0:
             return None
-        delta = f_thr
-    elif d0 < LEAST_DELTA:  # a pass takes I2 no closer: start there if the root lies above
-        delta = LEAST_DELTA
-        if d0 - delta - c * _moment_pass(delta, unit, spec, (1, 2))[0][0] < 0.0:
-            raise StabilityViolation(
-                f"the mass root of the {ff.kind} form factor for m_V0 = {bare.m_v0!r}, g0 = "
-                f"{bare.g0!r} lies below delta = {delta / unit.mu!r} mu from the threshold "
-                f"{params.threshold!r}, where 1/delta^2 leaves the float range")
+        raise StabilityViolation(
+            f"the mass root of the {ff.kind} form factor for m_V0 = {bare.m_v0!r}, g0 = "
+            f"{bare.g0!r} lies " + (
+                f"below delta = {delta / unit.mu!r} mu from the threshold {params.threshold!r}, "
+                f"where 1/delta^2 leaves the float range" if delta == LEAST_DELTA else
+                f"within rounding of the threshold {params.threshold!r} (F(threshold) = "
+                f"{f_thr / scale!r}): no float below it resolves the root"))
     level = None
     for _ in range(NEWTON_CAP):
         held = level
         if held is None:
             delta = thr - (thr - delta)  # the delta of the mass a stop here reports
-            if delta == 0.0:  # only from above, where f_thr is set
-                raise StabilityViolation(
-                    f"the mass root of the {ff.kind} form factor for m_V0 = {bare.m_v0!r}, g0 = "
-                    f"{bare.g0!r} lies within rounding of the threshold {params.threshold!r} "
-                    f"(F(threshold) = {f_thr / scale!r}): no float below it resolves the root")
             (i1, i2), level = _moment_pass(delta, unit, spec, (1, 2))
         else:
             i1, i2 = _moments_on(held, delta, (1, 2))
@@ -146,10 +141,13 @@ def _newton(params: ModelParams, bare: BareCoupling,
             raise _overflow(params, bare, m / scale, f"F = {f / scale!r}, c I2 = {s!r}")
         # the root of r h^2 + (1 - d r) h - f, d = delta0 - delta, for the pole fitted at
         # delta: d r = (d / delta) (delta I2 / |I1|), the second factor in (0, 1), and r a = s,
-        # whose root is sqrt(c) sqrt(I2) where s overflows (only the reported root's must not)
+        # its square root taken as sqrt(c) sqrt(I2) where s overflows (only the root's may not)
         e = 0.5 + 0.5 * (d0 - delta) / delta * (delta * i2 / -i1 if i1 < 0.0 else 0.0)
-        step = f / (1.0 - e + math.hypot(
-            e, math.sqrt(s) if s < math.inf else math.sqrt(c) * math.sqrt(i2)))
+        if e > -math.inf:
+            step = f / (1.0 - e + math.hypot(
+                e, math.sqrt(s) if s < math.inf else math.sqrt(c) * math.sqrt(i2)))
+        else:  # d r past the float range, where the step is f / |d r| to rounding
+            step = f / (delta - d0) * (-i1 / i2)
         # relative to delta, down to the rounding floor below which F cannot
         # resolve a step (formed only when the relative test fails)
         if (abs(step) <= ROOT_TOL * min(delta, max(1.0, abs(m)))
@@ -165,13 +163,7 @@ def _newton(params: ModelParams, bare: BareCoupling,
                 return m / scale, s
             level = None
             continue
-        if delta + step <= 0.0:  # only from past the root, so f_thr is set; the bound's root
-            # is t delta, t = 2 v / (hypot(u, 2 sqrt(v)) - u), u = delta0 / delta <= 0
-            u, v = d0 / delta, -c * i1 / delta
-            delta *= min(1.0 + f / (f_thr - f), 0.5,
-                         2.0 * v / (math.hypot(u, 2.0 * math.sqrt(v)) - u) if v else 1.0)
-        else:
-            delta += step
+        delta += step
     raise NoConvergence(
         f"Newton solve on moments (1, 2) of the {ff.kind} form factor (Lambda = "
         f"{ff.lam!r}, m_V0 = {bare.m_v0!r}, g0 = {bare.g0!r}) stopped after {NEWTON_CAP} "
@@ -194,9 +186,12 @@ def solve_physical_mass(params: ModelParams, bare: BareCoupling,
     """Physical V mass: the root of F(m) = m - m_V0 - mass_shift(m) below threshold.
 
     F is strictly increasing, so the root is unique when it exists; one-pole steps in delta =
-    m_N + mu - m stop once a refined one moves delta by at most ROOT_TOL * min(delta, max(1,
-    |m|)) in units of mu, or by no more than rounding in F allows (see :func:`_newton`); None
-    means F(threshold) <= 0: the V state has dissolved into the continuum.
+    m_N + mu - m rise onto it from below, from delta0 or from the least delta that a pass and
+    a mass below the threshold resolve, and stop once a refined one moves delta by at most
+    ROOT_TOL * min(delta, max(1, |m|)) in units of mu, or by no more than rounding in F
+    allows (see :func:`_newton`); None means F(threshold) <= 0: the V state has dissolved
+    into the continuum.  A root closer to the threshold than that start raises
+    StabilityViolation.
     """
     solved = _newton(params, bare, spec)
     return None if solved is None else solved[0]

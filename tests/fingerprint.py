@@ -7,7 +7,8 @@ Two trees that print the same hash returned the same bits on every call of the s
 change meant to keep every result can be checked by running it on both.  The sample covers
 all three form-factor families at mu != 1 (and sharp Lambda <= mu, an empty range), the
 moment orders (1,), (2,), (1, 2) and (0, 1, 2), the norm integral, and bare and renormalized
-full reports; a call that raises contributes its error's type name and message.  It ends with
+full reports, bare ones also at and above a threshold of 0 and just below it at g0 = 1e150;
+a call that raises contributes its error's type name and message.  It ends with
 the bytes that ``leemodel.cli.emit`` writes for three fixed sweeps in CSV and in JSON: a bare
 sharp g0 sweep, a renormalized dipole g sweep across x = 1 and a bare g0 sweep whose first
 point has no bound state (one error row, whose text holds a comma).  Every value is hashed by
@@ -80,6 +81,16 @@ def sample():
     yield "norm at threshold", outcome(lambda: norm_integral(params, 1.0, 0.0, SPECS[0]))
     yield "kappa floor", outcome(lambda: spectral_moments(-1e-30, params, SPECS[0], (2,)))
     yield "norm at the kappa floor", outcome(lambda: norm_integral(params, 1.0, -1e-30, SPECS[0]))
+    # bare solves at and above a threshold of 0, which start at LEAST_DELTA (a result, the
+    # float-range refusal and no bound state), and just below it at g0 = 1e150, where
+    # c I2 overflows at delta0 but not at the root
+    for kind in ("sharp", "exponential", "dipole"):
+        params = ModelParams(-1.0, 1.0, FormFactor(kind, 10.0))
+        for m_v0, g0 in ((0.0, 1.0), (0.5, 1.0), (0.0, 1e-80), (0.5, 1e-3), (-1e-30, 1e150),
+                         (-1e-100, 1e150)):
+            bare = BareCoupling(m_v0, g0)
+            yield "bare at a threshold of 0", (bare, outcome(
+                lambda: full_report(params, bare, SPECS[0])))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "table"
         for doc in SWEEPS:

@@ -699,9 +699,25 @@ def _strip_half_width(params: ModelParams, delta: float) -> float:
     return min(math.asin(y / kappa) if y < kappa else 0.5 * math.pi for y in ys)
 
 
+def _predicted_level(params: ModelParams, delta: float) -> int:
+    # the least ladder level P at which a Gauss-Legendre panel of width h = U / P, U =
+    # asinh(k_max / kappa), errs by rho^(-2 n) <= SPEC.rel_tol, n = NODES_PER_PANEL and
+    # rho = b + sqrt(b^2 + 1), b = 2 d / h, on the rule's strip of half-width d
+    # (Trefethen, SIAM Rev. 50 (2008) 67, Thm 4.5)
+    d = _strip_half_width(params, delta)
+    u = math.asinh(upper_momentum(params) / _threshold_scale(params, delta))
+    panels = START_PANELS
+    while True:
+        b = 2.0 * d * panels / u
+        if (b + math.sqrt(b * b + 1.0)) ** (-2 * NODES_PER_PANEL) <= SPEC.rel_tol:
+            return panels
+        panels *= 2
+
+
 def test_the_rule_keeps_a_strip_of_half_width_one():
     # over the whole window of delta each rule's strip of analyticity stays at least 1
-    # wide, so no kappa, the float-range floor included, anchors the map off the peak
+    # wide, so no kappa, the float-range floor included, anchors the map off the peak,
+    # and the level that strip predicts is at most 32 panels
     deltas = [2.0 ** (e / 8.0) for e in range(-511 * 8, 14 * 8 + 1)] + [0.5]
     for mu in (1.0, 1.3, 1.9999):
         for ff in (FormFactor.sharp(10.0 * mu), FormFactor.dipole(1.5 * mu),
@@ -709,6 +725,25 @@ def test_the_rule_keeps_a_strip_of_half_width_one():
             params = ModelParams(m_n=-mu, mu=mu, form_factor=ff)
             least = min((_strip_half_width(params, d * mu), d) for d in deltas)
             assert least[0] >= 1.0, (mu, ff, least)
+            most = max((_predicted_level(params, d * mu), d) for d in deltas)
+            assert most[0] <= 32, (mu, ff, most)
+
+
+@pytest.mark.parametrize("kind", ("sharp", "exponential", "dipole"))
+def test_the_ladder_settles_within_two_doublings_of_the_predicted_level(kind):
+    # the settled level P_s of I1 and I2 lies between the predicted level P and 4 P: one
+    # doubling past P in most cases, the level whose estimate the ladder confirms, two in
+    # four of the dipole's at delta <= 1e-150 mu.  A ladder that settled below P would have two
+    # coarse levels agreeing by accident, a possible silent wrong answer
+    deltas = (2.0 ** -511, 1e-150, 1e-100, 1e-50, 1e-30, 1e-20, 1e-14, 1e-9, 1e-6, 1e-3,
+              0.1, 1.0, 1e3, 1e7)
+    for lam in (1.5, 10.0, 1e3, 1e5):
+        params = ModelParams(m_n=-MU, mu=MU, form_factor=FormFactor(kind, lam * MU))
+        unit = params._in_units_of_mu[0]
+        for delta in deltas:
+            predicted = _predicted_level(params, delta * MU)
+            settled = _moment_pass(delta, unit, SPEC, (1, 2))[1][1].size // NODES_PER_PANEL
+            assert predicted <= settled <= 4 * predicted, (lam, delta, predicted, settled)
 
 
 def _record_rule_levels(monkeypatch) -> list[list[int]]:

@@ -317,12 +317,40 @@ def test_far_dipole_root_is_a_result():
 
 
 def test_settled_step_keeps_the_root_below_the_threshold():
-    # where c > 1 the root is the settled step taken; here delta + step > 0 but
-    # the mass m - step rounds onto the threshold, so the step is not taken
+    # the root lies 2.69e5 mu below the threshold, inside the last float below it
+    # (8.07e7 mu away), and its Z is 0.501 on the closed form; started from above,
+    # the solve settled on that float and reported Z = 0.99999 and x = 1.1e-5.
+    # Every solve starts below its root, at that float at the latest, so this
+    # root is refused as within rounding of the threshold
     mu = 1.3760925572983534e-24
     params = ModelParams(m_n=1.0, mu=mu, form_factor=FormFactor.sharp(2.293225019729352e-21))
-    report = full_report(params, BareCoupling(m_v0=1.0, g0=1438.2444684421982), SPEC)
-    assert report.m_v < params.threshold
+    with pytest.raises(StabilityViolation, match="within rounding of the threshold 1.0"):
+        full_report(params, BareCoupling(m_v0=1.0, g0=1438.2444684421982), SPEC)
+
+
+def test_no_bound_state_at_a_threshold_of_zero():
+    # at m_N = -mu the start is LEAST_DELTA, above delta0 = -mu/2, and F < 0 there;
+    # F(threshold) < 0 too, so there is no bound state, which no refusal may hide
+    params = ModelParams(m_n=-1.0, mu=1.0, form_factor=FormFactor.sharp(10.0))
+    with pytest.raises(NoBoundState):
+        full_report(params, BareCoupling(m_v0=0.5, g0=1e-3), SPEC)
+    assert solve_physical_mass(params, BareCoupling(m_v0=0.5, g0=1e-3), SPEC) is None
+
+
+@pytest.mark.parametrize("m_n", (-1.0, 1.0))
+def test_start_far_below_the_root_from_far_above_the_threshold(m_n):
+    # m_V0 = 1e155 mu above the threshold and the root 1226 mu below it.  At m_N = -mu
+    # the start is LEAST_DELTA, and d r = (delta0 - delta) I2 / |I1|, formed as
+    # (delta0 - delta) / delta times delta I2 / |I1|, overflows there: the step is
+    # f / |d r| instead.  Started from above, the solve returned Z = 1 at both
+    # thresholds, with a residual of 4.6e129 (m_N = -mu) and 0.99 (m_N = mu) times c |I1|
+    params = ModelParams(m_n=m_n, mu=1.0, form_factor=FormFactor.dipole(10.0))
+    m_v0, g0 = params.threshold + 1e155, 1e79
+    report = full_report(params, BareCoupling(m_v0=m_v0, g0=g0), SPEC)
+    c = g0 * g0 / TWO_PI_CUBED
+    (i1,) = spectral_moments(report.m_v, params, FINE, orders=(1,))
+    assert abs(report.m_v - m_v0 - c * i1) <= 1e-12 * abs(c * i1)
+    assert math.isclose(params.threshold - report.m_v, 1225.8, rel_tol=1e-4)
 
 
 @pytest.mark.parametrize("mu, form_factor, m_v0, g0", (
