@@ -121,7 +121,7 @@ def _bare_z(m_n, mu, family, lam, m_v0, g0):
        log_delta0=st.floats(-8.0, math.log10(2.0)),
        side=st.sampled_from((-1.0, -1.0, -1.0, 1.0)),
        log_g0=st.floats(-1.0, math.log10(3.2)))
-# roots within about 1e-5 mu of the threshold, reached from above: scaled by
+# roots within about 1e-5 mu of the threshold, from m_V0 above it: scaled by
 # 1e-3, Z moves by 4.0e-11 and 1.7e-12, beyond the 1e-12 floor alone
 @example(family="exponential", lam=2.8987156915507977, log_delta0=-1.6310859229430663,
          side=1.0, log_g0=-0.13787402102779153)

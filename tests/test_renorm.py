@@ -171,8 +171,9 @@ def _solve_spec(g0: float) -> QuadSpec:
      101585.5095819998),
 ), ids=("exponential", "sharp", "dipole"))
 def test_solve_strong_coupling_from_above_threshold(m_n, mu, kind, lam, m_v0, g0):
-    # the start lies far left of the root and every Newton step overshoots the
-    # threshold; the chord alone moved delta only linearly and hit NEWTON_CAP.
+    # m_V0 lies above the threshold and the root far below it; from a start past
+    # the root every Newton step overshot the threshold, and the chord alone moved
+    # delta only linearly and hit NEWTON_CAP.
     # The stop rule holds at the spec the solve used, and the residual on a
     # relative-only spec is within 1e-9 of c I1 (at SPEC's abs_tol, which c
     # multiplies, the exponential case was 7.3e-11 off; it is now 1.0e-15)
@@ -326,15 +327,6 @@ def test_settled_step_keeps_the_root_below_the_threshold():
     params = ModelParams(m_n=1.0, mu=mu, form_factor=FormFactor.sharp(2.293225019729352e-21))
     with pytest.raises(StabilityViolation, match="within rounding of the threshold 1.0"):
         full_report(params, BareCoupling(m_v0=1.0, g0=1438.2444684421982), SPEC)
-
-
-def test_no_bound_state_at_a_threshold_of_zero():
-    # at m_N = -mu the start is LEAST_DELTA, above delta0 = -mu/2, and F < 0 there;
-    # F(threshold) < 0 too, so there is no bound state, which no refusal may hide
-    params = ModelParams(m_n=-1.0, mu=1.0, form_factor=FormFactor.sharp(10.0))
-    with pytest.raises(NoBoundState):
-        full_report(params, BareCoupling(m_v0=0.5, g0=1e-3), SPEC)
-    assert solve_physical_mass(params, BareCoupling(m_v0=0.5, g0=1e-3), SPEC) is None
 
 
 @pytest.mark.parametrize("m_n", (-1.0, 1.0))
@@ -691,6 +683,11 @@ def test_full_report_bare_identities():
 def test_full_report_bare_no_bound_state():
     with pytest.raises(NoBoundState):
         full_report(PARAMS, BareCoupling(2.5, 0.05), SPEC)
+    # at a threshold of 0 the start is LEAST_DELTA, above delta0 = -mu/2, and F < 0
+    # there; F(threshold) < 0 too, so no bound state, which no refusal may hide
+    zero = ModelParams(m_n=-1.0, mu=1.0, form_factor=FormFactor.sharp(10.0))
+    with pytest.raises(NoBoundState):
+        full_report(zero, BareCoupling(m_v0=0.5, g0=1e-3), SPEC)
 
 
 def test_full_report_renormalized_normal():
