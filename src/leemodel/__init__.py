@@ -63,6 +63,7 @@ from .renorm import (
     critical_coupling,
     dressing_strength,
     full_report,
+    full_reports,
     geometric_partial_sum,
     mass_shift,
     regularized_z,
@@ -84,7 +85,7 @@ __all__ = [
     "build_arrowhead", "build_grid", "classify_regime", "convergence_study",
     "critical_coupling", "default_spec", "dense_cross_check",
     "dressing_amplitude", "dressing_strength", "ensure_stable",
-    "full_report", "geometric_partial_sum",
+    "full_report", "full_reports", "geometric_partial_sum",
     "lowest_eigenpair", "mass_shift", "mass_shift_integral",
     "norm_integral", "omega", "regularized_z",
     "renormalize_coupling", "secular_value", "solve_physical_mass",

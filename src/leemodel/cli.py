@@ -58,7 +58,7 @@ from .core import (BareCoupling, FormFactor, ModelParams, RenCoupling,
 from .errors import ConfigError, LeeModelError, NoBoundState
 from .oracle import GRID_SCHEMES, GAUSS_LEGENDRE_K, convergence_study
 from .quadrature import QuadSpec, upper_momentum
-from .renorm import RenormReport, full_report
+from .renorm import RenormReport, full_report, full_reports
 
 COLUMNS = ("sweep_value", "m_V", "m_V0", "delta_m", "g0_sq", "g_sq", "x",
            "z_standard", "z_regularized", "regime", "error")
@@ -251,17 +251,14 @@ def _error_row(sweep_value: float, exc: Exception) -> dict:
 def run_sweep(config: RunConfig) -> list[dict]:
     """One row per sweep value, in sweep order; per-row errors do not abort.
 
-    The swept parameter ("g0" or "g") is the name of the coupling's field."""
+    The swept parameter ("g0" or "g") is the name of the coupling's field.  The points go to
+    :func:`leemodel.renorm.full_reports` in one call, which solves a g0 sweep's in lockstep."""
     sweep = config.sweep
-    rows = []
-    for value in np.linspace(sweep.start, sweep.stop, sweep.steps).tolist():
-        try:
-            coupling = dataclasses.replace(config.coupling, **{sweep.parameter: value})
-            report = full_report(config.params, coupling, config.quad)
-            rows.append(_report_row(report, sweep_value=value))
-        except LeeModelError as exc:
-            rows.append(_error_row(value, exc))
-    return rows
+    values = np.linspace(sweep.start, sweep.stop, sweep.steps).tolist()
+    couplings = [dataclasses.replace(config.coupling, **{sweep.parameter: v}) for v in values]
+    return [_error_row(value, report) if isinstance(report, LeeModelError)
+            else _report_row(report, sweep_value=value)
+            for value, report in zip(values, full_reports(config.params, couplings, config.quad))]
 
 
 def _cell(value) -> str:
@@ -384,7 +381,7 @@ def main(argv=None) -> int:
     out_format = args.format or config.out_format
     try:
         emit(table, out_format, out_path)
-    except OSError as exc:
+    except (OSError, csv.Error) as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 4
     print(f"{summary} -> {out_path}")

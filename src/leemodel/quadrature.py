@@ -53,9 +53,9 @@ The norm integral keeps its own integrand, the squared cloud amplitude, on
 the kept moment arrays, so that the norm condition stays an independent check.
 
 A mass solve refines only to pick a level and to confirm its root: its other
-steps run on its arrays.  The last PASSES_KEPT refined passes, keyed by delta
-on models in units of mu, are kept (:func:`_moment_pass`), so a g0 sweep shares
-its opening pass and a g sweep its pass at m_V.
+steps run on its arrays, many solves' as rows of one grid (:func:`_moments_on`).
+The last PASSES_KEPT refined passes, keyed by delta on models in units of mu, are
+kept (:func:`_moment_pass`): a g0 sweep shares its opening pass, a g sweep the pass at m_V.
 """
 
 from __future__ import annotations
@@ -272,15 +272,15 @@ def _moment_rules(params: ModelParams, kappa: float, levels: tuple[int, ...]
     return q, ((q[:cut], rho[:cut]), (q[cut:], rho[cut:]))[:len(levels)]
 
 
-def _moments_on(level: tuple[np.ndarray, np.ndarray], delta: float,
-                orders: tuple[int, ...]) -> tuple[float, ...]:
-    """The moments of ``orders`` at delta on one level (q, rho) of :func:`_moment_rules`."""
+def _moments_on(level: tuple[np.ndarray, np.ndarray], deltas: Sequence[float],
+                orders: tuple[int, ...]) -> list[tuple[float, ...]]:
+    """The moments of ``orders`` on one level (q, rho) of :func:`_moment_rules` at each delta,
+    one grid of a row per delta; np.vecdot runs rho.dot's own loop on each row, bit for bit."""
     q, rho = level
-    inv = np.add(delta, q)
-    np.divide(-1.0, inv, out=inv)      # 1 / (m - m_N - omega)
-    sq = inv * inv if 2 in orders else None  # the bits of inv ** 2
-    return tuple([FOUR_PI * float(rho.dot(inv if n == 1 else sq if n == 2 else inv ** n))
-                  for n in orders])
+    inv = np.add.outer(deltas, q)
+    np.divide(-1.0, inv, out=inv)      # 1 / (m - m_N - omega); inv * inv, the bits of inv ** 2
+    return list(zip(*[(FOUR_PI * np.vecdot(inv if n == 1 else inv * inv if n == 2 else inv ** n,
+                                           rho)).tolist() for n in orders]))
 
 
 @functools.lru_cache(maxsize=PASSES_KEPT)
@@ -306,7 +306,7 @@ def _moment_pass(delta: float, unit: ModelParams, spec: QuadSpec, orders: tuple[
         values.append(FOUR_PI * float(eight[1].dot(p[cut:])))
     ff = unit.form_factor
     values, panels = _ladder(
-        lambda n: _moments_on(_moment_rules(unit, kappa, (n,))[1][0], delta, orders), spec,
+        lambda n: _moments_on(_moment_rules(unit, kappa, (n,))[1][0], (delta,), orders)[0], spec,
         lambda: f"moment(s) {orders} of the {ff.kind} form factor (Lambda = "
                 f"{ff.lam / unit.mu!r}) at m = {(unit.threshold - delta) / unit.mu!r}, "
                 f"delta = {delta / unit.mu!r}, all in units of mu", coarse, tuple(values))

@@ -24,18 +24,21 @@ of a one-pole model of I1 fitted to I1 and I2, on one quadrature level, refined 
 it and to confirm the root, and Z_V comes from the confirming pass's I2 at the reported m_V.
 
 The solve runs on the model in units of mu and keeps no state: each refined pass is
-one call to :func:`leemodel.quadrature._moment_pass`, which keeps the last few, so
-a g0 sweep with g0^2/(2 pi)^3 <= 1 shares its opening pass at m_V0.
+one call to :func:`leemodel.quadrature._moment_pass`, which keeps the last few, so a g0
+sweep with g0^2/(2 pi)^3 <= 1 shares its opening pass at m_V0; :func:`full_reports` solves
+its points in lockstep, each round's held steps on one level evaluated as one grid.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Generator, Sequence
 from dataclasses import dataclass
 
 from .core import BareCoupling, ModelParams, Regime, RenCoupling, _ensure_coupling
-from .errors import DegenerateModel, GhostRegime, NoBoundState, NoConvergence, StabilityViolation
+from .errors import (DegenerateModel, GhostRegime, LeeModelError, NoBoundState, NoConvergence,
+                     StabilityViolation)
 from .quadrature import (LEAST_DELTA, QuadSpec, _moment_pass, _moments_on, mass_shift_integral,
                          spectral_moments, z_factor_integral)
 
@@ -43,7 +46,8 @@ TWO_PI_CUBED = (2.0 * math.pi) ** 3
 
 # steps before the physical-mass solve gives up
 NEWTON_CAP = 100
-ROOT_TOL = 1e-12    # see solve_physical_mass
+GRID_CELLS = 2 ** 16  # the most nodes, rows x level nodes, in one grid of held steps
+ROOT_TOL = 1e-12    # see _newton
 REGIME_TOL = 1e-12  # see classify_regime
 
 _EPS = sys.float_info.epsilon
@@ -77,8 +81,8 @@ def mass_shift(params: ModelParams, g0: float, m_v: float, spec: QuadSpec) -> fl
     return g0 * g0 / TWO_PI_CUBED * mass_shift_integral(m_v, params, spec)
 
 
-def _newton(params: ModelParams, bare: BareCoupling,
-            spec: QuadSpec) -> tuple[float, float] | None:
+def _newton(params: ModelParams, bare: BareCoupling, spec: QuadSpec
+            ) -> Generator[tuple[tuple, float], tuple[float, float], tuple[float, float] | None]:
     """Root m_V of F = delta0 - delta - c I1, c = g0^2/(2 pi)^3, and s = c I2(m_V), held in
     delta = m_N + mu - m, delta0 = m_N + mu - m_V0, on the model in units of mu.
 
@@ -102,7 +106,8 @@ def _newton(params: ModelParams, bare: BareCoupling,
     1, F can be 1/Z times that step, so the root is the settled step taken, and s is taken
     from a pass at it.  None means no bound state.  An F that overflows, or at the root
     reported an s that overflows or a mass past the caller's float range, raises
-    StabilityViolation.
+    StabilityViolation.  A generator: each held step yields (level, delta) and is sent (I1,
+    I2) there, so that :func:`_lockstep` evaluates the held steps of many solves at once.
     """
     if bare.g0 == 0.0:
         return (bare.m_v0, 0.0) if bare.m_v0 < params.threshold else None
@@ -135,7 +140,7 @@ def _newton(params: ModelParams, bare: BareCoupling,
             delta = thr - (thr - delta)  # the delta of the mass a stop here reports
             (i1, i2), level = _moment_pass(delta, unit, spec, (1, 2))
         else:
-            i1, i2 = _moments_on(held, delta, (1, 2))
+            i1, i2 = yield held, delta
         f, s, m = d0 - delta - c * i1, c * i2, thr - delta
         if not math.isfinite(f):
             raise _overflow(params, bare, m / scale, f"F = {f / scale!r}, c I2 = {s!r}")
@@ -181,19 +186,40 @@ def _overflow(params: ModelParams, bare: BareCoupling, m: float,
         f"the root must stay finite")
 
 
+def _lockstep(solves: Sequence[Generator]) -> list:
+    """What each generator of held steps (:func:`_newton`) returns or the LeeModelError it raises,
+    run in lockstep: each round evaluates the steps held on one level as one grid of rows."""
+    outcomes, sends = [None] * len(solves), [(i, solve, None) for i, solve in enumerate(solves)]
+    while sends:
+        groups: dict = {}  # id(level): (level, [(index, solve, delta), ...])
+        for i, solve, moments in sends:
+            try:
+                level, delta = solve.send(moments)
+                groups.setdefault(id(level), (level, []))[1].append((i, solve, delta))
+            except StopIteration as done:
+                outcomes[i] = done.value
+            except LeeModelError as exc:
+                outcomes[i] = exc
+        sends = []
+        for level, group in groups.values():
+            rows = max(1, GRID_CELLS // level[0].size)
+            for part in (group[lo:lo + rows] for lo in range(0, len(group), rows)):
+                moments = _moments_on(level, [delta for _, _, delta in part], (1, 2))
+                sends += [(i, solve, values) for (i, solve, _), values in zip(part, moments)]
+    return outcomes
+
+
 def solve_physical_mass(params: ModelParams, bare: BareCoupling,
                         spec: QuadSpec) -> float | None:
     """Physical V mass: the root of F(m) = m - m_V0 - mass_shift(m) below threshold.
 
-    F is strictly increasing, so the root is unique when it exists; one-pole steps in delta =
-    m_N + mu - m rise onto it from below, from delta0 or from the least delta that a pass and
-    a mass below the threshold resolve, and stop once a refined one moves delta by at most
-    ROOT_TOL * min(delta, max(1, |m|)) in units of mu, or by no more than rounding in F
-    allows (see :func:`_newton`); None means F(threshold) <= 0: the V state has dissolved
-    into the continuum.  A root closer to the threshold than that start raises
-    StabilityViolation.
+    F is strictly increasing, so the root is unique when it exists; one-pole steps rise onto it
+    from below to ROOT_TOL (:func:`_newton`).  None means F(threshold) <= 0, the V state gone
+    into the continuum; a root nearer the threshold than the start raises StabilityViolation.
     """
-    solved = _newton(params, bare, spec)
+    solved = _lockstep([_newton(params, bare, spec)])[0]
+    if isinstance(solved, LeeModelError):
+        raise solved
     return None if solved is None else solved[0]
 
 
@@ -348,22 +374,43 @@ def full_report(params: ModelParams, coupling: "BareCoupling | RenCoupling",
     A renormalized g whose x, or in the Normal regime g0^2, m_V0 or delta m, overflows
     raises StabilityViolation.
     """
-    if isinstance(coupling, BareCoupling):
-        solved = _newton(params, coupling, spec)
-        if solved is None:
-            raise NoBoundState(
-                f"no V eigenvalue below the threshold {params.threshold!r} for "
-                f"m_V0 = {coupling.m_v0!r}, g0 = {coupling.g0!r}")
-        m_v, s = solved
-        z = 1.0 / (1.0 + s)
-        return RenormReport(
-            m_v=m_v, m_v0=coupling.m_v0, delta_m=m_v - coupling.m_v0,
-            g0_sq=coupling.g0 * coupling.g0, g_sq=z * coupling.g0 * coupling.g0,
-            x=z * s, z_standard=z, z_regularized=max(z, 0.0),
-            regime=classify_regime(z * s),
-        )
-
     if isinstance(coupling, RenCoupling):
         return _from_renormalized(params, coupling, spec)
+    if not isinstance(coupling, BareCoupling):
+        raise TypeError(f"expected BareCoupling or RenCoupling, got {type(coupling).__name__}")
+    return _bare_report(params, coupling, _lockstep([_newton(params, coupling, spec)])[0])
 
-    raise TypeError(f"expected BareCoupling or RenCoupling, got {type(coupling).__name__}")
+
+def _bare_report(params: ModelParams, bare: BareCoupling, solved) -> RenormReport:
+    """The report of :func:`_newton`'s outcome at a bare coupling, whose error it raises."""
+    if isinstance(solved, LeeModelError):
+        raise solved
+    if solved is None:
+        raise NoBoundState(
+            f"no V eigenvalue below the threshold {params.threshold!r} for "
+            f"m_V0 = {bare.m_v0!r}, g0 = {bare.g0!r}")
+    m_v, s = solved
+    z = 1.0 / (1.0 + s)
+    return RenormReport(
+        m_v=m_v, m_v0=bare.m_v0, delta_m=m_v - bare.m_v0,
+        g0_sq=bare.g0 * bare.g0, g_sq=z * bare.g0 * bare.g0,
+        x=z * s, z_standard=z, z_regularized=max(z, 0.0),
+        regime=classify_regime(z * s),
+    )
+
+
+def full_reports(params: ModelParams, couplings: Sequence[BareCoupling | RenCoupling],
+                 spec: QuadSpec) -> list[RenormReport | LeeModelError]:
+    """:func:`full_report`'s report, or the LeeModelError it raises, at each coupling of one
+    model; the bare couplings' mass solves run in lockstep (:func:`_lockstep`), bit for bit."""
+    bare = [coupling for coupling in couplings if isinstance(coupling, BareCoupling)]
+    solved = iter(_lockstep([_newton(params, coupling, spec) for coupling in bare]))
+    reports: list = []
+    for coupling in couplings:
+        try:
+            reports.append(_bare_report(params, coupling, next(solved))
+                           if isinstance(coupling, BareCoupling)
+                           else full_report(params, coupling, spec))
+        except LeeModelError as exc:
+            reports.append(exc)
+    return reports

@@ -465,6 +465,27 @@ def test_main_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_a_csv_error_from_emit_exits_4(tmp_path, capsys, monkeypatch):
+    # csv.writer can refuse a row (CPython 3.10 refuses error text holding a NUL:
+    # "need to escape, but no escapechar set"); main reports an output it cannot
+    # write with exit 4, as for an OSError, not with a traceback
+    class Refusing:
+        def __init__(self, *args, **kwargs):
+            pass
+
+        def writerow(self, row):
+            raise csv.Error("need to escape, but no escapechar set")
+
+    monkeypatch.setattr(csv, "writer", Refusing)
+    out = tmp_path / "x.csv"
+    cfg = _write(tmp_path, "point.json", {"input": {"mode": "bare", "m_V0": 1.8},
+                                         "output": {"path": str(out), "format": "csv"}})
+    assert main(["--config", cfg]) == 4
+    captured = capsys.readouterr()
+    assert captured.err == "error: cannot write output: need to escape, but no escapechar set\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("doc, field", (
     ({"model": {"m_N": 1e308, "mu": 1e308}}, "model.mu"),
     ({"model": {"mu": 1e160, "form_factor": {"kind": "dipole"}}}, "model.mu"),

@@ -48,6 +48,7 @@ from leemodel.quadrature import (
     _ladder,
     _moment_pass,
     _moment_rules,
+    _moments_on,
     _node_columns,
     _settled,
     _sinh_panels,
@@ -524,7 +525,9 @@ def test_bare_sweep_evaluates_the_form_factor_once_per_octave(monkeypatch):
 def test_held_newton_steps_never_look_up_a_rule(monkeypatch):
     # a refined pass hands back the level it settled on, and the held steps
     # evaluate it, so only the passes reach the kept rules: one lookup for the
-    # opening pair, and one per level refined past it plus its settled level
+    # opening pair, and one per level refined past it plus its settled level.
+    # The sweep's solves run in lockstep, so a grid of held steps holds one row
+    # per point and step; the rows are counted
     levels, held = [], []
     ladder, moments_on = leemodel.quadrature._ladder, leemodel.renorm._moments_on
 
@@ -535,9 +538,9 @@ def test_held_newton_steps_never_look_up_a_rule(monkeypatch):
 
         return ladder(counted, *rest)
 
-    def counted_held(*args):
-        held.append(None)
-        return moments_on(*args)
+    def counted_held(level, deltas, orders):
+        held.extend(deltas)
+        return moments_on(level, deltas, orders)
 
     passes = record_refined_passes(monkeypatch)
     monkeypatch.setattr(leemodel.quadrature, "_ladder", counted_ladder)
@@ -550,6 +553,28 @@ def test_held_newton_steps_never_look_up_a_rule(monkeypatch):
     info = _moment_rules.cache_info()
     assert len(held) > len(passes) > 0
     assert info.hits + info.misses <= len(passes) + 2 * len(levels)
+
+
+@pytest.mark.parametrize("make", ALL_MODELS)
+def test_a_grid_of_held_steps_gives_each_row_the_bits_of_its_own_dot(make):
+    # a lockstep round evaluates the held steps of many solves on one level as
+    # one grid, each row's dot with rho taken by np.vecdot; every row must be the
+    # bits that the row alone gives through rho.dot, as a step evaluated by
+    # itself took it, at any order, row count and level size
+    unit = make(10.0)
+    for delta0 in (1e-12, 1e-3, 0.7, 40.0):
+        levels = (_moment_pass(delta0, unit, SPEC, (1, 2))[1],
+                  _moment_rules(unit, _threshold_scale(unit, delta0), (64,))[1][0])
+        deltas = [delta0 * f for f in (1.0, 1.5, 2.0, 3.7, 11.0)]
+        for (q, rho), orders in zip(levels * 2, ((1, 2), (2,), (0, 1, 2, 3), (1,))):
+            alone = []
+            for delta in deltas:
+                inv = np.add(delta, q)
+                np.divide(-1.0, inv, out=inv)
+                alone.append(tuple(FOUR_PI * float(rho.dot(
+                    inv if n == 1 else inv * inv if n == 2 else inv ** n)) for n in orders))
+            assert _moments_on((q, rho), deltas, orders) == alone
+            assert [_moments_on((q, rho), (d,), orders)[0] for d in deltas] == alone
 
 
 def test_alternating_models_keep_their_rules(monkeypatch):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import random
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from leemodel import (
     critical_coupling,
     dressing_strength,
     full_report,
+    full_reports,
     geometric_partial_sum,
     mass_shift,
     norm_integral,
@@ -206,11 +208,12 @@ def test_strong_coupling_solves_in_a_few_steps(monkeypatch, make, m_v0, g0):
     # spec within 1e-9 (at SPEC's abs_tol, which c multiplies, it was 3.4e-6), and
     # for the sharp family within 1e-9 on the closed form too.  At m_V0 = 1.999 and
     # g0 = 1.3e154, c I2 overflows at the start, and the solve was refused there
-    # though m_V0 = 2 solves: c I2 must be finite only at the root it reports
+    # though m_V0 = 2 solves: c I2 must be finite only at the root it reports.
+    # levels counts the rows of the held steps' grids, one per point and step
     levels = []
     moments_on = leemodel.renorm._moments_on
     monkeypatch.setattr(leemodel.renorm, "_moments_on",
-                        lambda *args: levels.append(args[1]) or moments_on(*args))
+                        lambda *args: levels.extend(args[1]) or moments_on(*args))
     params = make(10.0)
     report = full_report(params, BareCoupling(m_v0=m_v0, g0=g0), SPEC)
     assert len(levels) <= 8, levels
@@ -795,6 +798,42 @@ def test_bare_solve_refuses_what_leaves_the_float_range(call):
 def test_full_report_rejects_other_types():
     with pytest.raises(TypeError):
         full_report(PARAMS, (1.5, 1.0), SPEC)
+
+
+def test_lockstep_bare_solves_match_single_point_solves(monkeypatch):
+    # one batch, shuffled and with duplicates, at a threshold of 0 (m_N = -mu):
+    # the free theory, no bound state, c > 1 (g0 = 30), starts above delta0 (m_V0
+    # within LEAST_DELTA of the threshold, on both sides), an F that overflows
+    # (g0 = 1e154) and ordinary points; each outcome is its own full_report's
+    # report, or its error's type and message, and the held steps share grids
+    params = ModelParams(m_n=-1.0, mu=1.0, form_factor=FormFactor.exponential(1e3))
+    points = [(-0.5, 0.0), (0.5, 1e-4), (-0.5, 30.0), (1e-160, 1.0), (-1e-160, 1.0),
+              (-0.5, 1e154), (-0.1, 1.0), (-0.1, 2.0), (-2.0, 0.5)]
+    batch = [BareCoupling(m_v0=m_v0, g0=g0) for m_v0, g0 in points * 2]
+    random.Random(5).shuffle(batch)
+
+    def outcome(result):
+        return repr(result) if isinstance(result, RenormReport) else (type(result), str(result))
+
+    expected = []
+    for bare in batch:
+        try:
+            expected.append(outcome(full_report(params, bare, SPEC)))
+        except LeeModelError as exc:
+            expected.append(outcome(exc))
+    assert {e[0] if isinstance(e, tuple) else RenormReport for e in expected} == {
+        RenormReport, NoBoundState, StabilityViolation}
+    grids, rows = [], []
+    moments_on = leemodel.renorm._moments_on
+
+    def counted(level, deltas, orders):
+        grids.append(level)
+        rows.extend(deltas)
+        return moments_on(level, deltas, orders)
+
+    monkeypatch.setattr(leemodel.renorm, "_moments_on", counted)
+    assert [outcome(result) for result in full_reports(params, batch, SPEC)] == expected
+    assert len(rows) > 2 * len(grids) > 0
 
 
 def test_norm_condition_invariant():
