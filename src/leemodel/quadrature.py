@@ -46,14 +46,15 @@ each level built alone gives, and so is every moment.  On arrays that small a
 build or a level costs numpy calls, not arithmetic per node: each is written with
 as few array operations as its bits allow, and a grid is formed elementwise on
 flat columns that give each node its panel, its level's panel count and its Gauss
-node (:func:`_node_columns`, which keeps the last LAYOUTS_KEPT layouts).
+node (:func:`_node_columns`, which keeps every layout).  The bounds of all kept state,
+and of a grid, are stated once, by RULES_KEPT.
 
 The norm integral keeps its own integrand, the squared cloud amplitude, on
 20-node panels of the same map and ladder, built afresh and never read from
 the kept moment arrays, so that the norm condition stays an independent check.
 
 A mass solve refines only to pick a level and to confirm its root: its other
-steps run on its arrays, many solves' as rows of one grid (:func:`_moments_on`).
+steps run on its arrays, many solves' as rows of grids (:func:`_moments_on`).
 The last PASSES_KEPT refined passes, keyed by delta on models in units of mu, are
 kept (:func:`_moment_pass`): a g0 sweep shares its opening pass, a g sweep the pass at m_V.
 """
@@ -89,13 +90,13 @@ LEAST_DELTA = math.sqrt(sys.float_info.min)
 # per (delta, model, tolerances, orders), and node layouts, one per (levels, order).  An
 # entry holds at most 384 KiB, a level at the panel cap (a pair holds 4.5 KiB), so the
 # rules can hold 12 MiB and the passes 3 MiB more.  A layout holds 32 B a node, 9 KiB for
-# the opening pair at 24 nodes, so the kept layouts hold at most 2.1 MiB: the levels of
-# 2^9 and 2^10 panels, at 24 and at 20 nodes.  Only a rule or norm build lays a grid out:
-# the three bench workloads lay out the 24-node pair alone, every lookup after the first a
-# hit, and no deeper level at all, so the memo keeps a deep level only for being the last.
+# the opening pair at 24 nodes, and every layout is kept: a rule or norm build lays out
+# only the opening pair or one level of 16 to PANEL_CAP panels, at 24 or 20 nodes, so at
+# most 16 layouts, 2,877,952 B (the three bench workloads lay out the 24-node pair alone).
+# A grid of held steps (:func:`_moments_on`) holds at most the nodes of one level at the
+# panel cap, PANEL_CAP * NODES_PER_PANEL = 24,576, a row per step.
 RULES_KEPT = 32
 PASSES_KEPT = 8
-LAYOUTS_KEPT = 4
 
 
 @dataclass(frozen=True)
@@ -187,14 +188,13 @@ def _ensure_in_float_range(unit: ModelParams, delta: float, orders: tuple[int, .
                 f"leaves the float range below delta = {least / mu!r} mu")
 
 
-@functools.lru_cache(maxsize=LAYOUTS_KEPT)
+@functools.cache
 def _node_columns(levels: tuple[int, ...], order: int
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The layout of one grid of ``levels`` of ``order``-node panels, panel counts laid out
     level after level, as four read-only columns with one entry per node: its panel's
     midpoint in half widths (1, 3, 5, ...), its level's panel count, and its Gauss-Legendre
-    abscissa and weight on [-1, 1].  The last LAYOUTS_KEPT are kept: the opening pair at
-    both orders and the first levels past it, so a ladder that settles early keeps its pair."""
+    abscissa and weight on [-1, 1].  Every layout is kept (see RULES_KEPT)."""
     x, w = _gauss_nodes(order)
     odd = np.concatenate([np.arange(1, 2 * p, 2) for p in levels]).astype(float)[:, None]
     panels = np.repeat(np.array(levels, dtype=float), levels)[:, None]
@@ -275,12 +275,16 @@ def _moment_rules(params: ModelParams, kappa: float, levels: tuple[int, ...]
 def _moments_on(level: tuple[np.ndarray, np.ndarray], deltas: Sequence[float],
                 orders: tuple[int, ...]) -> list[tuple[float, ...]]:
     """The moments of ``orders`` on one level (q, rho) of :func:`_moment_rules` at each delta,
-    one grid of a row per delta; np.vecdot runs rho.dot's own loop on each row, bit for bit."""
+    a row per delta, on grids of at most the nodes of a level at the panel cap; np.vecdot
+    runs rho.dot's own loop on each row, bit for bit."""
     q, rho = level
-    inv = np.add.outer(deltas, q)
-    np.divide(-1.0, inv, out=inv)      # 1 / (m - m_N - omega); inv * inv, the bits of inv ** 2
-    return list(zip(*[(FOUR_PI * np.vecdot(inv if n == 1 else inv * inv if n == 2 else inv ** n,
-                                           rho)).tolist() for n in orders]))
+    rows, moments = PANEL_CAP * NODES_PER_PANEL // q.size, []
+    for lo in range(0, len(deltas), rows):
+        inv = np.add.outer(deltas[lo:lo + rows], q)
+        np.divide(-1.0, inv, out=inv)  # 1 / (m - m_N - omega); inv * inv, the bits of inv ** 2
+        moments += zip(*[(FOUR_PI * np.vecdot(inv if n == 1 else inv * inv if n == 2
+                                              else inv ** n, rho)).tolist() for n in orders])
+    return moments
 
 
 @functools.lru_cache(maxsize=PASSES_KEPT)

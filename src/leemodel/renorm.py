@@ -26,7 +26,7 @@ it and to confirm the root, and Z_V comes from the confirming pass's I2 at the r
 The solve runs on the model in units of mu and keeps no state: each refined pass is
 one call to :func:`leemodel.quadrature._moment_pass`, which keeps the last few, so a g0
 sweep with g0^2/(2 pi)^3 <= 1 shares its opening pass at m_V0; :func:`full_reports` solves
-its points in lockstep, each round's held steps on one level evaluated as one grid.
+its points in lockstep, each round's held steps on one level evaluated in one call.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ TWO_PI_CUBED = (2.0 * math.pi) ** 3
 
 # steps before the physical-mass solve gives up
 NEWTON_CAP = 100
-GRID_CELLS = 2 ** 16  # the most nodes, rows x level nodes, in one grid of held steps
 ROOT_TOL = 1e-12    # see _newton
 REGIME_TOL = 1e-12  # see classify_regime
 
@@ -188,7 +187,7 @@ def _overflow(params: ModelParams, bare: BareCoupling, m: float,
 
 def _lockstep(solves: Sequence[Generator]) -> list:
     """What each generator of held steps (:func:`_newton`) returns or the LeeModelError it raises,
-    run in lockstep: each round evaluates the steps held on one level as one grid of rows."""
+    run in lockstep: each round hands :func:`_moments_on` the steps held on one level at once."""
     outcomes, sends = [None] * len(solves), [(i, solve, None) for i, solve in enumerate(solves)]
     while sends:
         groups: dict = {}  # id(level): (level, [(index, solve, delta), ...])
@@ -202,10 +201,8 @@ def _lockstep(solves: Sequence[Generator]) -> list:
                 outcomes[i] = exc
         sends = []
         for level, group in groups.values():
-            rows = max(1, GRID_CELLS // level[0].size)
-            for part in (group[lo:lo + rows] for lo in range(0, len(group), rows)):
-                moments = _moments_on(level, [delta for _, _, delta in part], (1, 2))
-                sends += [(i, solve, values) for (i, solve, _), values in zip(part, moments)]
+            moments = _moments_on(level, [delta for _, _, delta in group], (1, 2))
+            sends += [(i, solve, values) for (i, solve, _), values in zip(group, moments)]
     return outcomes
 
 
@@ -255,7 +252,7 @@ def dressing_strength(params: ModelParams, g: float, m_v: float, spec: QuadSpec)
 
 def standard_z(x: float) -> float:
     """Standard presentation Z_V = 1 - x; negative for x > 1 (the ghost value)."""
-    if x < 0.0:
+    if not x >= 0.0:
         raise ValueError("dressing strength x must be nonnegative")
     return 1.0 - x
 
@@ -267,7 +264,7 @@ def regularized_z(x: float) -> float:
     1 + x + x^2 + ..., which diverges; an infinite inverse weight means zero
     probability, so Z_V is 0 rather than negative.  Continuous at x = 1.
     """
-    if x < 0.0:
+    if not x >= 0.0:
         raise ValueError("dressing strength x must be nonnegative")
     return 1.0 - x if x < 1.0 else 0.0
 
@@ -280,7 +277,7 @@ def geometric_partial_sum(x: float, n: int) -> float:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if x < 0.0:
+    if not x >= 0.0:
         raise ValueError("ratio x must be nonnegative")
     try:
         if x == 1.0:
@@ -298,7 +295,7 @@ def classify_regime(x: float) -> Regime:
     A band of half-width REGIME_TOL around x = 1 absorbs roundoff:
     Critical iff |x - 1| <= REGIME_TOL, Ghost iff x > 1 + REGIME_TOL.
     """
-    if x < 0.0:
+    if not x >= 0.0:
         raise ValueError("dressing strength x must be nonnegative")
     if abs(x - 1.0) <= REGIME_TOL:
         return Regime.CRITICAL

@@ -109,8 +109,8 @@ ACC_BARE = BareCoupling(m_v0=ACC_M_V0, g0=ACC_G0)
 
 
 def forget_kept_state() -> None:
-    """Start cold: clear every memo the package keeps (Gauss nodes, moment
-    rules, refined passes), all of which live in :mod:`leemodel.quadrature`."""
+    """Start cold: clear every memo the package keeps (Gauss nodes, node layouts,
+    moment rules, refined passes), all of which live in :mod:`leemodel.quadrature`."""
     for kept in vars(leemodel.quadrature).values():
         if hasattr(kept, "cache_clear"):
             kept.cache_clear()

@@ -39,7 +39,6 @@ from leemodel.cli import parse_config, run_sweep
 from leemodel.oracle import PANEL_ORDER
 from leemodel.quadrature import (
     FOUR_PI,
-    LAYOUTS_KEPT,
     NODES_PER_PANEL,
     NORM_ORDER,
     PANEL_CAP,
@@ -472,24 +471,25 @@ def test_a_kept_entry_holds_at_most_384_kib():
         assert len(buffers) == 2 and sum(buffers.values()) <= 384 * 2 ** 10
 
 
-def test_kept_layouts_hold_at_most_2_1_mib():
-    # every run of levels a ladder to the panel cap lays out, at both orders: the kept
-    # layouts, 32 B a node, are then the largest LAYOUTS_KEPT, the two top levels at both
+def test_kept_layouts_are_the_16_ladder_layouts():
+    # every run of levels a ladder to the panel cap lays out, at both orders, stays
+    # kept: the opening pair and the levels of 16 to PANEL_CAP panels, 32 B a node
     forget_kept_state()
     laid_out = []
     levels, runs = (START_PANELS, 2 * START_PANELS), []
     while levels[-1] < PANEL_CAP:
         runs.append(levels)
         levels = (2 * levels[-1],)
-    for levels in [*runs, levels]:
+    runs.append(levels)
+    for levels in runs:
         for order in (NODES_PER_PANEL, NORM_ORDER):
             _sinh_panels(2.0, 1.0, levels, order)
             laid_out.extend(weakref.ref(column) for column in _node_columns(levels, order))
-    kept = [column() for column in laid_out if column() is not None]
-    assert _node_columns.cache_info().currsize == LAYOUTS_KEPT == len(kept) // 4
-    assert all(column.base is None for column in kept)  # each owns its buffer
-    assert sum(column.nbytes for column in kept) == 32 * (PANEL_CAP + PANEL_CAP // 2) * (
-        NODES_PER_PANEL + NORM_ORDER) <= 2.1 * 2 ** 20
+    kept = [column() for column in laid_out]
+    assert _node_columns.cache_info().currsize == 16 == len(kept) // 4
+    assert all(column is not None and column.base is None for column in kept)  # owned buffers
+    assert sum(column.nbytes for column in kept) == 32 * sum(map(sum, runs)) * (
+        NODES_PER_PANEL + NORM_ORDER) == 2_877_952
     forget_kept_state()
 
 

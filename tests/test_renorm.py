@@ -38,7 +38,7 @@ from leemodel import (
     standard_z,
     z_from_bare,
 )
-from leemodel.quadrature import _moment_pass
+from leemodel.quadrature import NODES_PER_PANEL, PANEL_CAP, _moment_pass
 
 from helpers import (
     ACC_BARE,
@@ -537,16 +537,18 @@ def test_standard_z():
     assert standard_z(0.0) == 1.0
     assert standard_z(0.25) == 0.75
     assert standard_z(1.5) == -0.5
-    with pytest.raises(ValueError):
-        standard_z(-0.1)
+    for x in (-0.1, math.nan):
+        with pytest.raises(ValueError):
+            standard_z(x)
 
 
 def test_regularized_z():
     assert regularized_z(0.5) == 0.5
     assert regularized_z(1.0) == 0.0
     assert regularized_z(2.0) == 0.0
-    with pytest.raises(ValueError):
-        regularized_z(-1e-9)
+    for x in (-1e-9, math.nan):  # nan once read as Z = 0
+        with pytest.raises(ValueError):
+            regularized_z(x)
     xs = np.random.default_rng(3).uniform(0.0, 5.0, 1000)
     vals = np.array([regularized_z(float(x)) for x in xs])
     assert np.all(vals == np.maximum(1.0 - xs, 0.0))
@@ -568,8 +570,9 @@ def test_geometric_partial_sum():
     assert geometric_partial_sum(10.0, 400) == math.inf
     with pytest.raises(ValueError):
         geometric_partial_sum(2.0, -1)
-    with pytest.raises(ValueError):
-        geometric_partial_sum(-0.5, 3)
+    for x in (-0.5, math.nan):
+        with pytest.raises(ValueError):
+            geometric_partial_sum(x, 3)
 
 
 @pytest.mark.parametrize("x", (1.0 + 1e-9, 1.0 - 1e-9))
@@ -614,8 +617,9 @@ def test_classify_regime():
     assert classify_regime(1.0 - 5e-13) is Regime.CRITICAL
     assert classify_regime(1.0 + 2e-12) is Regime.GHOST
     assert classify_regime(1.0 - 2e-12) is Regime.NORMAL
-    with pytest.raises(ValueError):
-        classify_regime(-0.2)
+    for x in (-0.2, math.nan):  # nan once read as Normal
+        with pytest.raises(ValueError):
+            classify_regime(x)
 
 
 def test_critical_coupling():
@@ -768,14 +772,22 @@ def test_renormalized_point_whose_bare_side_overflows_raises(call):
         assert part in message, (part, message)
 
 
-@pytest.mark.parametrize("m_v0", (1.5, 2.5))  # below and above the threshold 2
+@pytest.mark.parametrize("m_v0", (1.5, 2.5, 2e300))  # below and above the threshold 2, and 1e300
 @pytest.mark.parametrize("call", (full_report, solve_physical_mass))
 def test_bare_coupling_whose_mass_residual_overflows_raises(call, m_v0):
     # c I1 overflows to -inf at exponential Lambda = 1e3 and g0 = 1e154, a
     # coupling with a finite square; the infinite step once passed the
-    # rounding-floor stop, and m_V = m_V0 came back as the root
-    with pytest.raises(StabilityViolation, match="g0 = 1e[+]154"):
-        call(exponential_model(1e3), BareCoupling(m_v0=m_v0, g0=1e154), SPEC)
+    # rounding-floor stop, and m_V = m_V0 came back as the root.  At m_N = 1e300
+    # and g0 = 1.3e154, ulp(threshold) puts the start far above delta0, F < 0
+    # there, and F(threshold) = delta0 - c I1(0) overflows: refused, not read as no
+    # bound state
+    if m_v0 < 1e300:
+        params, g0, match = exponential_model(1e3), 1e154, "g0 = 1e[+]154"
+    else:
+        params = ModelParams(m_n=1e300, mu=1.0, form_factor=FormFactor.exponential(1e3))
+        g0, match = 1.3e154, "g0 = 1.3e[+]154 .* at m = 1e[+]300: F = inf;"
+    with pytest.raises(StabilityViolation, match=match):
+        call(params, BareCoupling(m_v0=m_v0, g0=g0), SPEC)
 
 
 @pytest.mark.parametrize("call", (full_report, solve_physical_mass))
@@ -834,6 +846,34 @@ def test_lockstep_bare_solves_match_single_point_solves(monkeypatch):
     monkeypatch.setattr(leemodel.renorm, "_moments_on", counted)
     assert [outcome(result) for result in full_reports(params, batch, SPEC)] == expected
     assert len(rows) > 2 * len(grids) > 0
+
+
+def test_a_lockstep_batch_wider_than_one_grid_matches_single_point_solves(monkeypatch):
+    # a 300-point g0 sweep holds more steps on one level than one grid takes (the
+    # nodes of a level at the panel cap), so _moments_on splits them into several
+    # grids; each report is still its own full_report's, which a dropped,
+    # repeated or reordered row would shift onto other points
+    params = exponential_model(10.0)
+    batch = [BareCoupling(m_v0=params.threshold - 0.05, g0=3.0 * i / 299) for i in range(300)]
+    expected = [repr(full_report(params, bare, SPEC)) for bare in batch]
+    grids, splits = [], []  # each grid's (rows, nodes); the grids of each held group
+    moments_on, vecdot = leemodel.renorm._moments_on, np.vecdot
+
+    def counted(level, deltas, orders):
+        seen = len(grids)
+        moments = moments_on(level, deltas, orders)
+        splits.append((len(grids) - seen) // len(orders))
+        return moments
+
+    def counted_vecdot(grid, rho):
+        grids.append(grid.shape)
+        return vecdot(grid, rho)
+
+    monkeypatch.setattr(leemodel.renorm, "_moments_on", counted)
+    monkeypatch.setattr(np, "vecdot", counted_vecdot)
+    assert [repr(report) for report in full_reports(params, batch, SPEC)] == expected
+    assert max(splits) > 1
+    assert max(rows * nodes for rows, nodes in grids) <= PANEL_CAP * NODES_PER_PANEL
 
 
 def test_norm_condition_invariant():
