@@ -251,11 +251,13 @@ def _error_row(sweep_value: float, exc: Exception) -> dict:
 def run_sweep(config: RunConfig) -> list[dict]:
     """One row per sweep value, in sweep order; per-row errors do not abort.
 
-    The swept parameter ("g0" or "g") is the name of the coupling's field.  The points go to
-    :func:`leemodel.renorm.full_reports` in one call, which solves a g0 sweep's in lockstep."""
-    sweep = config.sweep
+    The swept parameter ("g0" or "g") is the coupling's strength, its second field; each value
+    is built at the config's mass.  The points go to :func:`leemodel.renorm.full_reports` in
+    one call, which solves a g0 sweep's in lockstep."""
+    sweep, make = config.sweep, type(config.coupling)
+    mass = config.coupling.m_v0 if make is BareCoupling else config.coupling.m_v
     values = np.linspace(sweep.start, sweep.stop, sweep.steps).tolist()
-    couplings = [dataclasses.replace(config.coupling, **{sweep.parameter: v}) for v in values]
+    couplings = [make(mass, v) for v in values]
     return [_error_row(value, report) if isinstance(report, LeeModelError)
             else _report_row(report, sweep_value=value)
             for value, report in zip(values, full_reports(config.params, couplings, config.quad))]
@@ -269,6 +271,9 @@ def _cell(value) -> str:
     return f"{value:.17g}"
 
 
+# a CSV row of nine floats, the regime and no error; "%.17g" % v writes the bytes of _cell(v)
+_CSV_ROW = ",".join(["%.17g"] * 9 + ["%s", "\n"])
+_CSV_ROW_TYPES = [float] * 9 + [str, str]
 # json's C encoder puts one cell on each line: no encoded cell holds a raw newline
 _CELL_ENCODER = json.JSONEncoder(separators=("\n", ":"))
 # one object of json.dumps(rows, indent=2), its keys encoded once, a %s per cell
@@ -280,20 +285,23 @@ def emit(table: list[dict], out_format: str, path: str) -> None:
 
     The bytes are those of ``csv.writer(fh, lineterminator="\\n")`` over :func:`_cell`
     and of ``json.dumps(rows, indent=2) + "\\n"``, keys in COLUMNS order.  A CSV row
-    without error text needs no quoting and is joined directly; csv.writer writes the
-    rest, quoting as the running Python does (3.13 quotes a bare carriage return,
-    3.10 to 3.12 do not).  The JSON cells take one call of json's C encoder.
+    without error text needs no quoting: one of nine floats and a regime is one format
+    of a row template, any other is joined directly; csv.writer writes the rest, quoting
+    as the running Python does (3.13 quotes a bare carriage return, 3.10 to 3.12 do not).
+    The JSON cells take one call of json's C encoder.
     """
     if out_format == "csv":
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(COLUMNS)
             for row in table:
-                cells = [_cell(row[col]) for col in COLUMNS]
-                if row["error"]:
-                    writer.writerow(cells)
+                values = [row[col] for col in COLUMNS]
+                if values[-1]:
+                    writer.writerow([_cell(value) for value in values])
+                elif list(map(type, values)) == _CSV_ROW_TYPES:
+                    fh.write(_CSV_ROW % tuple(values[:-1]))
                 else:
-                    fh.write(",".join(cells) + "\n")
+                    fh.write(",".join([_cell(value) for value in values]) + "\n")
     elif out_format == "json":
         text = "[]\n"
         if table:

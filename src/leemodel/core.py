@@ -17,11 +17,14 @@ kinematics form, are in units of mu (``ModelParams._in_units_of_mu``).  All type
 here are immutable values and all functions are pure, so everything can be
 shared freely between threads and across parameter sweeps.  That holds for the
 whole package: its only state, each model's threshold and copy in units of mu (each
-built once per model) and the memos of :mod:`leemodel.quadrature` (Gauss-Legendre nodes,
-node layouts, moment rule entries, each a rung of the one refinement ladder of a model in
-units of mu and a kappa octave, and refined passes, each with its level's arrays; their
-bounds are stated there, by its constants), is memoized values and read-only arrays
-rebuilt bit for bit on a miss, so a thread never sees another's results.
+built once per model), the hash each FormFactor, ModelParams and QuadSpec keeps (that of
+its field tuple, taken when it is built; a copy or pickle is rebuilt by the constructor,
+so it is validated and hashed again where it lands) and the memos of
+:mod:`leemodel.quadrature` (Gauss-Legendre nodes, node layouts, moment rule entries, each
+a rung of the one refinement ladder of a model in units of mu and a kappa octave, and
+refined passes, each with its level's arrays; their bounds are stated there, by its
+constants), is memoized values and read-only arrays rebuilt bit for bit on a miss, so
+a thread never sees another's results.
 """
 
 from __future__ import annotations
@@ -72,6 +75,14 @@ class FormFactor:
             raise ValueError(f"unknown form factor kind {self.kind!r}")
         if not (math.isfinite(self.lam) and self.lam > 0.0):
             raise ValueError("form factor cutoff Lambda must be positive and finite")
+        # hashed once: every memo lookup hashes its key, which does not change in a sweep
+        object.__setattr__(self, "_hash", hash((self.kind, self.lam)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return type(self), (self.kind, self.lam)
 
     @classmethod
     def sharp(cls, lam: float) -> "FormFactor":
@@ -140,6 +151,13 @@ class ModelParams:
             raise ValueError("form_factor must be a FormFactor instance")
         from .quadrature import ensure_finite_rules  # quadrature imports this module
         ensure_finite_rules(self)
+        object.__setattr__(self, "_hash", hash((self.m_n, self.mu, self.form_factor)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return type(self), (self.m_n, self.mu, self.form_factor)
 
     @functools.cached_property
     def threshold(self) -> float:
@@ -161,6 +179,8 @@ class ModelParams:
         unit, s = self._in_units_of_mu
         if not math.isfinite(bare.m_v0 * s):
             raise DegenerateModel(f"m_V0 = {bare.m_v0!r} overflows in units of mu = {self.mu!r}")
+        if s == 1.0:
+            return unit, bare, s
         return unit, BareCoupling(m_v0=bare.m_v0 * s, g0=bare.g0), s
 
 

@@ -113,8 +113,15 @@ class QuadSpec:
     rel_tol: float = 1e-10
 
     def __post_init__(self):
-        if self.abs_tol <= 0.0 or self.rel_tol <= 0.0:
+        if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):  # NaN refused
             raise ValueError("tolerances must be positive")
+        object.__setattr__(self, "_hash", hash((self.abs_tol, self.rel_tol)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return type(self), (self.abs_tol, self.rel_tol)
 
 
 def default_spec(params: ModelParams) -> QuadSpec:

@@ -9,6 +9,7 @@ f^2/(2 omega) (m - m_N - omega)^(-1) and its squared-denominator partner.
 """
 
 import math
+import os
 
 import mpmath
 import numpy as np
@@ -114,6 +115,15 @@ def forget_kept_state() -> None:
     for kept in vars(leemodel.quadrature).values():
         if hasattr(kept, "cache_clear"):
             kept.cache_clear()
+
+
+def child_env(**extra: str) -> dict:
+    """Environment, with ``extra`` set, whose PYTHONPATH finds the leemodel under test,
+    installed or not."""
+    src = os.path.dirname(os.path.dirname(leemodel.__file__))
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return env
 
 
 def record_refined_passes(monkeypatch) -> list[float]:

@@ -2,7 +2,6 @@ import csv
 import io
 import json
 import math
-import os
 import random
 import subprocess
 import sys
@@ -10,7 +9,6 @@ import sys
 import numpy as np
 import pytest
 
-import leemodel
 from leemodel import BareCoupling, ConfigError, QuadSpec, RenCoupling, full_report
 from leemodel.cli import (
     COLUMNS,
@@ -26,7 +24,7 @@ from leemodel.cli import (
     run_sweep,
 )
 
-from helpers import G_CRIT_15
+from helpers import G_CRIT_15, child_env
 
 MINIMAL = '{"input": {"mode": "bare", "m_V0": 1.8}}'
 
@@ -628,14 +626,6 @@ def test_load_config_reads_files(tmp_path):
     assert cfg.coupling.m_v0 == 1.8
 
 
-def _child_env() -> dict:
-    """Environment whose PYTHONPATH finds the leemodel under test, installed or not."""
-    src = os.path.dirname(os.path.dirname(leemodel.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    return env
-
-
 def test_module_entry_point(tmp_path):
     out = tmp_path / "entry.csv"
     cfg = _write(tmp_path, "cfg.json", {
@@ -643,7 +633,7 @@ def test_module_entry_point(tmp_path):
         "output": {"path": str(out)},
     })
     result = subprocess.run([sys.executable, "-m", "leemodel", "--config", cfg],
-                            capture_output=True, text=True, env=_child_env())
+                            capture_output=True, text=True, env=child_env())
     assert result.returncode == 0, result.stderr
     assert out.exists()
     assert "regime=Normal" in result.stdout
@@ -654,7 +644,7 @@ def test_import_loads_no_scipy():
     code = ("import leemodel, sys; "
             "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
     result = subprocess.run([sys.executable, "-c", code],
-                            capture_output=True, text=True, env=_child_env())
+                            capture_output=True, text=True, env=child_env())
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
 

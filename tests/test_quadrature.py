@@ -1,8 +1,12 @@
+import copy
 import importlib
 import json
 import math
+import os
+import pickle
 import pkgutil
 import random
+import subprocess
 import sys
 import weakref
 from concurrent.futures import ThreadPoolExecutor
@@ -67,6 +71,7 @@ from helpers import (
     SHARP_K_CUT,
     SPEC,
     X_AT_G1,
+    child_env,
     dipole_model,
     dipole_moments_reference,
     exponential_model,
@@ -1062,6 +1067,34 @@ def test_quadspec_validation():
         QuadSpec(abs_tol=0.0)
     with pytest.raises(ValueError):
         QuadSpec(rel_tol=-1.0)
+    # a NaN tolerance would never settle (abs_tol) or drop the relative test (rel_tol)
+    with pytest.raises(ValueError):
+        QuadSpec(abs_tol=math.nan)
+    with pytest.raises(ValueError):
+        QuadSpec(rel_tol=math.nan)
+
+
+def test_a_pickled_or_copied_value_hashes_as_a_fresh_one():
+    # a model and a spec keep their hash, so one pickled under another hash seed must be
+    # rebuilt, not restored: equal to a fresh one, hashed as it, and sharing its memo entries.
+    # mu = 3 puts the model in units of mu at s = 1/2, a second model the first one holds
+    code = ("import pickle, sys; from leemodel import FormFactor, ModelParams, QuadSpec; "
+            "model = ModelParams(0.5, 3.0, FormFactor.exponential(12.0)); model._in_units_of_mu; "
+            "sys.stdout.buffer.write(pickle.dumps((model, QuadSpec(1e-12, 1e-11))))")
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    pickled = subprocess.run([sys.executable, "-c", code], capture_output=True, check=True,
+                             env=child_env(PYTHONHASHSEED=seed)).stdout
+    fresh = (ModelParams(0.5, 3.0, FormFactor.exponential(12.0)), QuadSpec(1e-12, 1e-11))
+    for model, spec in (pickle.loads(pickled), copy.deepcopy(fresh)):
+        assert (model, spec) == fresh and model is not fresh[0]
+        assert hash(model) == hash(fresh[0]) and hash(spec) == hash(fresh[1])
+        forget_kept_state()
+        want = spectral_moments(3.0, *fresh)
+        _moment_pass.cache_clear()
+        before = _moment_rules.cache_info()
+        assert spectral_moments(3.0, model, spec) == want
+        after = _moment_rules.cache_info()
+        assert after.misses == before.misses and after.hits > before.hits
 
 
 def test_default_spec_scales_with_cutoff():
