@@ -252,10 +252,10 @@ def run_sweep(config: RunConfig) -> list[dict]:
     """One row per sweep value, in sweep order; per-row errors do not abort.
 
     The swept parameter ("g0" or "g") is the coupling's strength, its second field; each value
-    is built at the config's mass.  The points go to :func:`leemodel.renorm.full_reports` in
-    one call, which solves a g0 sweep's in lockstep."""
+    is built with the config's mass, its first.  The points go to
+    :func:`leemodel.renorm.full_reports` in one call, which solves a g0 sweep's in lockstep."""
     sweep, make = config.sweep, type(config.coupling)
-    mass = config.coupling.m_v0 if make is BareCoupling else config.coupling.m_v
+    mass = dataclasses.astuple(config.coupling)[0]
     values = np.linspace(sweep.start, sweep.stop, sweep.steps).tolist()
     couplings = [make(mass, v) for v in values]
     return [_error_row(value, report) if isinstance(report, LeeModelError)
@@ -284,10 +284,10 @@ def emit(table: list[dict], out_format: str, path: str) -> None:
     """Write the row table as CSV or JSON with full float fidelity.
 
     The bytes are those of ``csv.writer(fh, lineterminator="\\n")`` over :func:`_cell`
-    and of ``json.dumps(rows, indent=2) + "\\n"``, keys in COLUMNS order.  A CSV row
-    without error text needs no quoting: one of nine floats and a regime is one format
-    of a row template, any other is joined directly; csv.writer writes the rest, quoting
-    as the running Python does (3.13 quotes a bare carriage return, 3.10 to 3.12 do not).
+    and of ``json.dumps(rows, indent=2) + "\\n"``, keys in COLUMNS order.  A CSV row of
+    nine floats, a regime and no error text needs no quoting and is one format of a row
+    template; csv.writer writes the rest, quoting as the running Python does (3.13 quotes
+    a bare carriage return, 3.10 to 3.12 do not).
     The JSON cells take one call of json's C encoder.
     """
     if out_format == "csv":
@@ -296,12 +296,10 @@ def emit(table: list[dict], out_format: str, path: str) -> None:
             writer.writerow(COLUMNS)
             for row in table:
                 values = [row[col] for col in COLUMNS]
-                if values[-1]:
+                if values[-1] or list(map(type, values)) != _CSV_ROW_TYPES:
                     writer.writerow([_cell(value) for value in values])
-                elif list(map(type, values)) == _CSV_ROW_TYPES:
-                    fh.write(_CSV_ROW % tuple(values[:-1]))
                 else:
-                    fh.write(",".join([_cell(value) for value in values]) + "\n")
+                    fh.write(_CSV_ROW % tuple(values[:-1]))
     elif out_format == "json":
         text = "[]\n"
         if table:

@@ -18,8 +18,9 @@ here are immutable values and all functions are pure, so everything can be
 shared freely between threads and across parameter sweeps.  That holds for the
 whole package: its only state, each model's threshold and copy in units of mu (each
 built once per model), the hash each FormFactor, ModelParams and QuadSpec keeps (that of
-its field tuple, taken when it is built; a copy or pickle is rebuilt by the constructor,
-so it is validated and hashed again where it lands) and the memos of
+its field tuple, taken when it is built; a copy or pickle of a FormFactor or ModelParams,
+whose hash takes in the str kind, is rebuilt by the constructor, so it is validated and
+hashed again under the hash seed where it lands) and the memos of
 :mod:`leemodel.quadrature` (Gauss-Legendre nodes, node layouts, moment rule entries, each
 a rung of the one refinement ladder of a model in units of mu and a kappa octave, and
 refined passes, each with its level's arrays; their bounds are stated there, by its

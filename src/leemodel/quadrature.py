@@ -120,9 +120,6 @@ class QuadSpec:
     def __hash__(self):
         return self._hash
 
-    def __reduce__(self):
-        return type(self), (self.abs_tol, self.rel_tol)
-
 
 def default_spec(params: ModelParams) -> QuadSpec:
     """Quadrature controls for ``params``: the default tolerances, QuadSpec()."""

@@ -1075,8 +1075,10 @@ def test_quadspec_validation():
 
 
 def test_a_pickled_or_copied_value_hashes_as_a_fresh_one():
-    # a model and a spec keep their hash, so one pickled under another hash seed must be
-    # rebuilt, not restored: equal to a fresh one, hashed as it, and sharing its memo entries.
+    # a model and a spec keep their hash, so one pickled under another hash seed must hash
+    # as a fresh one: the model, whose hash takes in a str, is rebuilt, not restored; the
+    # spec's floats hash alike under every seed.  Each must equal a fresh value, hash as
+    # it, and share its memo entries.
     # mu = 3 puts the model in units of mu at s = 1/2, a second model the first one holds
     code = ("import pickle, sys; from leemodel import FormFactor, ModelParams, QuadSpec; "
             "model = ModelParams(0.5, 3.0, FormFactor.exponential(12.0)); model._in_units_of_mu; "
